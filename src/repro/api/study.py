@@ -12,7 +12,9 @@ configuration.  A :class:`Study` owns that state and memoizes it:
 * derived graphs and their compiled sessions are cached per target, so a
   repeated :meth:`Study.predict` of the same configuration is a lookup and
   a batch of :meth:`Study.whatif` scenarios against one target is a series
-  of duration-vector swaps on a single session.
+  of duration-vector swaps on a single session;
+* the base trace's content digest — the sweep cache's key — is hashed
+  once (:attr:`Study.trace_digest`).
 
 The sweep runner (:mod:`repro.sweep.runner`) and the CLI are thin clients
 of this class; :func:`derive_graph` below is the one place that dispatches
@@ -369,6 +371,7 @@ class Study:
                 raise StudyError(str(exc)) from exc
         self.calibrations = 0
         self._bundle = trace
+        self._trace_digest: str | None = None
         self._options = options
         self._cluster = cluster
         self._emulation: "EmulationResult | None" = None
@@ -468,6 +471,22 @@ class Study:
             raise StudyError("this study has no trace bundle "
                              "(it was pickled for a worker process)")
         return self._bundle
+
+    @property
+    def trace_digest(self) -> str:
+        """Content digest of :attr:`trace`, hashed once and then memoized.
+
+        The same digest :func:`~repro.sweep.hashing.hash_trace_bundle`
+        computes, so sweep cache entries and service job ids keyed by
+        either agree.  Like the replay, it assumes the bundle is not
+        mutated after the study opened it.
+        """
+        if self._trace_digest is None:
+            # Imported here: repro.sweep.runner imports this module.
+            from repro.sweep.hashing import hash_trace_bundle
+
+            self._trace_digest = hash_trace_bundle(self.trace)
+        return self._trace_digest
 
     @property
     def emulation(self) -> "EmulationResult":

@@ -664,7 +664,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="register a saved trace bundle under NAME "
                                    "(repeatable)")
     serve_parser.add_argument("--poll-interval", type=float, default=0.05,
-                              help="worker idle-poll interval in seconds")
+                              help="longest an idle worker waits before "
+                                   "rescanning the root (submits to this "
+                                   "server wake it at once)")
     serve_parser.add_argument("--lease-seconds", type=float, default=30.0,
                               help="claim-lease lifetime without a heartbeat; "
                                    "an expired lease requeues the job")
@@ -698,7 +700,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(repeatable); uploads spooled by a server "
                                   "on the shared root resolve automatically")
     work_parser.add_argument("--poll-interval", type=float, default=0.05,
-                             help="idle-poll interval in seconds")
+                             help="idle-poll interval in seconds (how "
+                                  "soon jobs queued by other processes on "
+                                  "the root are found)")
     work_parser.add_argument("--lease-seconds", type=float, default=30.0,
                              help="claim-lease lifetime without a heartbeat")
     work_parser.add_argument("--max-attempts", type=int, default=3,

@@ -21,10 +21,11 @@ Layers (each its own module):
     content-hash job ids — identical submissions dedupe to one job —
     and the named trace registry.
 :mod:`repro.service.worker`
-    Queue-polling workers, per-bundle study memoization, per-job cache
-    stats, the always-on thread-safe service metrics, webhook delivery,
-    and :class:`WorkerFleet` — the dedicated ``repro-lumos work``
-    process draining a shared root.
+    Queue-draining workers (woken by in-process submits, polling for
+    jobs other processes queue), per-bundle study memoization, per-job
+    cache stats, the always-on thread-safe service metrics, webhook
+    delivery, and :class:`WorkerFleet` — the dedicated ``repro-lumos
+    work`` process draining a shared root.
 :mod:`repro.service.server`
     The zero-new-dependency ``ThreadingHTTPServer`` front end
     (``/v1/jobs``, ``/v1/healthz``, ``/v1/metricz``) with graceful

@@ -40,11 +40,12 @@ wholesale with a fresh ``queued`` record (``attempts`` bumped), which
 the stat check above makes visible to every store, and a late finisher
 whose job was meanwhile requeued or terminally failed is discarded
 (journal ``stale_finish``) instead of overwriting the newer record.
-Every terminal transition notifies a per-job
-:class:`threading.Condition`, which is what ``GET /v1/jobs/{id}?wait=``
-long-polls on; :meth:`JobStore.wait_for_terminal` falls back to a
-bounded poll loop (via ``refresh``) for transitions written by other
-processes.  A store's optional ``on_terminal`` callback fires for every
+Every terminal transition bumps a per-job :class:`Epoch`, which is what
+``GET /v1/jobs/{id}?wait=`` long-polls on, and every transition into
+``queued`` bumps the store-wide :attr:`JobStore.queued` epoch, which is
+what idle in-process workers park on; both fall back to a bounded poll
+(via ``refresh``) for transitions written by other processes on a shared
+root.  A store's optional ``on_terminal`` callback fires for every
 terminal record *this* store wrote — worker finishes, cancels, and
 lease-expiry ``worker-lost`` failures alike — which is how webhook
 subscribers hear about terminal transitions no worker produced.
@@ -92,6 +93,32 @@ _RECORD_SCHEMA = 1
 DEFAULT_LEASE_SECONDS = 30.0
 #: Default attempts (initial + lease-expiry requeues) before ``worker-lost``.
 DEFAULT_MAX_ATTEMPTS = 3
+
+
+class Epoch:
+    """A transition counter with a condition to wait for it to move.
+
+    A waiter reads :attr:`value` *before* it checks the state it waits
+    on, then waits for the value to move past what it read: a transition
+    that lands between the check and the wait has already moved it, so
+    no wakeup is lost.
+    """
+
+    def __init__(self) -> None:
+        self._condition = threading.Condition()
+        self.value = 0
+
+    def bump(self) -> None:
+        """Count one transition and wake every waiter."""
+        with self._condition:
+            self.value += 1
+            self._condition.notify_all()
+
+    def wait_past(self, value: int, timeout: float) -> bool:
+        """Block until the count moves past ``value``; False on timeout."""
+        with self._condition:
+            return self._condition.wait_for(lambda: self.value != value,
+                                            timeout)
 
 
 def job_id_for(bundle_hash: str, kind: str, payload: Mapping[str, Any]) -> str:
@@ -214,7 +241,13 @@ class JobStore:
         #: that a terminal record was replaced on disk (a re-enqueue by
         #: another process) without re-parsing unchanged snapshots.
         self._snapshot_stat: dict[str, tuple[int, int, int] | None] = {}
-        self._conditions: dict[str, threading.Condition] = {}
+        #: Bumped on every transition into ``queued`` this store writes
+        #: (a submit, a re-enqueue, a lease-expiry requeue) and on
+        #: shutdown: idle in-process workers park on it instead of
+        #: sleeping a poll interval out.
+        self.queued = Epoch()
+        #: Per-job transition counters the long-poll waits on.
+        self._epochs: dict[str, Epoch] = {}
         self.refresh()
 
     # -- persistence ---------------------------------------------------------
@@ -522,6 +555,8 @@ class JobStore:
                     self._journal(EVENT_LEASE_EXPIRED, reclaimed,
                                   worker=lost_worker)
             self._notify(record.job_id)
+            if reclaimed.state == STATE_QUEUED:
+                self.queued.bump()
             # A worker-lost failure is a terminal transition no worker
             # produced: this (winning) store tells the subscribers.
             self._fire_on_terminal(reclaimed)
@@ -557,7 +592,8 @@ class JobStore:
                 record = replace(record, submitted_unix=time.time())
             self._write(record)
             self._journal("submit", record)
-            return record, False
+        self.queued.bump()
+        return record, False
 
     def claim_next(self, worker: str) -> JobRecord | None:
         """Atomically claim the oldest queued job for ``worker``.
@@ -603,17 +639,15 @@ class JobStore:
         with contextlib.suppress(OSError):
             os.unlink(self._claim_path(job_id))
 
-    def _condition_for(self, job_id: str) -> threading.Condition:
+    def _epoch_for(self, job_id: str) -> Epoch:
         with self._lock:
-            condition = self._conditions.get(job_id)
-            if condition is None:
-                condition = self._conditions[job_id] = threading.Condition()
-            return condition
+            epoch = self._epochs.get(job_id)
+            if epoch is None:
+                epoch = self._epochs[job_id] = Epoch()
+            return epoch
 
     def _notify(self, job_id: str) -> None:
-        condition = self._condition_for(job_id)
-        with condition:
-            condition.notify_all()
+        self._epoch_for(job_id).bump()
 
     def _fire_on_terminal(self, record: JobRecord) -> None:
         """Invoke the ``on_terminal`` hook for a record this store wrote."""
@@ -626,15 +660,18 @@ class JobStore:
                           poll_interval: float = 0.25) -> JobRecord | None:
         """Block until the job reaches a terminal state (or ``timeout``).
 
-        In-process transitions fire the per-job condition immediately;
-        transitions written by *other* processes (a worker fleet on the
+        In-process transitions bump the per-job epoch and wake the waiter
+        immediately — the epoch is read before the record, so a finish
+        landing between the check and the wait is not missed.
+        Transitions written by *other* processes (a worker fleet on the
         shared root) are observed by the bounded ``refresh`` poll, which
         also reclaims expired leases while waiting — a crashed worker
         cannot park a waiter for longer than lease expiry + one tick.
         """
         deadline = time.monotonic() + max(0.0, timeout)
-        condition = self._condition_for(job_id)
+        epoch = self._epoch_for(job_id)
         while True:
+            seen = epoch.value
             self.refresh()
             record = self.get(job_id)
             if record is None or record.terminal:
@@ -642,8 +679,7 @@ class JobStore:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return record
-            with condition:
-                condition.wait(min(poll_interval, remaining))
+            epoch.wait_past(seen, min(poll_interval, remaining))
 
     def _finish(self, record: JobRecord, state: str, **updates: Any) -> JobRecord:
         with self._lock:
@@ -698,12 +734,17 @@ class TraceRegistry:
     Server-registered bundles (``repro-lumos serve --trace NAME=DIR``)
     load lazily and memoize together with their content hash — the hash
     walk is the expensive part worth paying once per bundle, not per
-    job.  Inline uploads are spooled to disk under the service root and
-    registered under their own content hash, so workers (and restarted
-    servers) reach them like any named bundle: an unknown ``upload-*``
-    name falls back to the spool directory, which is how a separate
-    ``repro-lumos work`` fleet on the shared root resolves bundles a
-    server spooled after the fleet started.
+    job.  Admission reads the hash from here; a worker keys the sweep
+    cache with its study's own memoized digest
+    (:attr:`~repro.api.Study.trace_digest`, the same bytes), so a bundle
+    is hashed once per registration plus once per worker study, and a
+    warm resubmission hashes nothing.  Inline uploads are spooled to
+    disk under the service root and registered under their own content
+    hash, so workers (and restarted servers) reach them like any named
+    bundle: an unknown ``upload-*`` name falls back to the spool
+    directory, which is how a separate ``repro-lumos work`` fleet on the
+    shared root resolves bundles a server spooled after the fleet
+    started.
     """
 
     spool_dir: Path | None = None

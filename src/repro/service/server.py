@@ -378,7 +378,7 @@ class ServiceApp:
                    wait: str | float | None = None) -> dict[str, Any]:
         """Job status; with ``wait=`` seconds, long-poll for a terminal.
 
-        The long-poll parks on the store's per-job condition — an
+        The long-poll parks on the store's per-job epoch — an
         in-process worker's terminal transition answers immediately; a
         fleet worker's transition is observed by the store's bounded
         refresh loop.  The response is the same body either way: clients
@@ -466,6 +466,9 @@ class ServiceApp:
     def stop(self, timeout: float = 30.0) -> None:
         """Graceful drain: stop accepting, finish running jobs, join."""
         self._stop.set()
+        # Wake idle workers so they see the stop flag now, not after
+        # their poll interval.
+        self.store.queued.bump()
         self._server.shutdown()
         self._server.server_close()
         for thread in self._threads[1:]:
@@ -502,6 +505,7 @@ class ServiceApp:
             self._server.serve_forever()
         finally:
             self._stop.set()
+            self.store.queued.bump()
             for thread in self._threads:
                 thread.join(timeout=30.0)
             self._threads = []

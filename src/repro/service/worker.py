@@ -1,4 +1,4 @@
-"""Queue-polling workers that evaluate service jobs.
+"""Queue-draining workers that evaluate service jobs.
 
 A :class:`Worker` drains the :class:`~repro.service.jobs.JobStore`:
 claim the oldest queued job, rebuild its :class:`~repro.api.Study`, run
@@ -6,11 +6,17 @@ the sweep (or single prediction) with the *shared* on-disk
 :class:`~repro.sweep.cache.SweepCache`, and write the result payload
 plus the job's own :class:`~repro.sweep.cache.CacheStats` back to the
 job record.  Studies are memoized per (bundle hash, base configuration):
-the first job against a bundle pays for replay and calibration, every
-later job against the same bundle reuses them — and because the sweep
-cache is content-addressed and shared across workers and users, popular
-scenario grids are answered entirely from cache (a warm identical
-resubmission reports ``cache_hit_rate == 1.0``).
+the first job against a bundle pays for replay, calibration and the
+bundle's content digest, every later job against the same bundle reuses
+them — and because the sweep cache is content-addressed and shared
+across workers and users, popular scenario grids are answered entirely
+from cache (a warm identical resubmission reports ``cache_hit_rate ==
+1.0`` and costs only its cache reads).
+
+Pickup is event-driven for workers in the process that queued the job:
+an idle worker parks on the store's queued epoch, which every submit,
+re-enqueue and lease-expiry requeue bumps.  Jobs queued by other
+processes on a shared root are found by polling every ``poll_interval``.
 
 While a job runs, the worker heartbeats its claim lease on a side
 thread (interval = a quarter of the lease), so a *healthy* slow job is
@@ -300,12 +306,21 @@ class Worker:
         return True
 
     def run_forever(self, stop: threading.Event) -> None:
-        """Drain the queue until ``stop`` is set (the serve loop's body)."""
+        """Drain the queue until ``stop`` is set (the serve loop's body).
+
+        An idle worker parks on the store's queued epoch for at most
+        ``poll_interval``: a job queued through this process's store
+        wakes it at once, while jobs other processes queue on a shared
+        root are found by the next poll.
+        """
         while not stop.is_set():
             self.metrics.gauge(
                 f"service.worker.{self.worker_id}.alive_unix", time.time())
+            # Read before claiming, so a submit that lands after the
+            # claim found nothing has already moved the epoch.
+            queued = self.store.queued.value
             if not self.run_once():
-                stop.wait(self.poll_interval)
+                self.store.queued.wait_past(queued, self.poll_interval)
 
 
 class WorkerFleet:
@@ -378,6 +393,9 @@ class WorkerFleet:
                 stop.wait(0.2)
         finally:
             stop.set()
+            # Wake idle workers so they see the stop flag now, not after
+            # their poll interval.
+            self.store.queued.bump()
             for thread in threads:
                 thread.join()
         return 0

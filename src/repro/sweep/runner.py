@@ -276,9 +276,9 @@ def run_sweep(bundle: TraceBundle, spec: SweepSpec, *, workers: int = 1,
         Re-evaluate every scenario even when cached (results are re-stored).
     study:
         An already-open :class:`~repro.api.Study` over ``bundle`` (what
-        ``Study.sweep`` passes).  Its memoized replay, calibration and
-        sessions are reused instead of re-deriving them; its base
-        configuration must match the spec's.
+        ``Study.sweep`` passes).  Its memoized replay, calibration,
+        sessions and trace digest are reused instead of re-deriving them;
+        its base configuration must match the spec's.
     """
     started = time.perf_counter()
     spec.validate()
@@ -300,13 +300,17 @@ def run_sweep(bundle: TraceBundle, spec: SweepSpec, *, workers: int = 1,
     observability.count("sweep.scenarios.total", len(scenarios))
 
     # Content hashing walks the full trace bundle, so only pay for it when
-    # there is a cache to key.
+    # there is a cache to key, and at most once per study: the study's own
+    # bundle is keyed by its memoized digest (the same bytes, so the same
+    # key); any other bundle is hashed here.
     bundle_hash = ""
     scenario_hashes: dict[ScenarioSpec, str] = {}
     collected: dict[ScenarioSpec, ScenarioResult] = {}
     if cache is not None:
         with observability.trace_span("sweep.hash", scenarios=len(scenarios)):
-            bundle_hash = hash_trace_bundle(bundle)
+            bundle_hash = (study.trace_digest
+                           if study is not None and bundle is study.trace
+                           else hash_trace_bundle(bundle))
             scenario_hashes = {scenario: hash_json(scenario_cache_key(spec, scenario))
                                for scenario in scenarios}
         if not force:

@@ -133,3 +133,27 @@ def small_replay(profiled_bundle):
 @pytest.fixture(scope="session")
 def small_emulator(small_model, small_parallel, small_training):
     return ClusterEmulator(small_model, small_parallel, small_training, seed=42)
+
+
+@pytest.fixture
+def bundle_hashes(monkeypatch):
+    """Every bundle :func:`hash_trace_bundle` digests while the test runs.
+
+    The function is patched at each binding the program calls it through
+    (the hashing module itself, which :class:`~repro.api.Study` imports
+    from lazily, the sweep runner and the service job store).
+    """
+    import repro.service.jobs
+    import repro.sweep.hashing
+    import repro.sweep.runner
+
+    hashed: list = []
+    real = repro.sweep.hashing.hash_trace_bundle
+
+    def recording(bundle):
+        hashed.append(bundle)
+        return real(bundle)
+
+    for module in (repro.sweep.hashing, repro.sweep.runner, repro.service.jobs):
+        monkeypatch.setattr(module, "hash_trace_bundle", recording)
+    return hashed

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -856,6 +857,21 @@ def _journal_events(store: JobStore, event: str, job_id: str) -> list[dict]:
             if line["event"] == event and line["job_id"] == job_id]
 
 
+def _await_journal_event(store: JobStore, event: str, job_id: str,
+                         timeout: float = 10.0) -> list[dict]:
+    """The job's ``event`` journal lines, waiting up to ``timeout`` for one.
+
+    Webhook delivery journals on its own thread, and only after the POST
+    returns, so a receiver can hold the body before the line lands.
+    """
+    deadline = time.time() + timeout
+    events = _journal_events(store, event, job_id)
+    while not events and time.time() < deadline:
+        time.sleep(0.02)
+        events = _journal_events(store, event, job_id)
+    return events
+
+
 @pytest.fixture
 def webhook_receiver():
     """A local HTTP sink recording every JSON body POSTed to it."""
@@ -1037,6 +1053,28 @@ class TestLeases:
         assert done.state == STATE_DONE
         assert 0.15 <= elapsed < 5.0
 
+    def test_wait_for_terminal_sees_a_finish_between_check_and_wait(
+            self, tmp_path, monkeypatch):
+        """Regression: a finish that lands after the waiter read the
+        record but before it parked used to cost a full poll tick."""
+        store = JobStore(tmp_path)
+        record, _ = store.submit(_record())
+        running = store.claim_next("w")
+        real_get = JobStore.get
+
+        def get_then_finish(self, job_id):
+            current = real_get(self, job_id)
+            if current.state == STATE_RUNNING:
+                store.mark_done(running, {"ok": True})
+            return current
+
+        monkeypatch.setattr(JobStore, "get", get_then_finish)
+        started = time.monotonic()
+        done = store.wait_for_terminal(record.job_id, timeout=5.0)
+        elapsed = time.monotonic() - started
+        assert done.state == STATE_DONE
+        assert elapsed < 0.1
+
 
 class TestWorkerFleetRecovery:
     @pytest.fixture
@@ -1126,12 +1164,7 @@ class TestWorkerFleetRecovery:
             assert delivered["job_id"] == job_id
             assert delivered["state"] == STATE_FAILED
             assert delivered["error"]["code"] == CODE_WORKER_LOST
-            # The delivery thread journals *after* the POST returns.
-            deadline = time.time() + 10.0
-            events = []
-            while time.time() < deadline and not events:
-                events = _journal_events(app.store, "webhook_delivered", job_id)
-                time.sleep(0.02)
+            events = _await_journal_event(app.store, "webhook_delivered", job_id)
             assert events and events[0]["url"] == url
 
     def test_cli_work_wires_the_fleet(self, tmp_path, serving_trace_dir,
@@ -1196,7 +1229,8 @@ class TestEventDrivenCompletion:
         delivered = received[0]["job"]
         assert delivered["job_id"] == job_id
         assert delivered["state"] == STATE_DONE
-        events = _journal_events(manual_app.store, "webhook_delivered", job_id)
+        events = _await_journal_event(manual_app.store, "webhook_delivered",
+                                      job_id)
         assert events and events[0]["url"] == url
 
     def test_webhook_fires_on_cancel(self, manual_app, webhook_receiver):
@@ -1367,6 +1401,97 @@ class TestClientRetries:
         # (later sleeps are clamped to the remaining deadline).
         assert sleeps[0] == pytest.approx(0.05)
         assert sleeps[1] == pytest.approx(0.1)
+
+
+class TestWarmPath:
+    """A warm job costs only its cache reads, and pickup is event-driven."""
+
+    def test_warm_resubmissions_hash_no_bundle(self, manual_app, bundle_hashes):
+        client = ServiceClient(manual_app.url)
+        worker = Worker(manual_app.store, manual_app.registry,
+                        manual_app.cache_root, metrics=manual_app.metrics)
+        job_id = client.submit(SWEEP_BODY)["job"]["job_id"]
+        assert worker.run_once()
+        # Admission hashes the registered bundle once, the worker's study
+        # once; every later job of that (bundle, base) study hashes none.
+        assert len(bundle_hashes) == 2
+        bundle_hashes.clear()
+        for _ in range(2):
+            assert client.submit(SWEEP_BODY)["job"]["job_id"] == job_id
+            assert worker.run_once()
+            assert client.result(job_id)["result"]["cache"]["hit_rate"] == 1.0
+        assert bundle_hashes == []
+
+    def test_idle_worker_claims_a_submit_without_waiting_a_poll(
+            self, serving_trace_dir, tmp_path):
+        app = ServiceApp(tmp_path / "svc", workers=1, poll_interval=5.0,
+                         traces={"canned": serving_trace_dir}).start()
+        try:
+            client = ServiceClient(app.url)
+            time.sleep(0.2)  # the worker found the queue empty and parked
+            job_id = client.submit({"kind": "predict", "trace": "canned",
+                                    "target": "batch=4"})["job"]["job_id"]
+            job = client.wait(job_id, timeout=120.0)
+            assert job["state"] == STATE_DONE
+            assert job["started_unix"] - job["submitted_unix"] < 1.0
+        finally:
+            started = time.monotonic()
+            app.stop()
+            stopped = time.monotonic() - started
+        assert stopped < 5.0
+
+    def test_many_workers_claim_every_job_exactly_once(self, tmp_path,
+                                                       monkeypatch):
+        """Stress: more worker threads than cores, frequent thread
+        switches, concurrent submitters; no job is lost or run twice."""
+        claims: list[str] = []
+        claims_lock = threading.Lock()
+
+        def evaluate(self, record):
+            with claims_lock:
+                claims.append(record.job_id)
+            return {"ok": True}, {"hit_rate": 1.0}
+
+        monkeypatch.setattr(Worker, "_evaluate", evaluate)
+        store = JobStore(tmp_path / "svc")
+        cores = (len(os.sched_getaffinity(0))
+                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        workers = [Worker(store, TraceRegistry(), str(tmp_path / "cache"),
+                          worker_id=f"worker-{index}", poll_interval=2.0)
+                   for index in range(cores + 2)]
+        job_ids = [f"{index:032x}" for index in range(120)]
+        stop = threading.Event()
+        threads = [threading.Thread(target=worker.run_forever, args=(stop,))
+                   for worker in workers]
+
+        def submit(ids: list[str]) -> None:
+            for job_id in ids:
+                store.submit(_record(job_id))
+
+        submitters = [threading.Thread(target=submit, args=(job_ids[k::3],))
+                      for k in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads + submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(timeout=60.0)
+            deadline = time.monotonic() + 60.0
+            while len(claims) < len(job_ids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+        finally:
+            stop.set()
+            store.queued.bump()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads + submitters)
+        assert sorted(claims) == job_ids
+        assert all(store.get(job_id).state == STATE_DONE for job_id in job_ids)
+        claimed = [line["job_id"] for line in store.journal_events()
+                   if line["event"] == "claim"]
+        assert sorted(claimed) == job_ids
 
 
 class TestIdleFleetMetrics:

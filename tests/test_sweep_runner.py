@@ -8,18 +8,22 @@ without replaying the base trace.
 
 import pytest
 
-from repro import sweep
+from repro import Study, sweep
 from repro.sweep import (
     ScenarioResult,
     SweepCache,
     SweepSpec,
     WhatIfSpec,
     format_report,
+    hash_json,
+    hash_trace_bundle,
     pareto_frontier,
     rank_results,
     run_sweep,
 )
+from repro.sweep.spec import scenario_cache_key
 from repro.emulator.api import emulate
+from repro.trace.kineto import TraceBundle
 from repro.workload.model_config import gpt3_model
 from repro.workload.parallelism import ParallelismConfig
 from repro.workload.training import TrainingConfig
@@ -151,6 +155,60 @@ class TestCacheIntegration:
         cache_two = SweepCache(tmp_path / "cache")
         run_sweep(other, small_spec, cache=cache_two)
         assert cache_two.stats.hits == 0
+
+
+class TestTraceDigest:
+    """A study's own bundle is hashed once; cache keys keep their bytes."""
+
+    @staticmethod
+    def _study(bundle):
+        return Study.from_trace(bundle, model="gpt3-15b",
+                                parallelism=BASE_PARALLELISM,
+                                micro_batch_size=1, num_microbatches=2)
+
+    def test_two_study_sweeps_hash_the_trace_once(self, base_bundle, small_spec,
+                                                  tmp_path, bundle_hashes):
+        study = self._study(base_bundle)
+        cold = study.sweep(small_spec, cache=SweepCache(tmp_path / "cache"))
+        warm = study.sweep(small_spec, cache=SweepCache(tmp_path / "cache"))
+        assert len(bundle_hashes) == 1 and bundle_hashes[0] is base_bundle
+        assert not any(r.from_cache for r in cold.results)
+        assert all(r.from_cache for r in warm.results)
+
+    def test_digest_keys_entries_stored_under_the_bundle_hash(self, base_bundle,
+                                                              small_spec, tmp_path):
+        study = self._study(base_bundle)
+        assert study.trace_digest == hash_trace_bundle(base_bundle)
+        # Plant every scenario under the key computed straight from the
+        # bundle hash; a study sweep must find each one without evaluating.
+        cache = SweepCache(tmp_path / "cache")
+        scenarios = small_spec.expand()
+        for index, scenario in enumerate(scenarios):
+            planted = ScenarioResult(
+                label=scenario.label, kind=scenario.kind,
+                target=scenario.target,
+                whatif=scenario.whatif.describe() if scenario.whatif else None,
+                world_size=1, iteration_time_us=1000.0 + index,
+                base_time_us=999.0)
+            cache.store(hash_trace_bundle(base_bundle),
+                        hash_json(scenario_cache_key(small_spec, scenario)),
+                        planted.to_json())
+        warm_cache = SweepCache(tmp_path / "cache")
+        warm = study.sweep(small_spec, cache=warm_cache)
+        assert warm_cache.stats.hits == len(scenarios)
+        assert [r.iteration_time_us for r in warm.results] == \
+            [1000.0 + index for index in range(len(scenarios))]
+
+    def test_a_bundle_other_than_the_studys_own_is_hashed(self, base_bundle,
+                                                           small_spec, tmp_path,
+                                                           bundle_hashes):
+        study = self._study(base_bundle)
+        base_bundle.save(tmp_path / "bundle")
+        copy = TraceBundle.load(tmp_path / "bundle")
+        assert copy is not study.trace
+        run_sweep(copy, small_spec, cache=SweepCache(tmp_path / "cache"),
+                  study=study)
+        assert len(bundle_hashes) == 1 and bundle_hashes[0] is copy
 
 
 class TestSweepApi:
