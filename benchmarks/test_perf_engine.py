@@ -29,7 +29,6 @@ import pytest
 from repro.core.engine import SimulationSession, compile_graph
 from repro.core.graph_builder import GraphBuilder
 from repro.core.replay import simulate_graph
-from repro.core.whatif import _clone_graph
 from repro.emulator.api import emulate
 from repro.experiments.settings import _fast_mode
 from repro.sweep import SweepSpec, WhatIfSpec, run_sweep
@@ -146,7 +145,7 @@ def test_benchmark_session_reuse_speedup(benchmark, built_graph):
         # simulate from scratch and materialise the replayed trace.
         times = []
         for _, predicate, speedup in SCENARIOS:
-            clone = _clone_graph(built_graph)
+            clone = built_graph.subgraph_for_ranks(built_graph.ranks())
             for task in clone.tasks.values():
                 if predicate(task):
                     task.duration = (0.0 if speedup == float("inf")

@@ -49,7 +49,7 @@ def test_benchmark_serving_exploration(benchmark, serving_study):
 
     def explore():
         serving_study.release()
-        return [serving_study.predict(serving=target).iteration_time_us
+        return [serving_study.predict(f"serving:{target}").iteration_time_us
                 for target in SERVING_TARGETS]
 
     started = time.perf_counter()

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import SimulationSession, compile_graph
 from repro.core.graph_builder import GraphBuilder
 from repro.core.replay import replay
-from repro.core.simulator import Simulator
 from repro.emulator.api import emulate
 from repro.trace.kineto import KinetoTrace
 from repro.workload.model_config import gpt3_model
@@ -50,8 +50,11 @@ def test_benchmark_graph_construction(benchmark, profiled_bundle):
 
 
 def test_benchmark_simulation(benchmark, built_graph):
-    simulator = Simulator(built_graph)
-    result = benchmark(simulator.run)
+    def simulate():
+        session = SimulationSession(compile_graph(built_graph))
+        return session.run().to_simulation_result()
+
+    result = benchmark(simulate)
     assert len(result.tasks) == len(built_graph)
 
 

@@ -23,7 +23,6 @@ a ``(kind, target)`` configuration onto :mod:`repro.core.manipulation`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
@@ -379,7 +378,7 @@ class Study:
         self._base_graph: ExecutionGraph | None = None
         self._base_time: float | None = None
         self._perf_model: KernelPerfModel | None = None
-        #: Non-registry architecture targets by name (predict(model=<config>)).
+        #: Non-registry architecture targets by name (predict(<ModelConfig>)).
         #: Part of the picklable snapshot so pool workers can derive them.
         self._custom_models: dict[str, ModelConfig] = {}
         #: Non-registry GPU specs by name (predict(GPUSpec) / JSON spec
@@ -585,31 +584,12 @@ class Study:
         """Which workload family the base trace came from."""
         return WORKLOAD_TRAINING if self.inference is None else WORKLOAD_SERVING
 
-    def _config_key(self, target: "Target | ParallelismConfig | ModelConfig | ServingTarget | GPUSpec | str | None" = None, *,
-                    model: ModelConfig | str | None = None,
-                    serving: ServingTarget | str | None = None) -> tuple[str, str]:
+    def _config_key(self, target: "Target | ParallelismConfig | ModelConfig | ServingTarget | GPUSpec | str | None" = None) -> tuple[str, str]:
         """Map a user-facing target onto the memoization key ``(kind, target)``.
 
-        ``target`` is the unified entry point — any form
-        :func:`~repro.api.target.parse_target` accepts.  The ``model=``
-        and ``serving=`` keywords are the pre-Target spelling; they keep
-        working (routed through the same parser) but warn.
+        ``target`` is any form :func:`~repro.api.target.parse_target`
+        accepts; ``None`` is the base configuration.
         """
-        if sum(item is not None for item in (target, model, serving)) > 1:
-            raise PredictError("give exactly one of a target parallelism, a "
-                               "target model or a serving target")
-        if model is not None:
-            warnings.warn("model= is deprecated; pass target=<model> (or a "
-                          "'model:<name>' string) instead",
-                          DeprecationWarning, stacklevel=3)
-            target = (model if isinstance(model, ModelConfig)
-                      else f"model:{model}")
-        elif serving is not None:
-            warnings.warn("serving= is deprecated; pass target=<serving "
-                          "target> (or a 'serving:batch=...' string) instead",
-                          DeprecationWarning, stacklevel=3)
-            target = (serving if isinstance(serving, ServingTarget)
-                      else f"serving:{serving}")
         if target is None:
             return (KIND_BASELINE, self.base_parallel.label())
         return self._key_for(parse_target(target))
@@ -839,9 +819,7 @@ class Study:
 
     # -- the paper workflow -------------------------------------------------
 
-    def predict(self, target: "Target | ParallelismConfig | ModelConfig | ServingTarget | GPUSpec | str | None" = None, *,
-                model: ModelConfig | str | None = None,
-                serving: ServingTarget | str | None = None) -> Prediction:
+    def predict(self, target: "Target | ParallelismConfig | ModelConfig | ServingTarget | GPUSpec | str | None" = None) -> Prediction:
         """Predict a new parallelism, model, serving or hardware setup.
 
         ``target`` takes any form :func:`~repro.api.target.parse_target`
@@ -854,19 +832,17 @@ class Study:
         ``study.predict("gpu=H200-SXM")`` (or a
         :class:`~repro.hardware.gpu.GPUSpec`) retargets the trace onto a
         hypothetical GPU — composable with one workload axis, e.g.
-        ``"tp=8,gpu=H200-SXM"`` or ``"parallelism=2x2x8,gpu=B200"``.  The
-        ``model=`` / ``serving=`` keywords are the deprecated pre-Target
-        spelling and keep working with a :class:`DeprecationWarning`.
+        ``"tp=8,gpu=H200-SXM"`` or ``"parallelism=2x2x8,gpu=B200"``.
         Repeated predictions of the same target are served from the
         study's caches.  Raises :class:`PredictError` for unsupported
         targets — notably tensor-parallelism changes of training bases —
         and for unsound hardware extrapolations (memory capacity,
         unclassifiable kernels).
         """
-        if target is None and model is None and serving is None:
+        if target is None:
             raise PredictError("predict requires a target parallelism, a "
                                "target model or a serving target")
-        kind, label = self._config_key(target, model=model, serving=serving)
+        kind, label = self._config_key(target)
         key = (kind, label)
         if key not in self._predictions:
             with observability.trace_span("study.predict", kind=kind,
@@ -885,8 +861,6 @@ class Study:
 
     def whatif(self, kind: str | None = None, *,
                target: "Target | ParallelismConfig | ModelConfig | ServingTarget | GPUSpec | str | None" = None,
-               model: ModelConfig | str | None = None,
-               serving: ServingTarget | str | None = None,
                op_class: str | None = None, group: str | None = None,
                speedup: float = 2.0) -> "WhatIfBuilder | WhatIfResult":
         """What-if scenarios (§5) against the base or a predicted target.
@@ -897,8 +871,7 @@ class Study:
         scenario immediately and returns its
         :class:`~repro.core.whatif.WhatIfResult`.
         """
-        builder = WhatIfBuilder(self, self._config_key(target, model=model,
-                                                       serving=serving))
+        builder = WhatIfBuilder(self, self._config_key(target))
         if kind is None:
             return builder
         return builder.apply(kind, op_class=op_class, group=group,
@@ -1026,9 +999,7 @@ class Study:
 
 
 def predict(trace: "TraceBundle | str | Path",
-            target: ParallelismConfig | str | None = None, *,
-            model: ModelConfig | str | None = None,
-            serving: ServingTarget | str | None = None,
+            target: "Target | ParallelismConfig | ModelConfig | ServingTarget | GPUSpec | str | None" = None, *,
             base_model: ModelConfig | str | None = None,
             base_parallelism: ParallelismConfig | str | None = None,
             micro_batch_size: int = 2,
@@ -1037,7 +1008,7 @@ def predict(trace: "TraceBundle | str | Path",
     """One-call prediction: open a throwaway :class:`Study` and predict.
 
     Serving-episode traces are recognised from their metadata, so
-    ``predict(trace, serving="batch=16")`` works directly on a bundle
+    ``predict(trace, "serving:batch=16")`` works directly on a bundle
     saved by ``repro-lumos emulate --workload serving``.  Prefer a
     long-lived :class:`Study` when predicting several targets from the
     same trace — it shares the replay and calibration across calls.
@@ -1045,4 +1016,4 @@ def predict(trace: "TraceBundle | str | Path",
     study = Study.from_trace(trace, model=base_model, parallelism=base_parallelism,
                              micro_batch_size=micro_batch_size,
                              num_microbatches=num_microbatches, training=training)
-    return study.predict(target, model=model, serving=serving)
+    return study.predict(target)

@@ -44,11 +44,6 @@
 emulates a continuous-batching *stream* (Poisson / bursty / trace
 arrivals) instead of one fixed batch.
 
-The pre-unification target flags (``--target-parallelism``,
-``--target-model``, ``--target-serving``; sweep's ``--targets`` /
-``--target-models`` / ``--serving``) keep working as hidden aliases but
-emit a :class:`DeprecationWarning` and are scheduled for removal.
-
 Every subcommand accepts ``--profile out.json`` to collect the pipeline's
 own spans and metrics (:mod:`repro.observability`) and write the
 structured run report next to the command's normal output.
@@ -64,19 +59,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
 from dataclasses import replace
 
 from repro.analysis.reporting import breakdown_headers, format_breakdown_row, format_table
-from repro.api import (
-    KIND_HARDWARE,
-    KIND_PARALLELISM,
-    KIND_SERVING,
-    Study,
-    StudyError,
-    parse_target,
-)
+from repro.api import Study, StudyError
+from repro.api.target import sweep_axes
 from repro.baselines.dpro import dpro_replay
 from repro.core.breakdown import compute_breakdown
 from repro.emulator.api import emulate
@@ -135,45 +123,7 @@ def _target_parent() -> argparse.ArgumentParser:
                              "auto-detected, or forced with a "
                              "'parallelism:'/'model:'/'serving:'/"
                              "'hardware:' prefix")
-    # Pre-unification spellings, kept as working hidden aliases.
-    parent.add_argument("--target-parallelism", help=argparse.SUPPRESS)
-    parent.add_argument("--target-model", help=argparse.SUPPRESS)
-    parent.add_argument("--target-serving", help=argparse.SUPPRESS)
     return parent
-
-
-def _warn_legacy_flag(flag: str, replacement: str) -> None:
-    warnings.warn(f"{flag} is deprecated and scheduled for removal; "
-                  f"use {replacement} instead", DeprecationWarning,
-                  stacklevel=3)
-
-
-def _collect_targets(args: argparse.Namespace) -> list[str]:
-    """Merge ``--target`` entries with the legacy per-kind flags.
-
-    Legacy flags come last, prefixed so the unified parser cannot
-    misclassify them, in the serving → model → parallelism order the
-    pre-unification ``export-timeline`` appended its sections.  Each
-    legacy flag warns: they are scheduled for removal.
-    """
-    targets = list(args.target)
-    if args.target_serving:
-        _warn_legacy_flag("--target-serving", "--target 'serving:...'")
-        targets.append(f"serving:{args.target_serving}")
-    if args.target_model:
-        _warn_legacy_flag("--target-model", "--target 'model:...'")
-        targets.append(f"model:{args.target_model}")
-    if args.target_parallelism:
-        _warn_legacy_flag("--target-parallelism", "--target 'parallelism:...'")
-        targets.append(f"parallelism:{args.target_parallelism}")
-    return targets
-
-
-def _split_csv(values: list[str] | None) -> list[str]:
-    parts: list[str] = []
-    for value in values or []:
-        parts.extend(part for part in value.split(",") if part)
-    return parts
 
 
 def _serving_metrics_lines(rows: list[tuple[str, object]]) -> list[str]:
@@ -240,16 +190,13 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    targets = _collect_targets(args)
-    if len(targets) != 1:
-        print("predict requires a single --target (or exactly one of "
-              "--target-parallelism, --target-model or --target-serving)",
-              file=sys.stderr)
+    if len(args.target) != 1:
+        print("predict requires a single --target", file=sys.stderr)
         args.parser.print_usage(sys.stderr)
         return 2
     try:
         study = _study_from_args(args)
-        prediction = study.predict(targets[0])
+        prediction = study.predict(args.target[0])
         metrics = prediction.serving_metrics(deadline_ms=args.slo_ms)
         base_metrics = (study.base_serving_metrics(deadline_ms=args.slo_ms)
                         if metrics is not None else None)
@@ -284,7 +231,7 @@ def _cmd_export_timeline(args: argparse.Namespace) -> int:
         base_metrics = study.base_serving_metrics()
         if base_metrics is not None:
             serving_tracks.append(("replayed", base_metrics))
-        for target in _collect_targets(args):
+        for target in args.target:
             prediction = study.predict(target)
             sections.append((prediction.label, prediction))
             metrics = prediction.serving_metrics()
@@ -317,49 +264,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             result = study.sweep(spec, workers=args.workers,
                                  cache_dir=args.cache_dir, force=args.force)
         else:
-            # The legacy axis flags map straight onto their axis; unified
-            # --target entries decompose by manipulation kind (composite
-            # 'tp=8,gpu=B200' targets populate two axes, which the spec
-            # re-crosses into the full hardware × workload grid).
-            if args.targets:
-                _warn_legacy_flag("--targets", "--target")
-            if args.target_models:
-                _warn_legacy_flag("--target-models", "--target 'model:...'")
-            if args.serving:
-                _warn_legacy_flag("--serving", "--target 'serving:...'")
-            parallelism_axis = _split_csv(args.targets)
-            models_axis = _split_csv(args.target_models)
-            serving_axis = list(args.serving)
-            hardware_axis: list[str] = []
-            for text in _collect_targets(args):
-                for kind, label in parse_target(text).manipulations:
-                    if kind == KIND_PARALLELISM:
-                        parallelism_axis.append(label)
-                    elif kind == KIND_SERVING:
-                        serving_axis.append(label)
-                    elif kind == KIND_HARDWARE:
-                        name = (label[len("gpu="):]
-                                if label.startswith("gpu=") else label)
-                        if name not in hardware_axis:
-                            hardware_axis.append(name)
-                    else:
-                        models_axis.append(label)
-            if not (parallelism_axis or models_axis or serving_axis
-                    or hardware_axis):
-                print("sweep requires --spec, --target, --targets, "
-                      "--target-models or --serving", file=sys.stderr)
+            # Composite 'tp=8,gpu=B200' targets populate two axes, which
+            # the spec re-crosses into the full hardware × workload grid.
+            axes = sweep_axes(args.target)
+            if not any(axes.values()):
+                print("sweep requires --spec or --target", file=sys.stderr)
                 args.parser.print_usage(sys.stderr)
                 return 2
             # The study recovers a serving base from the trace metadata, so
-            # inline --serving axes need no spec-side inference block.
+            # serving targets need no spec-side inference block.
             study = Study.from_trace(args.trace, model=args.model,
                                      parallelism=args.parallelism,
                                      training=_training_from_args(args))
             result = study.sweep(
-                parallelism=tuple(parallelism_axis),
-                models=tuple(models_axis),
-                serving=tuple(serving_axis),
-                hardware=tuple(hardware_axis),
+                **axes,
                 whatif=tuple(WhatIfSpec.parse(w) for w in args.whatif),
                 slo_ms=args.slo_ms,
                 workers=args.workers, cache_dir=args.cache_dir, force=args.force)
@@ -437,7 +355,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.sweep.runner import ScenarioResult
     from repro.sweep.analysis import format_ranked_table
 
-    targets = _collect_targets(args)
     body: dict[str, object] = {
         "kind": "predict" if args.predict else "sweep",
         "reuse": args.reuse,
@@ -456,10 +373,10 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if args.webhook:
         body["webhook"] = args.webhook
     if args.predict:
-        if len(targets) != 1:
+        if len(args.target) != 1:
             print("submit --predict requires exactly one --target", file=sys.stderr)
             return 2
-        body["target"] = targets[0]
+        body["target"] = args.target[0]
     else:
         if args.spec:
             try:
@@ -468,11 +385,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 print(f"error: {error}", file=sys.stderr)
                 return 2
             body["spec"] = spec.to_json()
-        if targets:
-            body["targets"] = targets
+        if args.target:
+            body["targets"] = args.target
         if args.whatif:
             body["whatif"] = list(args.whatif)
-        if not (args.spec or targets or args.whatif):
+        if not (args.spec or args.target or args.whatif):
             print("submit requires --spec, --target or --whatif (or --predict)",
                   file=sys.stderr)
             return 2
@@ -614,13 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_arguments(sweep_parser)
     sweep_parser.add_argument("--trace", required=True, help="base trace bundle directory")
     sweep_parser.add_argument("--spec", help="sweep spec JSON file (overrides inline axes)")
-    # Pre-unification axis flags; --target entries append to the same axes.
-    sweep_parser.add_argument("--targets", action="append",
-                              help=argparse.SUPPRESS)
-    sweep_parser.add_argument("--target-models", action="append",
-                              help=argparse.SUPPRESS)
-    sweep_parser.add_argument("--serving", action="append", default=[],
-                              help=argparse.SUPPRESS)
     sweep_parser.add_argument("--whatif", action="append", default=[],
                               help="what-if scenario: 'launch', 'comm[:group]:S' or "
                                    "'CLASS:S' (repeatable)")

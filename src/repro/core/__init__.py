@@ -16,8 +16,8 @@ This package implements the paper's contribution:
   duration matrix in one vectorized sweep (bit-identical to B sequential
   runs), with a sequential fallback for graphs whose schedule is not
   provably duration-independent;
-* :mod:`repro.core.simulator` — the replay simulator (Algorithm 1) with
-  fixed and runtime dependencies, now a thin wrapper over the engine;
+* :mod:`repro.core.simulator` — the dict-based per-task results of the
+  replay simulator (Algorithm 1), materialised from an engine run;
 * :mod:`repro.core.replay` — the high-level replay API;
 * :mod:`repro.core.breakdown` / :mod:`repro.core.sm_utilization` —
   execution-time breakdowns and SM-utilisation timelines (§4.2);
@@ -38,7 +38,7 @@ from repro.core.batch import (
     UnbatchableGraphError,
     compile_batch_plan,
 )
-from repro.core.simulator import SimulationResult, Simulator
+from repro.core.simulator import SimulationResult
 from repro.core.replay import ReplayResult, replay
 from repro.core.breakdown import ExecutionBreakdown, compute_breakdown
 from repro.core.sm_utilization import sm_utilization_timeline
@@ -49,8 +49,6 @@ from repro.core.whatif import (
     Scenario,
     evaluate_scenarios,
     scenario_for,
-    speed_up_communication,
-    speed_up_kernel_class,
 )
 
 __all__ = [
@@ -70,7 +68,6 @@ __all__ = [
     "BatchSession",
     "UnbatchableGraphError",
     "compile_batch_plan",
-    "Simulator",
     "SimulationResult",
     "replay",
     "ReplayResult",
@@ -85,6 +82,4 @@ __all__ = [
     "Scenario",
     "evaluate_scenarios",
     "scenario_for",
-    "speed_up_communication",
-    "speed_up_kernel_class",
 ]

@@ -12,7 +12,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.core.graph import ExecutionGraph
-from repro.core.simulator import SimulationResult, SimulatedTask, Simulator
+from repro.core.engine import SimulationSession, compile_graph
+from repro.core.simulator import SimulationResult, SimulatedTask
 from repro.core.tasks import Task, TaskKind
 
 
@@ -62,7 +63,7 @@ def critical_path(graph: ExecutionGraph,
     latest-finishing predecessor is used.
     """
     if simulation is None:
-        simulation = Simulator(graph).run()
+        simulation = SimulationSession(compile_graph(graph)).run().to_simulation_result()
     if not simulation.tasks:
         return CriticalPath(entries=(), total_time=0.0)
 

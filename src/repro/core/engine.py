@@ -1,10 +1,10 @@
 """The array-backed simulation engine: compile once, simulate many times.
 
-The seed :class:`~repro.core.simulator.Simulator` rebuilds every piece of
-scheduling state — indegrees, successor lists, per-stream kernel counts,
-collective-group membership — from Python dicts on every call, which makes
-it the hot path of what-if sweeps that re-simulate one graph hundreds of
-times with nothing but kernel durations changing.
+The seed scheduler rebuilt every piece of scheduling state — indegrees,
+successor lists, per-stream kernel counts, collective-group membership —
+from Python dicts on every call, which made it the hot path of what-if
+sweeps that re-simulate one graph hundreds of times with nothing but
+kernel durations changing.
 
 This module splits Algorithm 1 into two phases:
 
@@ -25,7 +25,9 @@ This module splits Algorithm 1 into two phases:
 The engine is bit-identical to the seed scheduler: it performs the same
 floating-point operations in the same order, so every start time matches
 exactly (``tests/test_engine.py`` asserts this against a verbatim copy of
-the seed algorithm).
+the seed algorithm, ``tests/reference_simulator.py``).  The dict-based
+:class:`~repro.core.simulator.SimulationResult` the analyses consume is
+one :meth:`SessionRun.to_simulation_result` away.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.graph import ExecutionGraph
+from repro.core.simulator import SimulatedTask, SimulationResult
 from repro.core.tasks import Task, TaskKind
 from repro.observability import tracing as observability
 
@@ -277,10 +280,8 @@ class SessionRun:
             return 0.0
         return float(self.ends.max() - self.starts.min())
 
-    def to_simulation_result(self):
+    def to_simulation_result(self) -> SimulationResult:
         """Materialise the seed-compatible :class:`SimulationResult`."""
-        from repro.core.simulator import SimulatedTask, SimulationResult
-
         result = SimulationResult(start_time=self.start_time)
         tasks = self.compiled.tasks
         starts = self.starts

@@ -169,22 +169,13 @@ class ExecutionGraph:
             if dependency.src not in self.tasks or dependency.dst not in self.tasks:
                 raise ValueError("dependency references a missing task")
 
-    # -- export ---------------------------------------------------------------------
-
-    def to_networkx(self):
-        """Export to a ``networkx.DiGraph`` (node/edge attributes included)."""
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for task in self.tasks.values():
-            graph.add_node(task.task_id, name=task.name, kind=task.kind.value,
-                           rank=task.rank, duration=task.duration)
-        for dependency in self.dependencies:
-            graph.add_edge(dependency.src, dependency.dst, dep_type=dependency.dep_type.value)
-        return graph
-
     def subgraph_for_ranks(self, ranks: Iterable[int]) -> "ExecutionGraph":
-        """A copy containing only the tasks/edges of the given ranks."""
+        """A copy containing only the tasks/edges of the given ranks.
+
+        Every kept task and edge is re-added under a fresh id, so with all
+        ranks (``graph.subgraph_for_ranks(graph.ranks())``) this is a full,
+        independent copy — unlike :meth:`clone`, which shares the topology.
+        """
         wanted = set(ranks)
         subgraph = ExecutionGraph(metadata=dict(self.metadata))
         mapping: dict[int, int] = {}

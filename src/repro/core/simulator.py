@@ -1,4 +1,4 @@
-"""The replay simulator (Algorithm 1).
+"""Results of the replay simulator (Algorithm 1).
 
 The simulator schedules every task of an execution graph onto its
 processor (a CPU thread or a CUDA stream), honouring:
@@ -15,13 +15,16 @@ processor (a CPU thread or a CUDA stream), honouring:
 The output records the simulated start time of every task, from which the
 iteration time, execution breakdown and SM utilisation are derived.
 
-Since the array-backed engine landed (:mod:`repro.core.engine`), this
-module is a thin compatibility wrapper: :class:`Simulator` compiles the
-graph and runs one :class:`~repro.core.engine.SimulationSession`, then
-materialises the dict-based :class:`SimulationResult` the rest of the
-code base consumes.  Schedules are bit-identical to the original
-dict/heap scheduler.  Hot paths that simulate one graph many times
-should compile once and reuse a session instead.
+This module holds the dict-based result types.  The scheduling itself
+lives in the array-backed engine (:mod:`repro.core.engine`): compile the
+graph once, run a :class:`~repro.core.engine.SimulationSession`, and
+materialise the :class:`SimulationResult` the rest of the code base
+consumes with :meth:`~repro.core.engine.SessionRun.to_simulation_result`::
+
+    SimulationSession(compile_graph(graph)).run().to_simulation_result()
+
+Schedules are bit-identical to the original dict/heap scheduler, which
+``tests/reference_simulator.py`` preserves as the test oracle.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.core.engine import SimulationSession, compile_graph
-from repro.core.graph import ExecutionGraph
 from repro.core.tasks import Task, TaskKind
 from repro.trace.events import Category, TraceEvent
 from repro.trace.kineto import DistributedInfo, KinetoTrace, TraceBundle
@@ -109,23 +110,3 @@ class SimulationResult:
                                    metadata={"simulated": True}))
         return bundle
 
-
-class Simulator:
-    """Replays an execution graph (Algorithm 1).
-
-    Compatibility wrapper over the array-backed engine: every ``run``
-    compiles the graph's current state and simulates it once, producing
-    schedules bit-identical to the original dict/heap scheduler.  To
-    simulate the same structure repeatedly (what-if sweeps), compile once
-    with :func:`repro.core.engine.compile_graph` and reuse a
-    :class:`repro.core.engine.SimulationSession` instead.
-    """
-
-    def __init__(self, graph: ExecutionGraph) -> None:
-        self.graph = graph
-
-    def run(self, start_time: float = 0.0) -> SimulationResult:
-        """Simulate the graph and return per-task timings."""
-        compiled = compile_graph(self.graph)
-        session = SimulationSession(compiled)
-        return session.run(start_time=start_time).to_simulation_result()

@@ -9,14 +9,18 @@ reports the end-to-end effect (which is usually much smaller than the local
 speed-up because of overlap and critical-path effects).
 
 Scenarios are plain ``(name, predicate, speedup)`` descriptions
-(:class:`Scenario`); evaluating one is a duration-vector swap on a reusable
-:class:`~repro.core.engine.SimulationSession`, and evaluating a *batch*
-(:func:`evaluate_scenarios`) builds one ``(B, n_tasks)`` duration matrix
-and simulates every scenario in a single vectorized sweep through
+(:class:`Scenario`; :func:`scenario_for` builds the declarative kinds).
+:func:`evaluate_scenarios` is the one entry point: a single scenario is a
+duration-vector swap on a reusable
+:class:`~repro.core.engine.SimulationSession`, and a *batch* builds one
+``(B, n_tasks)`` duration matrix and simulates every scenario in a single
+vectorized sweep through
 :meth:`~repro.core.engine.SimulationSession.run_batch` — with the engine's
 documented fallback to per-scenario sequential runs for graphs whose
 schedule is not provably duration-independent.  Both paths produce
-bit-identical times.
+bit-identical times.  One scenario against a graph reads::
+
+    evaluate_scenarios(graph, [scenario_for("kernel_class", op_class="gemm")])[0]
 """
 
 from __future__ import annotations
@@ -131,18 +135,6 @@ def scenario_for(kind: str, *, op_class: str | None = None,
     raise ValueError(f"unknown what-if kind '{kind}'")
 
 
-def _clone_graph(graph: ExecutionGraph) -> ExecutionGraph:
-    clone = ExecutionGraph(metadata=dict(graph.metadata))
-    id_map: dict[int, int] = {}
-    for task in graph.task_list():
-        copy = task.copy()
-        copy.task_id = -1
-        id_map[task.task_id] = clone.add_task(copy).task_id
-    for dependency in graph.dependencies:
-        clone.add_dependency(id_map[dependency.src], id_map[dependency.dst], dependency.dep_type)
-    return clone
-
-
 def _baseline_time_us(baseline: Baseline) -> float:
     if isinstance(baseline, (int, float)):
         return float(baseline)
@@ -211,70 +203,3 @@ def evaluate_scenarios(graph: ExecutionGraph,
                          affected_tasks=count)
             for scenario, time, count in zip(scenarios, times, affected)]
 
-
-def evaluate_scenario(graph: ExecutionGraph, name: str, predicate: TaskPredicate,
-                      speedup: float,
-                      baseline: Baseline | None = None,
-                      session: SimulationSession | None = None) -> WhatIfResult:
-    """Rescale every task matching ``predicate`` by ``1/speedup`` and re-simulate.
-
-    The input graph is left untouched; a ``speedup`` of 2.0 halves the
-    matching tasks' durations, ``float("inf")`` removes them from the
-    timeline entirely.
-
-    A scenario is one duration-vector swap on a reusable simulation
-    session: the graph is compiled once (or not at all when ``session`` —
-    which must have been compiled from ``graph`` — is supplied) and only
-    the rescaled durations are re-simulated.  Sweeps that evaluate many
-    scenarios against one graph should batch them through
-    :func:`evaluate_scenarios` instead (one vectorized simulation for the
-    whole batch).
-    """
-    return evaluate_scenarios(graph, [Scenario(name=name, predicate=predicate,
-                                               speedup=speedup)],
-                              baseline=baseline, session=session)[0]
-
-
-def speed_up_communication(graph: ExecutionGraph, speedup: float = 2.0,
-                           group: str | None = None,
-                           baseline: Baseline | None = None,
-                           session: SimulationSession | None = None) -> WhatIfResult:
-    """What if communication kernels (optionally one group: tp/dp/pp) were faster?"""
-    scenario = scenario_for("communication", group=group, speedup=speedup)
-    return evaluate_scenarios(graph, [scenario], baseline=baseline,
-                              session=session)[0]
-
-
-def speed_up_kernel_class(graph: ExecutionGraph, op_class: str, speedup: float = 2.0,
-                          baseline: Baseline | None = None,
-                          session: SimulationSession | None = None) -> WhatIfResult:
-    """What if every kernel of one class (e.g. ``"gemm"``) were faster?"""
-    scenario = scenario_for("kernel_class", op_class=op_class, speedup=speedup)
-    return evaluate_scenarios(graph, [scenario], baseline=baseline,
-                              session=session)[0]
-
-
-def remove_launch_overhead(graph: ExecutionGraph,
-                           baseline: Baseline | None = None,
-                           session: SimulationSession | None = None) -> WhatIfResult:
-    """What if CPU-side launch overhead were free (CUDA-graph style launches)?"""
-    scenario = scenario_for("launch_overhead")
-    return evaluate_scenarios(graph, [scenario], baseline=baseline,
-                              session=session)[0]
-
-
-def apply_speedup(graph: ExecutionGraph, kind: str, *, op_class: str | None = None,
-                  group: str | None = None, speedup: float = 2.0,
-                  baseline: Baseline | None = None,
-                  session: SimulationSession | None = None) -> WhatIfResult:
-    """Declarative entry point over the scenario helpers above.
-
-    ``kind`` selects the scenario family exactly like :func:`scenario_for`.
-    Sweep groups that evaluate several declarative scenarios against one
-    graph should build them with :func:`scenario_for` and submit the list
-    to :func:`evaluate_scenarios` so the whole group shares a single
-    batched simulation.
-    """
-    return evaluate_scenarios(graph, [scenario_for(kind, op_class=op_class,
-                                                   group=group, speedup=speedup)],
-                              baseline=baseline, session=session)[0]

@@ -11,11 +11,15 @@ registry next to the span tree.
 Instruments are created on first use and addressed by name.  Histogram
 values are kept as streaming summaries (count / total / min / max), not
 raw samples, so recording is O(1) and the snapshot stays small however
-many kernels a calibration observes.
+many kernels a calibration observes.  Every update and snapshot holds the
+registry's lock: the sweep service's handler and worker threads write one
+registry concurrently, and a read-modify-write counter would otherwise
+lose updates.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any
 
@@ -50,36 +54,41 @@ class HistogramSummary:
 
 
 class MetricsRegistry:
-    """Counters, gauges and histograms for one profiled run."""
+    """Thread-safe counters, gauges and histograms for one profiled run."""
 
     def __init__(self) -> None:
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, HistogramSummary] = {}
+        self._lock = threading.Lock()
 
     def count(self, name: str, n: float = 1.0) -> None:
         """Add ``n`` to the counter ``name`` (created at 0 on first use)."""
-        self.counters[name] = self.counters.get(name, 0.0) + float(n)
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0.0) + float(n)
 
     def gauge(self, name: str, value: float) -> None:
         """Set the gauge ``name`` to ``value`` (last write wins)."""
-        self.gauges[name] = float(value)
+        with self._lock:
+            self.gauges[name] = float(value)
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation into the histogram ``name``."""
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = self.histograms[name] = HistogramSummary()
-        histogram.observe(value)
+        with self._lock:
+            histogram = self.histograms.get(name)
+            if histogram is None:
+                histogram = self.histograms[name] = HistogramSummary()
+            histogram.observe(value)
 
     def snapshot(self) -> dict[str, Any]:
         """A JSON-able snapshot of every instrument, sorted by name."""
-        return {
-            "counters": {name: self.counters[name] for name in sorted(self.counters)},
-            "gauges": {name: self.gauges[name] for name in sorted(self.gauges)},
-            "histograms": {name: self.histograms[name].to_json()
-                           for name in sorted(self.histograms)},
-        }
+        with self._lock:
+            return {
+                "counters": {name: self.counters[name] for name in sorted(self.counters)},
+                "gauges": {name: self.gauges[name] for name in sorted(self.gauges)},
+                "histograms": {name: self.histograms[name].to_json()
+                               for name in sorted(self.histograms)},
+            }
 
     def __len__(self) -> int:
         return len(self.counters) + len(self.gauges) + len(self.histograms)

@@ -44,7 +44,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.api import KIND_HARDWARE, KIND_PARALLELISM, KIND_SERVING, parse_target
+from repro.api.target import parse_target, sweep_axes
 from repro.api.errors import StudyError
 from repro.observability import tracing as observability
 from repro.service.jobs import (
@@ -339,33 +339,8 @@ class ServiceApp:
 
     def _spec_from_axes(self, request: SubmitRequest,
                         base: Mapping[str, Any]) -> SweepSpec:
-        parallelism: list[str] = []
-        models: list[str] = []
-        serving: list[str] = []
-        hardware: list[str] = []
-        for text in request.targets:
-            # Composite workload+hardware targets decompose onto the
-            # spec's axes (which re-cross them, so "tp=8,gpu=B200" also
-            # evaluates the reference points "tp=8" and "gpu=B200").
-            for kind, label in parse_target(text).manipulations:
-                if kind == KIND_PARALLELISM:
-                    parallelism.append(label)
-                elif kind == KIND_SERVING:
-                    serving.append(label)
-                elif kind == KIND_HARDWARE:
-                    name = label[len("gpu="):] if label.startswith("gpu=") else label
-                    if name not in hardware:
-                        hardware.append(name)
-                else:
-                    models.append(label)
-        payload: dict[str, Any] = {
-            "base": dict(base),
-            "parallelism": parallelism,
-            "models": models,
-            "whatif": [],
-            "serving": serving,
-            "hardware": hardware,
-        }
+        payload: dict[str, Any] = {"base": dict(base), "whatif": [],
+                                   **sweep_axes(request.targets)}
         if request.slo_ms is not None:
             payload["base"]["slo_ms"] = request.slo_ms
         spec = SweepSpec.from_json(payload)

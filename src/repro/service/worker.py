@@ -86,19 +86,18 @@ from repro.sweep.spec import SweepSpec
 
 
 class ServiceMetrics:
-    """Always-on, thread-safe metrics for the service.
+    """Always-on metrics for the service.
 
-    The observability registry is deliberately lock-free (it records
-    inside one profiled run); the service updates its own registry under
-    a lock — many handler and worker threads write concurrently — and
-    mirrors every update into the profile-gated tracing module, so a
+    Handler and worker threads write one thread-safe
+    :class:`~repro.observability.metrics.MetricsRegistry`; every update is
+    mirrored into the profile-gated tracing module, so a
     ``repro-lumos serve --profile`` run reports the same numbers
     ``GET /v1/metricz`` serves.
     """
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        self._lock = threading.Lock()
+        self._busy_lock = threading.Lock()
         self._busy = 0
         # Seed the fleet gauges so an idle service *reports* idle instead
         # of omitting the gauge entirely.
@@ -106,31 +105,27 @@ class ServiceMetrics:
         self.registry.gauge("service.queue_depth", 0.0)
 
     def count(self, name: str, n: float = 1.0) -> None:
-        with self._lock:
-            self.registry.count(name, n)
+        self.registry.count(name, n)
         observability.count(name, n)
 
     def gauge(self, name: str, value: float) -> None:
-        with self._lock:
-            self.registry.gauge(name, value)
+        self.registry.gauge(name, value)
         observability.gauge(name, value)
 
     def observe(self, name: str, value: float) -> None:
-        with self._lock:
-            self.registry.observe(name, value)
+        self.registry.observe(name, value)
         observability.observe(name, value)
 
     def worker_busy(self, delta: int) -> None:
         """Track the busy-worker gauge as a count (N workers, one gauge)."""
-        with self._lock:
+        with self._busy_lock:
             self._busy += delta
-            self.registry.gauge("service.busy_workers", self._busy)
             busy = self._busy
+            self.registry.gauge("service.busy_workers", busy)
         observability.gauge("service.busy_workers", busy)
 
     def snapshot(self) -> dict[str, Any]:
-        with self._lock:
-            return self.registry.snapshot()
+        return self.registry.snapshot()
 
 
 # -- webhooks -----------------------------------------------------------------

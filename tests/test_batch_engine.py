@@ -16,8 +16,9 @@ handled the batch.  Every test here asserts that differentially:
   way builder-produced graphs do);
 * the fallback itself: unordered processors fall back with a reason,
   deadlocking graphs raise the sequential scheduler's ``RuntimeError``;
-* the what-if layer: a batched ``evaluate_scenarios`` call must equal the
-  per-scenario ``evaluate_scenario`` loop result for result.
+* the what-if layer: a batched ``evaluate_scenarios`` call must equal
+  one single-scenario ``evaluate_scenarios`` call per scenario, result
+  for result.
 """
 
 from __future__ import annotations
@@ -40,12 +41,7 @@ from repro.core.batch import (
 from repro.core.engine import SimulationSession, compile_graph
 from repro.core.graph import ExecutionGraph
 from repro.core.tasks import DependencyType
-from repro.core.whatif import (
-    Scenario,
-    evaluate_scenario,
-    evaluate_scenarios,
-    scenario_for,
-)
+from repro.core.whatif import Scenario, evaluate_scenarios, scenario_for
 from tests.conftest import hyp_max_examples
 from tests.test_engine import cpu, gpu, random_graphs
 
@@ -457,8 +453,7 @@ class TestServingGraphBatching:
         ]
         batched = evaluate_scenarios(serving_graph, scenarios)
         for scenario, result in zip(scenarios, batched):
-            alone = evaluate_scenario(serving_graph, scenario.name,
-                                      scenario.predicate, scenario.speedup)
+            alone = evaluate_scenarios(serving_graph, [scenario])[0]
             assert result == alone
         decode_attn = batched[0]
         assert decode_attn.affected_tasks > 0
@@ -543,8 +538,7 @@ class TestWhatIfBatching:
     def test_batched_scenarios_match_individual_evaluation(self, small_graph):
         batched = evaluate_scenarios(small_graph, list(self.SCENARIOS))
         for scenario, result in zip(self.SCENARIOS, batched):
-            alone = evaluate_scenario(small_graph, scenario.name,
-                                      scenario.predicate, scenario.speedup)
+            alone = evaluate_scenarios(small_graph, [scenario])[0]
             assert result == alone
 
     def test_shared_session_and_baseline(self, small_graph):

@@ -74,7 +74,7 @@ class TestCommands:
         code = main([
             "predict", "--trace", str(trace_directory), "--model", "gpt3-15b",
             "--parallelism", "2x2x2", "--micro-batch-size", "1", "--num-microbatches", "2",
-            "--target-parallelism", "2x2x8",
+            "--target", "parallelism:2x2x8",
         ])
         assert code == 0
         assert "predicted 2x2x8" in capsys.readouterr().out
@@ -83,7 +83,7 @@ class TestCommands:
         code = main([
             "predict", "--trace", str(trace_directory), "--model", "gpt3-15b",
             "--parallelism", "2x2x2", "--micro-batch-size", "1", "--num-microbatches", "2",
-            "--target-model", "gpt3-v1",
+            "--target", "model:gpt3-v1",
         ])
         assert code == 0
         output = capsys.readouterr().out
@@ -97,7 +97,7 @@ class TestCommands:
         code = main([
             "predict", "--trace", str(trace_directory), "--model", "gpt3-15b",
             "--parallelism", "2x2x2", "--micro-batch-size", "1",
-            "--num-microbatches", "2", "--target-model", "gpt9",
+            "--num-microbatches", "2", "--target", "model:gpt9",
         ])
         assert code == 2
         err = capsys.readouterr().err
@@ -117,15 +117,14 @@ class TestCommands:
             "--parallelism", "2x2x2",
         ])
         err = capsys.readouterr().err
-        assert ("predict requires a single --target (or exactly one of "
-                "--target-parallelism, --target-model or --target-serving)") in err
+        assert "predict requires a single --target" in err
         assert "usage:" in err
 
     def test_predict_rejects_tensor_parallelism_change(self, trace_directory, capsys):
         code = main([
             "predict", "--trace", str(trace_directory), "--model", "gpt3-15b",
             "--parallelism", "2x2x2", "--micro-batch-size", "1",
-            "--num-microbatches", "2", "--target-parallelism", "4x2x2",
+            "--num-microbatches", "2", "--target", "parallelism:4x2x2",
         ])
         assert code == 2
         err = capsys.readouterr().err
@@ -146,7 +145,7 @@ class TestCommands:
         argv = [
             "sweep", "--trace", str(trace_directory), "--model", "gpt3-15b",
             "--parallelism", "2x2x2", "--micro-batch-size", "1",
-            "--num-microbatches", "2", "--targets", "2x2x4",
+            "--num-microbatches", "2", "--target", "parallelism:2x2x4",
             "--whatif", "gemm:2", "--cache-dir", str(tmp_path / "cache"),
         ]
         assert main(argv) == 0
@@ -173,19 +172,18 @@ class TestCommands:
     def test_sweep_without_axes_errors(self, trace_directory, capsys):
         assert main(["sweep", "--trace", str(trace_directory)]) == 2
         err = capsys.readouterr().err
-        assert ("sweep requires --spec, --target, --targets, "
-                "--target-models or --serving") in err
+        assert "sweep requires --spec or --target" in err
         assert "usage:" in err
 
     def test_sweep_reports_bad_whatif_cleanly(self, trace_directory, capsys):
         code = main(["sweep", "--trace", str(trace_directory),
-                     "--targets", "2x2x4", "--whatif", "gemm"])
+                     "--target", "parallelism:2x2x4", "--whatif", "gemm"])
         assert code == 2
         assert "error: bad what-if 'gemm'" in capsys.readouterr().err
 
     def test_sweep_reports_unknown_model_cleanly(self, trace_directory, capsys):
         code = main(["sweep", "--trace", str(trace_directory),
-                     "--target-models", "gpt9"])
+                     "--target", "model:gpt9"])
         assert code == 2
         assert "error: unknown model 'gpt9'" in capsys.readouterr().err
 
@@ -197,12 +195,14 @@ class TestCommands:
         assert "is not valid JSON" in capsys.readouterr().err
 
     def test_sweep_reports_missing_trace_cleanly(self, tmp_path, capsys):
-        code = main(["sweep", "--trace", str(tmp_path / "nope"), "--targets", "2x2x4"])
+        code = main(["sweep", "--trace", str(tmp_path / "nope"),
+                     "--target", "parallelism:2x2x4"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
     def test_sweep_reports_malformed_target_cleanly(self, trace_directory, capsys):
-        code = main(["sweep", "--trace", str(trace_directory), "--targets", "2x2"])
+        code = main(["sweep", "--trace", str(trace_directory),
+                     "--target", "parallelism:2x2"])
         assert code == 2
         assert "TPxPPxDP" in capsys.readouterr().err
 
@@ -210,7 +210,7 @@ class TestCommands:
         code = main([
             "sweep", "--trace", str(trace_directory), "--model", "gpt3-15b",
             "--parallelism", "2x2x2", "--micro-batch-size", "1",
-            "--num-microbatches", "2", "--targets", "4x2x2",
+            "--num-microbatches", "2", "--target", "parallelism:4x2x2",
         ])
         assert code == 2
         assert "tensor parallelism" in capsys.readouterr().err
@@ -248,7 +248,7 @@ class TestServingCommands:
     def test_predict_serving_target(self, serving_trace_directory, capsys):
         code = main(["predict", "--trace", str(serving_trace_directory),
                      "--model", "gpt3-15b", "--parallelism", "2x1x1",
-                     "--target-serving", "batch=4"])
+                     "--target", "serving:batch=4"])
         assert code == 0
         out = capsys.readouterr().out
         assert "predicted batch=4" in out
@@ -257,15 +257,15 @@ class TestServingCommands:
     def test_predict_rejects_two_targets(self, serving_trace_directory, capsys):
         code = main(["predict", "--trace", str(serving_trace_directory),
                      "--model", "gpt3-15b", "--parallelism", "2x1x1",
-                     "--target-serving", "batch=4", "--target-model", "gpt3-v1"])
+                     "--target", "serving:batch=4", "--target", "model:gpt3-v1"])
         assert code == 2
-        assert "exactly one" in capsys.readouterr().err
+        assert "a single --target" in capsys.readouterr().err
 
     def test_predict_serving_on_training_trace_errors(self, trace_directory, capsys):
         code = main(["predict", "--trace", str(trace_directory),
                      "--model", "gpt3-15b", "--parallelism", "2x2x2",
                      "--micro-batch-size", "1", "--num-microbatches", "2",
-                     "--target-serving", "batch=4"])
+                     "--target", "serving:batch=4"])
         assert code == 2
         assert "training iteration" in capsys.readouterr().err
 
@@ -273,7 +273,7 @@ class TestServingCommands:
                                                          capsys):
         code = main(["predict", "--trace", str(serving_trace_directory),
                      "--model", "gpt3-15b", "--parallelism", "2x1x1",
-                     "--target-parallelism", "2x1x2"])
+                     "--target", "parallelism:2x1x2"])
         assert code == 2
         assert "serving episode" in capsys.readouterr().err
 
@@ -281,14 +281,14 @@ class TestServingCommands:
                                                      capsys):
         code = main(["predict", "--trace", str(serving_trace_directory),
                      "--model", "gpt3-15b", "--parallelism", "2x1x1",
-                     "--target-serving", "decode=4"])
+                     "--target", "serving:decode=4"])
         assert code == 2
         assert "topology" in capsys.readouterr().err
 
     def test_sweep_serving_axis(self, serving_trace_directory, capsys):
         code = main(["sweep", "--trace", str(serving_trace_directory),
                      "--model", "gpt3-15b", "--parallelism", "2x1x1",
-                     "--serving", "batch=4", "--serving", "tp=1",
+                     "--target", "serving:batch=4", "--target", "serving:tp=1",
                      "--whatif", "decode_attention:2"])
         assert code == 0
         out = capsys.readouterr().out
@@ -300,7 +300,7 @@ class TestServingCommands:
         code = main(["sweep", "--trace", str(trace_directory),
                      "--model", "gpt3-15b", "--parallelism", "2x2x2",
                      "--micro-batch-size", "1", "--num-microbatches", "2",
-                     "--serving", "batch=4"])
+                     "--target", "serving:batch=4"])
         assert code == 2
         assert "inference base" in capsys.readouterr().err
 
@@ -367,14 +367,6 @@ class TestStreamCommands:
         code = main(["predict", "--trace", str(stream_trace_directory),
                      "--model", "gpt3-15b", "--parallelism", "2x1x1",
                      "--target", "batch=2", "--target", "serving:prompt=128"])
-        assert code == 2
-        assert "a single --target" in capsys.readouterr().err
-
-    def test_predict_mixing_target_and_legacy_flag_errors(self, stream_trace_directory,
-                                                          capsys):
-        code = main(["predict", "--trace", str(stream_trace_directory),
-                     "--model", "gpt3-15b", "--parallelism", "2x1x1",
-                     "--target", "batch=2", "--target-serving", "prompt=128"])
         assert code == 2
         assert "a single --target" in capsys.readouterr().err
 
@@ -462,7 +454,7 @@ class TestObservabilityCommands:
         output = tmp_path / "serving.json"
         code = main(["export-timeline", "--trace", str(serving_trace_directory),
                      "--model", "gpt3-15b", "--parallelism", "2x1x1",
-                     "--target-serving", "batch=4", "--output", str(output)])
+                     "--target", "serving:batch=4", "--output", str(output)])
         assert code == 0
         payload = json.loads(output.read_text(encoding="utf-8"))
         validate_chrome_trace(payload)
@@ -539,24 +531,14 @@ class TestHardwareCli:
         assert "evaluated 4 scenarios" in output
         assert "2x2x4+gpu=H200-SXM" in output
 
-    def test_legacy_target_flags_warn(self, trace_directory, capsys):
-        with pytest.warns(DeprecationWarning,
-                          match="--target-parallelism is deprecated"):
-            code = main([
-                "predict", "--trace", str(trace_directory), "--model",
-                "gpt3-15b", "--parallelism", "2x2x2", "--micro-batch-size",
-                "1", "--num-microbatches", "2",
-                "--target-parallelism", "2x2x4",
-            ])
-        assert code == 0
-
-    def test_legacy_sweep_targets_flag_warns(self, trace_directory, tmp_path,
-                                             capsys):
-        with pytest.warns(DeprecationWarning, match="--targets is deprecated"):
-            code = main([
-                "sweep", "--trace", str(trace_directory), "--model",
-                "gpt3-15b", "--parallelism", "2x2x2", "--micro-batch-size",
-                "1", "--num-microbatches", "2", "--targets", "2x2x4",
-                "--cache-dir", str(tmp_path / "cache"),
-            ])
-        assert code == 0
+    @pytest.mark.parametrize("name", [
+        "target-parallelism", "target-model", "target-serving",
+        "targets", "target-models", "serving",
+    ])
+    def test_removed_target_flags_are_rejected(self, trace_directory, name, capsys):
+        # The pre-unification spellings are gone: argparse refuses them.
+        flag = f"--{name}"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--trace", str(trace_directory), flag, "2x2x4"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} 2x2x4" in capsys.readouterr().err

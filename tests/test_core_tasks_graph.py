@@ -140,12 +140,6 @@ class TestExecutionGraph:
         assert set(groups) == {"act:1:0"}
         assert len(groups["act:1:0"]) == 2
 
-    def test_to_networkx_roundtrip_counts(self):
-        graph, _ = self._linear_graph(4)
-        nx_graph = graph.to_networkx()
-        assert nx_graph.number_of_nodes() == 4
-        assert nx_graph.number_of_edges() == 3
-
     def test_subgraph_for_ranks(self):
         graph = ExecutionGraph()
         a = graph.add_task(cpu_task(rank=0))

@@ -5,16 +5,20 @@ import pytest
 from repro.core.critical_path import critical_path, kernel_time_summary, launch_overhead_summary
 from repro.core.graph import ExecutionGraph
 from repro.core.replay import simulate_graph
-from repro.core.simulator import Simulator
 from repro.core.tasks import DependencyType, Task, TaskKind
-from repro.core.whatif import (
-    _clone_graph,
-    apply_speedup,
-    evaluate_scenario,
-    remove_launch_overhead,
-    speed_up_communication,
-    speed_up_kernel_class,
-)
+from repro.core.whatif import Scenario, evaluate_scenarios, scenario_for
+from tests.conftest import simulate
+
+
+def evaluate(graph, kind, *, baseline=None, **knobs):
+    """One declarative scenario against ``graph`` (the Study.whatif path)."""
+    return evaluate_scenarios(graph, [scenario_for(kind, **knobs)],
+                              baseline=baseline)[0]
+
+
+def evaluate_predicate(graph, name, predicate, speedup):
+    """One ad-hoc predicate scenario against ``graph``."""
+    return evaluate_scenarios(graph, [Scenario(name, predicate, speedup)])[0]
 
 
 def _chain_graph():
@@ -54,7 +58,7 @@ class TestCriticalPath:
 
     def test_accepts_precomputed_simulation(self):
         graph, *_ = _chain_graph()
-        simulation = Simulator(graph).run()
+        simulation = simulate(graph)
         assert critical_path(graph, simulation).total_time == pytest.approx(
             simulation.total_time())
 
@@ -106,57 +110,58 @@ class TestKernelTimeSummary:
 class TestWhatIf:
     def test_speeding_up_side_stream_changes_nothing(self):
         graph, launch, kernel, side = _chain_graph()
-        result = evaluate_scenario(graph, "side", lambda t: t.name == "nccl_all_reduce", 10.0)
+        result = evaluate_predicate(graph, "side", lambda t: t.name == "nccl_all_reduce", 10.0)
         assert result.affected_tasks == 1
         assert result.scenario_time_us == pytest.approx(result.baseline_time_us)
         assert result.improvement_percent == pytest.approx(0.0)
 
     def test_speeding_up_critical_kernel_helps(self):
         graph, launch, kernel, side = _chain_graph()
-        result = speed_up_kernel_class(graph, "gemm", speedup=2.0)
+        result = evaluate(graph, "kernel_class", op_class="gemm", speedup=2.0)
         assert result.saved_us == pytest.approx(50.0)
         assert result.speedup > 1.0
 
     def test_infinite_speedup_removes_tasks(self):
         graph, launch, kernel, side = _chain_graph()
-        result = speed_up_kernel_class(graph, "gemm", speedup=float("inf"))
+        result = evaluate(graph, "kernel_class", op_class="gemm", speedup=float("inf"))
         # With the 100 us GEMM removed, the side-stream collective (20 us)
         # becomes the longest remaining activity.
         assert result.scenario_time_us == pytest.approx(20.0)
 
     def test_input_graph_not_mutated(self, small_graph):
         before = [task.duration for task in small_graph.task_list()]
-        speed_up_communication(small_graph, speedup=4.0)
+        evaluate(small_graph, "communication", speedup=4.0)
         after = [task.duration for task in small_graph.task_list()]
         assert before == after
 
     def test_comm_speedup_bounded_by_exposed_comm(self, small_graph, small_replay):
         exposed = small_replay.breakdown().exposed_communication
-        result = speed_up_communication(small_graph, speedup=float("inf"),
-                                        baseline=small_replay)
+        result = evaluate(small_graph, "communication", speedup=float("inf"),
+                          baseline=small_replay)
         assert result.saved_us >= -1e-6
         # Removing communication cannot save more than everything that was not
         # pure compute in the baseline.
         assert result.saved_us <= small_replay.iteration_time_us - 1e-6 or exposed == 0
 
     def test_group_filter_affects_fewer_tasks(self, small_graph):
-        all_comm = speed_up_communication(small_graph, speedup=2.0)
-        only_dp = speed_up_communication(small_graph, speedup=2.0, group="dp")
+        all_comm = evaluate(small_graph, "communication", speedup=2.0)
+        only_dp = evaluate(small_graph, "communication", speedup=2.0, group="dp")
         assert only_dp.affected_tasks < all_comm.affected_tasks
         assert only_dp.saved_us <= all_comm.saved_us + 1e-6
 
-    def test_remove_launch_overhead_never_hurts(self, small_graph):
-        result = remove_launch_overhead(small_graph)
+    def test_zero_launch_overhead_never_hurts(self, small_graph):
+        result = evaluate(small_graph, "launch_overhead")
         assert result.affected_tasks > 0
         assert result.scenario_time_us <= result.baseline_time_us + 1e-6
 
     def test_invalid_speedup_rejected(self, small_graph):
         with pytest.raises(ValueError):
-            evaluate_scenario(small_graph, "bad", lambda t: True, 0.0)
+            evaluate_predicate(small_graph, "bad", lambda t: True, 0.0)
 
     def test_baseline_reuse_matches_fresh_simulation(self, small_graph, small_replay):
-        with_baseline = speed_up_kernel_class(small_graph, "gemm", 2.0, baseline=small_replay)
-        fresh = speed_up_kernel_class(small_graph, "gemm", 2.0)
+        with_baseline = evaluate(small_graph, "kernel_class", op_class="gemm",
+                                 baseline=small_replay)
+        fresh = evaluate(small_graph, "kernel_class", op_class="gemm")
         assert with_baseline.scenario_time_us == pytest.approx(fresh.scenario_time_us)
         assert with_baseline.baseline_time_us == pytest.approx(fresh.baseline_time_us)
 
@@ -170,9 +175,9 @@ class TestWhatIf:
 
     def test_evaluate_scenario_infinite_speedup_zeroes_matches(self):
         graph, launch, kernel, side = _chain_graph()
-        result = evaluate_scenario(graph, "no-gemm",
-                                   lambda t: t.args.get("op_class") == "gemm",
-                                   float("inf"))
+        result = evaluate_predicate(graph, "no-gemm",
+                                    lambda t: t.args.get("op_class") == "gemm",
+                                    float("inf"))
         assert result.affected_tasks == 1
         # Only the 10 us launch and the 20 us side collective remain.
         assert result.scenario_time_us == pytest.approx(20.0)
@@ -181,6 +186,12 @@ class TestWhatIf:
 
 
 class TestCloneGraph:
+    """``subgraph_for_ranks`` over every rank is a full, independent copy."""
+
+    @staticmethod
+    def _copy(graph):
+        return graph.subgraph_for_ranks(graph.ranks())
+
     def _decorated_graph(self):
         graph = ExecutionGraph(metadata={"parallelism": "2x2x2", "source": "test"})
         launch = graph.add_task(Task(task_id=-1, rank=0, kind=TaskKind.CPU,
@@ -201,14 +212,14 @@ class TestCloneGraph:
 
     def test_metadata_survives_and_is_independent(self):
         graph = self._decorated_graph()
-        clone = _clone_graph(graph)
+        clone = self._copy(graph)
         assert clone.metadata == graph.metadata
         clone.metadata["parallelism"] = "9x9x9"
         assert graph.metadata["parallelism"] == "2x2x2"
 
     def test_dependency_types_survive(self):
         graph = self._decorated_graph()
-        clone = _clone_graph(graph)
+        clone = self._copy(graph)
         assert len(clone.dependencies) == len(graph.dependencies)
         assert sorted(d.dep_type for d in clone.dependencies) == \
             sorted(d.dep_type for d in graph.dependencies)
@@ -219,7 +230,7 @@ class TestCloneGraph:
 
     def test_collective_groups_and_sync_streams_survive(self):
         graph = self._decorated_graph()
-        clone = _clone_graph(graph)
+        clone = self._copy(graph)
         cloned = {task.name: task for task in clone.tasks.values()}
         assert cloned["nccl_send"].collective_group == "pp_send_0_1"
         assert cloned["nccl_recv"].collective_group == "pp_send_0_1"
@@ -228,40 +239,51 @@ class TestCloneGraph:
 
     def test_task_args_are_independent_copies(self):
         graph = self._decorated_graph()
-        clone = _clone_graph(graph)
+        clone = self._copy(graph)
         cloned_send = next(t for t in clone.tasks.values() if t.name == "nccl_send")
         original_send = next(t for t in graph.tasks.values() if t.name == "nccl_send")
         cloned_send.args["collective"] = "mutated"
         assert original_send.args["collective"] == "send"
 
     def test_simulated_times_match(self, small_graph):
-        from repro.core.replay import simulate_graph
         original = simulate_graph(small_graph)
-        clone = _clone_graph(small_graph)
+        clone = self._copy(small_graph)
         assert simulate_graph(clone).iteration_time_us == \
             pytest.approx(original.iteration_time_us)
 
 
 class TestApplySpeedup:
+    """``scenario_for`` dispatches each declarative kind to its predicate."""
+
     def test_dispatches_to_kernel_class(self, small_graph):
-        via_dispatch = apply_speedup(small_graph, "kernel_class", op_class="gemm",
-                                     speedup=2.0)
-        direct = speed_up_kernel_class(small_graph, "gemm", 2.0)
-        assert via_dispatch.scenario_time_us == pytest.approx(direct.scenario_time_us)
-        assert via_dispatch.affected_tasks == direct.affected_tasks
+        via_dispatch = evaluate(small_graph, "kernel_class", op_class="gemm",
+                                speedup=2.0)
+        direct = evaluate_predicate(
+            small_graph, "gemm",
+            lambda t: t.kind == TaskKind.GPU and t.op_class == "gemm", 2.0)
+        assert via_dispatch.scenario_time_us == direct.scenario_time_us
+        assert via_dispatch.affected_tasks == direct.affected_tasks > 0
 
     def test_dispatches_to_communication(self, small_graph):
-        via_dispatch = apply_speedup(small_graph, "communication", group="dp", speedup=4.0)
-        direct = speed_up_communication(small_graph, 4.0, group="dp")
-        assert via_dispatch.scenario_time_us == pytest.approx(direct.scenario_time_us)
+        via_dispatch = evaluate(small_graph, "communication", group="dp", speedup=4.0)
+        direct = evaluate_predicate(
+            small_graph, "dp",
+            lambda t: (t.kind == TaskKind.GPU and t.is_communication
+                       and t.args.get("group") == "dp"), 4.0)
+        assert via_dispatch.scenario_time_us == direct.scenario_time_us
+        assert via_dispatch.affected_tasks == direct.affected_tasks > 0
 
     def test_dispatches_to_launch_overhead(self, small_graph):
-        via_dispatch = apply_speedup(small_graph, "launch_overhead")
-        direct = remove_launch_overhead(small_graph)
-        assert via_dispatch.scenario_time_us == pytest.approx(direct.scenario_time_us)
+        via_dispatch = evaluate(small_graph, "launch_overhead")
+        direct = evaluate_predicate(
+            small_graph, "launch",
+            lambda t: t.kind == TaskKind.CPU and t.name == "cudaLaunchKernel",
+            float("inf"))
+        assert via_dispatch.scenario_time_us == direct.scenario_time_us
+        assert via_dispatch.affected_tasks == direct.affected_tasks > 0
 
-    def test_rejects_unknown_kind_and_missing_op_class(self, small_graph):
+    def test_rejects_unknown_kind_and_missing_op_class(self):
         with pytest.raises(ValueError):
-            apply_speedup(small_graph, "wormhole")
+            scenario_for("wormhole")
         with pytest.raises(ValueError):
-            apply_speedup(small_graph, "kernel_class")
+            scenario_for("kernel_class")

@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 from repro.core.engine import SimulationSession, compile_graph
 from repro.core.graph import ExecutionGraph
 from repro.core.replay import simulate_graph
-from repro.core.simulator import Simulator
 from repro.core.tasks import DependencyType, Task, TaskKind
-from repro.core.whatif import evaluate_scenario
-from tests.conftest import hyp_max_examples
+from repro.core.whatif import Scenario, evaluate_scenarios
+from tests.conftest import hyp_max_examples, simulate
 from tests.reference_simulator import reference_run
 
 
@@ -38,7 +37,7 @@ def gpu(graph, rank=0, stream=7, duration=10.0, ts=0.0, name="kernel", group=Non
 
 
 def assert_bit_identical(graph: ExecutionGraph, start_time: float = 0.0) -> None:
-    """Engine session, compatibility wrapper and seed oracle must agree exactly."""
+    """Engine session, its materialised result and the seed oracle must agree exactly."""
     expected = reference_run(graph, start_time=start_time)
     compiled = compile_graph(graph)
     run = SimulationSession(compiled).run(start_time=start_time)
@@ -47,13 +46,13 @@ def assert_bit_identical(graph: ExecutionGraph, start_time: float = 0.0) -> None
         index = compiled.index_of[task_id]
         assert run.starts[index] == start
         assert run.durations[index] == duration
-    # Finalize order (which the wrapper exposes as dict insertion order)
-    # must match the seed's scheduling order too.
+    # Finalize order (which the materialised result exposes as dict
+    # insertion order) must match the seed's scheduling order too.
     engine_order = [compiled.tasks[i].task_id for i in run.finalize_order.tolist()]
     assert engine_order == list(expected)
-    wrapped = Simulator(graph).run(start_time=start_time)
-    assert {tid: (t.start, t.duration) for tid, t in wrapped.tasks.items()} == expected
-    assert list(wrapped.tasks) == list(expected)
+    materialised = simulate(graph, start_time=start_time)
+    assert {tid: (t.start, t.duration) for tid, t in materialised.tasks.items()} == expected
+    assert list(materialised.tasks) == list(expected)
 
 
 class TestEdgeCases:
@@ -105,7 +104,7 @@ class TestEdgeCases:
         with pytest.raises(RuntimeError):
             reference_run(graph)
         with pytest.raises(RuntimeError):
-            Simulator(graph).run()
+            simulate(graph)
 
 
 class TestSyncHeavyGraphs:
@@ -265,12 +264,10 @@ class TestSessionReuse:
     def test_scaled_durations_match_seed_clone_path(self, small_graph):
         # The seed what-if path cloned the graph, rescaled matching tasks
         # and re-simulated; the session path must land on the same times.
-        from repro.core.whatif import _clone_graph
-
         def predicate(task):
             return task.kind == TaskKind.GPU and task.op_class == "gemm"
 
-        clone = _clone_graph(small_graph)
+        clone = small_graph.subgraph_for_ranks(small_graph.ranks())
         affected_clone = 0
         for task in clone.tasks.values():
             if predicate(task):
@@ -283,7 +280,7 @@ class TestSessionReuse:
         assert affected == affected_clone
         assert session.run(durations=durations).iteration_time_us == seed_time
 
-        result = evaluate_scenario(small_graph, "gemm x2", predicate, 2.0)
+        result = evaluate_scenarios(small_graph, [Scenario("gemm x2", predicate, 2.0)])[0]
         assert result.scenario_time_us == seed_time
         assert result.affected_tasks == affected_clone
 

@@ -103,7 +103,7 @@ def _snapshot(case: dict, study: Study) -> dict:
             payload["predict"][target]["serving"] = \
                 prediction.serving_metrics().to_json()
     for target in case.get("serving_targets", ()):
-        prediction = study.predict(serving=target)
+        prediction = study.predict(f"serving:{target}")
         payload["predict"][target] = {
             "iteration_time_us": prediction.iteration_time_us,
             "world_size": prediction.world_size,

@@ -252,16 +252,16 @@ class TestServingManipulation:
 
     def test_batch_scaling_grows_compute(self, serving_study):
         base = serving_study.base_time_us
-        bigger = serving_study.predict(serving="batch=16")
+        bigger = serving_study.predict("serving:batch=16")
         assert bigger.iteration_time_us > base
         assert bigger.kind == KIND_SERVING
 
     def test_prompt_scaling_grows_prefill_and_kv_sweep(self, serving_study):
-        longer = serving_study.predict(serving="prompt=1024")
+        longer = serving_study.predict("serving:prompt=1024")
         assert longer.iteration_time_us > serving_study.base_time_us
 
     def test_tp_resharding_down_exposes_more_compute(self, serving_study):
-        solo = serving_study.predict(serving="tp=1")
+        solo = serving_study.predict("serving:tp=1")
         assert solo.world_size == 1
         assert solo.iteration_time_us > serving_study.base_time_us
 
@@ -275,11 +275,11 @@ class TestServingManipulation:
         assert comm
         assert all(t.duration == 0.0 for t in comm)
         assert all(t.args["group_size"] == 1 for t in comm)
-        breakdown = serving_study.predict(serving="tp=1").breakdown()
+        breakdown = serving_study.predict("serving:tp=1").breakdown()
         assert breakdown.exposed_communication == 0.0
 
     def test_tp_resharding_up_rescales_collectives(self, serving_study):
-        wide = serving_study.predict(serving="tp=4")
+        wide = serving_study.predict("serving:tp=4")
         assert wide.world_size == 4
         derived, _ = serving_study.derived_graph(KIND_SERVING, "tp=4")
         comm = [t for t in derived.task_list()
@@ -291,12 +291,12 @@ class TestServingManipulation:
         study = Study.from_emulation(tiny_model(), "1x1x1",
                                      inference=TINY_INFERENCE, iterations=1, seed=5)
         with pytest.raises(PredictError, match="no tensor-parallel collectives"):
-            study.predict(serving="tp=2")
+            study.predict("serving:tp=2")
 
     def test_tp_must_divide_the_sharded_dimensions(self, serving_study):
         # tiny-gpt has 8 heads: tp=3 would model 2 of 2.67 heads per rank.
         with pytest.raises(PredictError, match="does not divide"):
-            serving_study.predict(serving="tp=3")
+            serving_study.predict("serving:tp=3")
         with pytest.raises(ValueError, match="does not divide"):
             InferenceProgramBuilder(tiny_model(), ParallelismConfig(3, 1, 1),
                                     TINY_INFERENCE)
@@ -311,7 +311,7 @@ class TestServingManipulation:
         study = Study.from_trace(training.profiled, model=tiny_model(),
                                  parallelism="2x1x1", inference=TINY_INFERENCE)
         with pytest.raises(PredictError, match="does not look like a serving"):
-            study.predict(serving="batch=16")
+            study.predict("serving:batch=16")
 
 
 class TestServingStudy:
@@ -320,7 +320,7 @@ class TestServingStudy:
         assert Study(None, model=tiny_model(), parallelism="2x2x2").workload == "training"
 
     def test_noop_serving_target_is_the_baseline(self, serving_study):
-        prediction = serving_study.predict(serving="batch=8,tp=2")
+        prediction = serving_study.predict("serving:batch=8,tp=2")
         assert prediction.kind == KIND_BASELINE
         assert prediction.iteration_time_us == serving_study.base_time_us
 
@@ -337,20 +337,20 @@ class TestServingStudy:
         reopened = Study.from_trace(tmp_path / "bundle", model=tiny_model(),
                                     parallelism="2x1x1")
         assert reopened.inference == TINY_INFERENCE
-        assert reopened.predict(serving="batch=4").iteration_time_us == \
-            serving_study.predict(serving="batch=4").iteration_time_us
+        assert reopened.predict("serving:batch=4").iteration_time_us == \
+            serving_study.predict("serving:batch=4").iteration_time_us
 
     def test_training_targets_rejected_on_serving_base(self, serving_study):
         with pytest.raises(PredictError, match="serving episode"):
             serving_study.predict("2x1x2")
         with pytest.raises(PredictError, match="serving episode"):
-            serving_study.predict(model="gpt3-v1")
+            serving_study.predict("model:gpt3-v1")
 
     def test_serving_targets_rejected_on_training_base(self, profiled_bundle):
         study = Study.from_trace(profiled_bundle, model=tiny_model(),
                                  parallelism="2x2x2")
         with pytest.raises(PredictError, match="training iteration"):
-            study.predict(serving="batch=4")
+            study.predict("serving:batch=4")
 
     def test_pp_base_rejected_with_typed_error(self):
         with pytest.raises(StudyError, match="pipeline parallelism"):
@@ -364,16 +364,16 @@ class TestServingStudy:
 
     def test_malformed_serving_target_is_typed(self, serving_study):
         with pytest.raises(PredictError, match="unknown serving target key"):
-            serving_study.predict(serving="bogus=1")
+            serving_study.predict("serving:bogus=1")
 
     def test_whatif_builder_on_serving_target(self, serving_study):
-        results = (serving_study.whatif(serving="batch=4")
+        results = (serving_study.whatif(target="serving:batch=4")
                    .kernel_class("decode_attention", 2.0)
                    .communication(2.0, group="tp")
                    .run())
         assert len(results) == 2
         assert all(r.affected_tasks > 0 for r in results)
-        target_time = serving_study.predict(serving="batch=4").iteration_time_us
+        target_time = serving_study.predict("serving:batch=4").iteration_time_us
         assert all(r.baseline_time_us == target_time for r in results)
 
     def test_sweep_with_serving_axis_matches_predictions(self, serving_study):
@@ -382,7 +382,7 @@ class TestServingStudy:
         assert len(result) == 6
         by_label = {r.label: r for r in result.results}
         assert by_label["batch=4"].iteration_time_us == \
-            serving_study.predict(serving="batch=4").iteration_time_us
+            serving_study.predict("serving:batch=4").iteration_time_us
         assert by_label["tp=1"].world_size == 1
 
     def test_sweep_axis_mixing_rejected(self, serving_study):
@@ -410,7 +410,7 @@ class TestServingStudy:
                                                             tmp_path):
         from repro.api import predict
         serving_study.trace.save(tmp_path / "bundle")
-        prediction = predict(tmp_path / "bundle", serving="batch=16",
+        prediction = predict(tmp_path / "bundle", "serving:batch=16",
                              base_model=tiny_model(), base_parallelism="2x1x1")
         assert prediction.iteration_time_us == \
-            serving_study.predict(serving="batch=16").iteration_time_us
+            serving_study.predict("serving:batch=16").iteration_time_us

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 import threading
 import time
 
@@ -85,6 +86,30 @@ class TestMetricsRegistry:
         payload = HistogramSummary().to_json()
         assert payload == {"count": 0, "total": 0.0, "min": 0.0,
                            "max": 0.0, "mean": 0.0}
+
+    def test_concurrent_counts_are_not_lost(self):
+        # The service's handler and worker threads all mirror into the
+        # active profile's registry; an unlocked read-modify-write counter
+        # drops updates whenever a thread switch lands mid-increment.
+        threads, per_thread = 8, 20_000
+
+        def hammer():
+            for _ in range(per_thread):
+                tracing.count("x")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with profile() as prof:
+                workers = [threading.Thread(target=hammer) for _ in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert prof.metrics.counters["x"] == threads * per_thread
 
     def test_snapshot_is_sorted_and_json_able(self):
         registry = MetricsRegistry()
@@ -342,7 +367,7 @@ class TestStudyPipelineInstrumentation:
                 inference=InferenceConfig(batch_size=4, prompt_length=128,
                                           decode_length=2),
                 iterations=1, seed=6)
-            study.predict(serving="batch=8")
+            study.predict("serving:batch=8")
         stages = prof.stages()
         assert "study.predict" in stages
         assert "emulate.build_programs" in stages

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.breakdown import rank_breakdown
 from repro.core.graph import ExecutionGraph
-from repro.core.simulator import Simulator
 from repro.core.sm_utilization import sm_utilization_timeline
 from repro.core.tasks import DependencyType, Task, TaskKind
 from repro.hardware.cluster import ClusterSpec, CommunicatorGroups
@@ -18,7 +17,7 @@ from repro.kernels.gemm import gemm_time_us
 from repro.trace.events import Category, TraceEvent
 from repro.trace.kineto import KinetoTrace
 from repro.workload.pipeline import one_f_one_b_schedule, stage_layers
-from tests.conftest import hyp_max_examples
+from tests.conftest import hyp_max_examples, simulate
 
 # --------------------------------------------------------------------------------------
 # Strategies
@@ -197,7 +196,7 @@ class TestSimulatorProperties:
     @given(random_task_graph())
     @settings(max_examples=hyp_max_examples(60), deadline=None)
     def test_all_tasks_scheduled_and_dependencies_respected(self, graph):
-        result = Simulator(graph).run()
+        result = simulate(graph)
         assert len(result.tasks) == len(graph)
         for dependency in graph.dependencies:
             assert result.tasks[dependency.dst].start >= result.tasks[dependency.src].end - 1e-6
@@ -205,7 +204,7 @@ class TestSimulatorProperties:
     @given(random_task_graph())
     @settings(max_examples=hyp_max_examples(60), deadline=None)
     def test_processors_never_oversubscribed(self, graph):
-        result = Simulator(graph).run()
+        result = simulate(graph)
         by_processor = {}
         for simulated in result.tasks.values():
             by_processor.setdefault(simulated.task.processor, []).append(simulated)
@@ -217,7 +216,7 @@ class TestSimulatorProperties:
     @given(random_task_graph())
     @settings(max_examples=hyp_max_examples(60), deadline=None)
     def test_makespan_bounds(self, graph):
-        result = Simulator(graph).run()
+        result = simulate(graph)
         total = result.total_time()
         longest_task = max((t.duration for t in graph.tasks.values()), default=0.0)
         serial = sum(t.duration for t in graph.tasks.values())

@@ -524,6 +524,18 @@ class TestServiceEndToEnd:
         assert detected["job"]["job_id"] == explicit["job"]["job_id"]
         assert detected["deduped"]
 
+    def test_sweep_hardware_spellings_dedupe_to_one_job(self, manual_app):
+        # The sweep side of the same rule: targets decompose onto the
+        # spec's axes with one canonical entry per GPU before hashing.
+        client = ServiceClient(manual_app.url)
+        composite = client.submit({"kind": "sweep", "trace": "canned",
+                                   "targets": ["batch=8,gpu=H200-SXM",
+                                               "gpu=h200_sxm"]})
+        split = client.submit({"kind": "sweep", "trace": "canned",
+                               "targets": ["batch=8", "hardware:H200-SXM"]})
+        assert split["job"]["job_id"] == composite["job"]["job_id"]
+        assert split["deduped"]
+
     def test_hardware_axis_sweeps_through_the_service(self, manual_app):
         client = ServiceClient(manual_app.url)
         submitted = client.submit({"kind": "sweep", "trace": "canned",

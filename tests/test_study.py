@@ -21,7 +21,7 @@ from repro.api import (
     predict,
 )
 from repro.core.replay import replay
-from repro.core.whatif import WhatIfResult, apply_speedup
+from repro.core.whatif import WhatIfResult, evaluate_scenarios, scenario_for
 from repro.emulator.api import emulate
 from repro.sweep import SweepSpec, WhatIfSpec, run_sweep
 from repro.workload.model_config import gpt3_model
@@ -112,7 +112,7 @@ class TestMemoization:
         study.predict("2x1x4")
         assert study.calibrations == 1
         study.predict("2x2x1")
-        study.predict(model="gpt3-v1")
+        study.predict("model:gpt3-v1")
         assert study.calibrations == 1
         assert study.perf_model is study.perf_model
 
@@ -172,7 +172,7 @@ class TestPredict:
         assert prediction.breakdown().total > 0
 
     def test_model_target(self, study):
-        prediction = study.predict(model="gpt3-v1")
+        prediction = study.predict("model:gpt3-v1")
         assert prediction.kind == KIND_ARCHITECTURE
         assert prediction.target == "gpt3-v1"
         assert prediction.world_size == study.base_parallel.world_size
@@ -183,7 +183,7 @@ class TestPredict:
         import dataclasses
         custom = dataclasses.replace(gpt3_model("gpt3-15b"),
                                      name="custom-52l", n_layers=52)
-        prediction = study.predict(model=custom)
+        prediction = study.predict(custom)
         assert prediction.target == "custom-52l"
         assert prediction.iteration_time_us > study.base_time_us  # more layers
 
@@ -193,15 +193,14 @@ class TestPredict:
         import dataclasses
         base = gpt3_model("gpt3-15b")
         with pytest.raises(PredictError, match="shadows the registry"):
-            study.predict(model=dataclasses.replace(gpt3_model("gpt3-v1"),
-                                                    n_layers=128))
+            study.predict(dataclasses.replace(gpt3_model("gpt3-v1"), n_layers=128))
         with pytest.raises(PredictError, match="named like the base model"):
-            study.predict(model=dataclasses.replace(base, n_layers=128))
-        study.predict(model=dataclasses.replace(base, name="coll", n_layers=50))
+            study.predict(dataclasses.replace(base, n_layers=128))
+        study.predict(dataclasses.replace(base, name="coll", n_layers=50))
         with pytest.raises(PredictError, match="already predicted"):
-            study.predict(model=dataclasses.replace(base, name="coll", n_layers=52))
+            study.predict(dataclasses.replace(base, name="coll", n_layers=52))
         # Re-predicting the identical config is fine (idempotent).
-        study.predict(model=dataclasses.replace(base, name="coll", n_layers=50))
+        study.predict(dataclasses.replace(base, name="coll", n_layers=50))
 
     def test_base_target_is_baseline(self, study):
         prediction = study.predict(BASE_PARALLELISM)
@@ -217,12 +216,12 @@ class TestPredict:
 
     def test_unknown_target_model_raises_predict_error(self, study):
         with pytest.raises(PredictError, match="unknown model"):
-            study.predict(model="gpt9")
+            study.predict("model:gpt9")
 
     def test_requires_exactly_one_target(self, study):
         with pytest.raises(PredictError, match="requires"):
             study.predict()
-        with pytest.raises(PredictError, match="exactly one"):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
             study.predict("2x1x4", model="gpt3-v1")
 
     def test_one_call_predict_wrapper(self, bundle, study):
@@ -233,11 +232,11 @@ class TestPredict:
 
 
 class TestWhatIf:
-    def test_single_scenario_matches_apply_speedup(self, study):
+    def test_single_scenario_matches_evaluate_scenarios(self, study):
         result = study.whatif("kernel_class", op_class="gemm", speedup=2.0)
         assert isinstance(result, WhatIfResult)
-        direct = apply_speedup(study.base_graph, "kernel_class", op_class="gemm",
-                               speedup=2.0)
+        scenario = scenario_for("kernel_class", op_class="gemm", speedup=2.0)
+        direct = evaluate_scenarios(study.base_graph, [scenario])[0]
         assert result.scenario_time_us == pytest.approx(direct.scenario_time_us)
         assert result.affected_tasks == direct.affected_tasks
 
@@ -343,7 +342,7 @@ class TestPickling:
         import dataclasses
         custom = dataclasses.replace(gpt3_model("gpt3-15b"),
                                      name="custom-pickled", n_layers=50)
-        study.predict(model=custom)
+        study.predict(custom)
         clone = pickle.loads(pickle.dumps(study.prepare()))
         graph, _ = clone.derived_graph(KIND_ARCHITECTURE, "custom-pickled")
         assert len(graph) > 0

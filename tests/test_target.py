@@ -2,9 +2,9 @@
 
 :func:`repro.parse_target` is the single coercion point every
 ``Study.predict/whatif/sweep`` target routes through; these tests lock
-its auto-detection, prefix handling and canonicalisation, plus the
-deprecation path for the pre-unification ``model=`` / ``serving=``
-keyword arguments.
+its auto-detection, prefix handling and canonicalisation, plus
+:func:`~repro.api.target.sweep_axes`, which decomposes target lists
+onto a sweep spec's axes for the CLI and the service.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.api import (
     KIND_SERVING,
     PredictError,
 )
+from repro.api.target import sweep_axes
 from repro.hardware.gpu import B200, H200_SXM, GPUSpec, gpu_names
 from repro.workload.inference import InferenceConfig
 from repro.workload.parallelism import ParallelismConfig
@@ -92,8 +93,8 @@ class TestParseTarget:
 
 
 class TestLegacyKeywordParity:
-    """The deprecated ``model=`` / ``serving=`` kwargs must behave exactly
-    like the equivalent ``target=`` spelling (same memoized objects)."""
+    """Every target kind goes through the one ``target`` argument; the
+    removed ``model=`` / ``serving=`` keywords are refused."""
 
     @pytest.fixture(scope="class")
     def training_study(self):
@@ -106,31 +107,37 @@ class TestLegacyKeywordParity:
         return Study.from_emulation(tiny_model(), "2x1x1", inference=inference,
                                     iterations=1, seed=11)
 
-    def test_model_kwarg_warns_and_matches_target(self, training_study):
-        unified = training_study.predict("model:gpt3-44b")
-        with pytest.warns(DeprecationWarning, match="model= is deprecated"):
-            legacy = training_study.predict(model="gpt3-44b")
-        assert legacy is unified  # same memoization key
-
-    def test_serving_kwarg_warns_and_matches_target(self, serving_study):
-        unified = serving_study.predict("serving:batch=2")
-        with pytest.warns(DeprecationWarning, match="serving= is deprecated"):
-            legacy = serving_study.predict(serving="batch=2")
-        assert legacy is unified
-
     def test_positional_parallelism_stays_undeprecated(self, training_study, recwarn):
         prediction = training_study.predict("2x1x2")
         assert prediction.label == "2x1x2"
         assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
 
     def test_two_kwargs_still_rejected(self, training_study):
-        with pytest.raises(Exception, match="exactly one"):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
             training_study.predict(model="gpt3-44b", serving="batch=2")
 
     def test_target_accepts_all_three_kinds(self, serving_study, training_study):
         assert training_study.predict("2x1x2").label == "2x1x2"
         assert training_study.predict("model:gpt3-44b").label == "gpt3-44b"
         assert serving_study.predict("serving:batch=2").label == "batch=2"
+
+
+class TestSweepAxes:
+    def test_composite_target_fills_two_axes(self):
+        assert sweep_axes(["batch=8,gpu=H200-SXM"]) == {
+            "parallelism": [], "models": [], "serving": ["batch=8"],
+            "hardware": ["H200-SXM"]}
+
+    def test_hardware_spellings_give_one_entry(self):
+        axes = sweep_axes(["gpu=H200-SXM", "hardware:h200_sxm", "gpu=h200_sxm"])
+        assert axes["hardware"] == ["H200-SXM"]
+
+    def test_input_order_is_kept(self):
+        axes = sweep_axes(["2x2x8", "gpu=B200", "model:gpt3-v1", "2x1x4",
+                           "gpu=H200-SXM", "model:gpt3-xl"])
+        assert axes == {"parallelism": ["2x2x8", "2x1x4"],
+                        "models": ["gpt3-v1", "gpt3-xl"], "serving": [],
+                        "hardware": ["B200", "H200-SXM"]}
 
 
 class TestHardwareTargets:

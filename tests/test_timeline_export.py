@@ -64,7 +64,7 @@ class TestTimelineJson:
         assert tuple(iter_section_labels(payload)) == ("profiled", "replayed")
 
     def test_serving_sections_are_valid_chrome_trace(self, serving_study):
-        prediction = serving_study.predict(serving="batch=8")
+        prediction = serving_study.predict("serving:batch=8")
         payload = timeline_json([("profiled", serving_study.trace),
                                  ("batch=8", prediction)])
         validate_chrome_trace(payload)
