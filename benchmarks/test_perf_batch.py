@@ -110,7 +110,9 @@ def test_benchmark_batch_vs_session_loop(benchmark, built_graph):
 
 
 def test_benchmark_batch_plan_build(benchmark, built_graph):
-    compiled = compile_graph(built_graph)
+    # A fresh copy (made outside the timed window): on ``built_graph``
+    # itself the compile memo would hand back the plan an earlier test built.
+    compiled = compile_graph(built_graph.subgraph_for_ranks(built_graph.ranks()))
 
     started = time.perf_counter()
     batch = benchmark.pedantic(BatchSession, args=(compiled,),

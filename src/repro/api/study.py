@@ -810,8 +810,10 @@ class Study:
     def release(self) -> None:
         """Drop the memoized per-target graphs, sessions and predictions.
 
-        The base replay and calibrated perf model stay; use this to bound
-        memory on long-lived studies that have visited many targets.
+        The base replay and calibrated perf model stay, and so does the
+        base topology's compiled structure and batch plan (kept in the base
+        graph's compile memo); use this to bound memory on long-lived
+        studies that have visited many targets.
         """
         self._graphs.clear()
         self._sessions.clear()

@@ -119,9 +119,13 @@ class _Level:
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """The compiled, duration-independent schedule of one graph."""
+    """The compiled, duration-independent schedule of one topology.
 
-    compiled: CompiledGraph
+    It references no graph, so every configuration whose compiled graph
+    shares a topology (see :func:`~repro.core.engine.compile_graph`)
+    shares one plan.
+    """
+
     levels: tuple[_Level, ...]
     #: Stream-drain reduction slots (one end-matrix column each).
     n_drains: int = 0
@@ -230,7 +234,7 @@ def compile_batch_plan(compiled: CompiledGraph) -> BatchPlan:
     """
     n = compiled.n_tasks
     if n == 0:
-        return BatchPlan(compiled=compiled, levels=())
+        return BatchPlan(levels=())
 
     topo = compiled.topological
     topo_pos = np.empty(n, dtype=np.int64)
@@ -354,8 +358,31 @@ def compile_batch_plan(compiled: CompiledGraph) -> BatchPlan:
             drain_columns=np.asarray(drain_columns, dtype=np.int64),
             drain_nodes=np.asarray(drain_nodes, dtype=np.int64),
         ))
-    return BatchPlan(compiled=compiled, levels=tuple(levels),
-                     n_drains=len(drained_slots))
+    return BatchPlan(levels=tuple(levels), n_drains=len(drained_slots))
+
+
+def _topology_plan(compiled: CompiledGraph) -> BatchPlan:
+    """:func:`compile_batch_plan`, built once per topology.
+
+    The plan, or the refusal, is kept with the compiled structure, so a
+    later session over any graph of the same topology reuses it.
+    """
+    topology = compiled._topology
+    verdict = topology.plan
+    if verdict is None:
+        observability.count("batch.plan.full")
+        try:
+            verdict = topology.plan = compile_batch_plan(compiled)
+        except UnbatchableGraphError as error:
+            # Keep a copy that was never raised: a raised error's
+            # traceback would pin this graph in the memo.
+            topology.plan = UnbatchableGraphError(str(error), error.code)
+            raise
+        return verdict
+    observability.count("batch.plan.shared")
+    if isinstance(verdict, UnbatchableGraphError):
+        raise UnbatchableGraphError(str(verdict), verdict.code)
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -402,7 +429,8 @@ class BatchRun:
 class BatchSession:
     """Reusable batched runner over one compiled graph.
 
-    Builds the :class:`BatchPlan` once; when the graph is unbatchable the
+    Takes the :class:`BatchPlan` of the graph's topology, built by the
+    first session over it; when the graph is unbatchable the
     session transparently falls back to per-scenario sequential runs on a
     :class:`~repro.core.engine.SimulationSession` (:attr:`batchable`,
     :attr:`fallback_reason` and :attr:`fallback_code` report which path is
@@ -419,7 +447,7 @@ class BatchSession:
         with observability.trace_span("batch.compile_plan",
                                       tasks=compiled.n_tasks) as span:
             try:
-                self.plan = compile_batch_plan(compiled)
+                self.plan = _topology_plan(compiled)
             except UnbatchableGraphError as error:
                 self.fallback_reason = str(error)
                 self.fallback_code = error.code

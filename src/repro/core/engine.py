@@ -9,11 +9,18 @@ kernel durations changing.
 This module splits Algorithm 1 into two phases:
 
 * :class:`CompiledGraph` precomputes the immutable structure of an
-  execution graph exactly once: dense integer task ids (assigned in
+  execution graph once per topology: dense integer task ids (assigned in
   ``task_id`` order so heap tie-breaking matches the seed scheduler),
   CSR-style successor adjacency, a topological task order (which doubles
   as the cycle check), processor slots, per-stream kernel totals and
-  collective-group membership — all as flat numpy arrays.
+  collective-group membership — all as flat numpy arrays.  A graph keeps
+  its structure in a compile memo that it shares with its clones
+  (:meth:`~repro.core.graph.ExecutionGraph.clone`); a clone that only
+  retimes tasks (a serving re-timing, a hardware retarget) compiles to the
+  shared structure plus its own task tuple and duration vector.  The hit is
+  checked against the snapshot taken at compile time: the same task ids,
+  the same edge list and, per task, the same processor, collective group
+  and drained streams; anything else gets a full compile.
 
 * :class:`SimulationSession` owns preallocated per-run buffers (ready
   times, start times, processor-available times, stream drain counters)
@@ -33,12 +40,14 @@ one :meth:`SessionRun.to_simulation_result` away.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import attrgetter
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.core.graph import ExecutionGraph
+from repro.core.graph import Dependency, ExecutionGraph, _CompileMemo
 from repro.core.simulator import SimulatedTask, SimulationResult
 from repro.core.tasks import Task, TaskKind
 from repro.observability import tracing as observability
@@ -84,6 +93,8 @@ class CompiledGraph:
     group_id: np.ndarray
     #: Group members (dense indices, ascending) per group slot.
     group_members: tuple[tuple[int, ...], ...]
+    #: The shared structure this graph was compiled from (or matched).
+    _topology: "_Topology" = field(repr=False, compare=False)
 
     @property
     def n_tasks(self) -> int:
@@ -117,15 +128,103 @@ class CompiledGraph:
         return durations, int(mask.sum())
 
 
+#: The raw attributes a task's processor is a function of.
+_PLACEMENT = attrgetter("kind", "rank", "thread", "stream")
+_GROUP = attrgetter("collective_group")
+_SYNC = attrgetter("sync_streams")
+_DURATION = attrgetter("duration")
+
+
+@dataclass(eq=False, slots=True)
+class _Topology:
+    """The compiled structure of one topology, kept in a graph's compile memo.
+
+    ``fields`` are :class:`CompiledGraph`'s structural fields.  Their task
+    ids (``index_of``), the edge list and the slot maps (placement, stream
+    and collective group to slot) are the snapshot taken at compile time
+    that :meth:`bind` checks a graph against.  ``plan`` holds the
+    topology's batch plan or its refusal once one is built
+    (:mod:`repro.core.batch`).  Nothing here references a graph or a task.
+    """
+
+    dependencies: list[Dependency]
+    placements: dict[tuple, int]
+    streams: dict[tuple[int, int], int]
+    groups: dict[str, int]
+    fields: dict[str, Any]
+    plan: Any = None
+
+    def bind(self, graph: ExecutionGraph) -> CompiledGraph | None:
+        """``graph`` compiled onto this structure, or ``None`` if it differs.
+
+        A graph matches when it has the same task ids, the same edge list
+        and, per task, the same processor, collective group and drained
+        streams; only its task tuple and duration vector are new.
+        """
+        fields = self.fields
+        index_of = fields["index_of"]
+        if (graph.tasks.keys() != index_of.keys()
+                or graph.dependencies != self.dependencies):
+            return None
+        tasks = tuple(map(graph.tasks.__getitem__, index_of))
+        n = len(tasks)
+        if not (np.array_equal(_slots(self.placements, map(_PLACEMENT, tasks), n),
+                               fields["proc_index"])
+                and np.array_equal(_slots(self.groups, map(_GROUP, tasks), n),
+                                   fields["group_id"])):
+            return None
+        sync_slots = fields["sync_slots"]
+        syncing = set(compress(range(n), map(_SYNC, tasks)))
+        for index in syncing.union(compress(range(n), sync_slots)):
+            if _sync_slots(tasks[index], self.streams) != sync_slots[index]:
+                return None
+        return CompiledGraph(graph=graph, tasks=tasks, durations=_durations(tasks),
+                             _topology=self, **fields)
+
+
+def _slots(slot_of: dict, keys, n: int) -> np.ndarray:
+    """Slot of every key (``-1`` for a key the map lacks)."""
+    return np.fromiter(map(slot_of.get, keys, repeat(-1)), dtype=np.int64, count=n)
+
+
+def _sync_slots(task: Task, streams: dict[tuple[int, int], int]) -> tuple[int, ...]:
+    """Stream slots a blocking sync waits on (streams without kernels drop)."""
+    return tuple(streams[(task.rank, stream)] for stream in task.sync_streams
+                 if (task.rank, stream) in streams)
+
+
+def _durations(tasks: tuple[Task, ...]) -> np.ndarray:
+    return np.fromiter(map(_DURATION, tasks), dtype=np.float64, count=len(tasks))
+
+
 def compile_graph(graph: ExecutionGraph) -> CompiledGraph:
     """Precompute the immutable scheduling structure of ``graph``.
+
+    The structure is built once per topology: it is kept in the graph's
+    compile memo, which :meth:`ExecutionGraph.clone` shares, and a graph
+    that matches it (see :meth:`_Topology.bind`) reuses it.
 
     Raises ``RuntimeError`` when the fixed dependencies contain a cycle
     (the seed scheduler reported this at run time; compiling surfaces it
     up front via the topological sort).
     """
-    with observability.trace_span("engine.compile_graph", tasks=len(graph.tasks)):
-        return _compile_graph(graph)
+    with observability.trace_span("engine.compile_graph",
+                                  tasks=len(graph.tasks)) as span:
+        memo = graph._compile_memo
+        topology = None if memo is None else memo.topology
+        compiled = None if topology is None else topology.bind(graph)
+        span.set(shared=compiled is not None)
+        if compiled is not None:
+            observability.count("engine.compile.shared")
+            return compiled
+        observability.count("engine.compile.full")
+        compiled = _compile_graph(graph)
+        if memo is None or topology is not None:
+            # Unmemoized, or no longer the structure its memo (and the
+            # clones sharing it) holds: start a memo of its own.
+            graph._compile_memo = memo = _CompileMemo()
+        memo.topology = compiled._topology
+        return compiled
 
 
 def _compile_graph(graph: ExecutionGraph) -> CompiledGraph:
@@ -133,9 +232,6 @@ def _compile_graph(graph: ExecutionGraph) -> CompiledGraph:
     tasks = tuple(graph.tasks[task_id] for task_id in task_ids)
     index_of = {task_id: index for index, task_id in enumerate(task_ids)}
     n = len(tasks)
-
-    durations = np.fromiter((task.duration for task in tasks),
-                            dtype=np.float64, count=n)
 
     indegree = np.zeros(n, dtype=np.int32)
     succ_counts = np.zeros(n, dtype=np.int64)
@@ -151,10 +247,17 @@ def _compile_graph(graph: ExecutionGraph) -> CompiledGraph:
         succ_indices[cursor[src]] = index_of[dependency.dst]
         cursor[src] += 1
 
+    # ``task.processor`` is evaluated once per distinct placement (the raw
+    # attributes it derives from); the placement-to-slot map is also what
+    # a later compile checks a graph's tasks against.
     processors: dict[tuple, int] = {}
-    proc_index = np.zeros(n, dtype=np.int64)
-    for index, task in enumerate(tasks):
-        proc_index[index] = processors.setdefault(task.processor, len(processors))
+    placements: dict[tuple, int] = {}
+    task_placements = list(map(_PLACEMENT, tasks))
+    for placement, task in zip(task_placements, tasks):
+        if placement not in placements:
+            placements[placement] = processors.setdefault(task.processor,
+                                                          len(processors))
+    proc_index = _slots(placements, task_placements, n)
 
     streams: dict[tuple[int, int], int] = {}
     stream_slot = np.full(n, -1, dtype=np.int64)
@@ -169,11 +272,8 @@ def _compile_graph(graph: ExecutionGraph) -> CompiledGraph:
             stream_slot[index] = slot
     stream_total = np.asarray(stream_counts, dtype=np.int64)
 
-    sync_slots: list[tuple[int, ...]] = []
-    for task in tasks:
-        slots = tuple(streams[(task.rank, stream)] for stream in task.sync_streams
-                      if (task.rank, stream) in streams)
-        sync_slots.append(slots)
+    sync_slots = [_sync_slots(task, streams) if task.sync_streams else ()
+                  for task in tasks]
 
     groups: dict[str, int] = {}
     group_id = np.full(n, -1, dtype=np.int64)
@@ -196,11 +296,8 @@ def _compile_graph(graph: ExecutionGraph) -> CompiledGraph:
             f"{len(on_cycle)} tasks (first: {names})"
         )
 
-    return CompiledGraph(
-        graph=graph,
-        tasks=tasks,
+    fields = dict(
         index_of=index_of,
-        durations=durations,
         indegree=indegree,
         succ_indptr=succ_indptr,
         succ_indices=succ_indices,
@@ -214,6 +311,10 @@ def _compile_graph(graph: ExecutionGraph) -> CompiledGraph:
         group_id=group_id,
         group_members=group_members,
     )
+    topology = _Topology(list(graph.dependencies), placements, streams, groups,
+                         fields)
+    return CompiledGraph(graph=graph, tasks=tasks, durations=_durations(tasks),
+                         _topology=topology, **fields)
 
 
 def _topological_order(n: int, indegree: np.ndarray, indptr: np.ndarray,
@@ -241,9 +342,10 @@ class SessionRun:
     """Timings of one :meth:`SimulationSession.run` call, as flat arrays.
 
     ``starts``/``durations`` are dense-indexed (``compiled.tasks`` order);
-    ``finalize_order`` records the order tasks were scheduled in, which the
-    compatibility layer uses to materialise a :class:`SimulationResult`
-    whose dict iteration order matches the seed scheduler exactly.
+    ``finalize_order`` records the order tasks were scheduled in, which
+    :meth:`to_simulation_result` uses to materialise a
+    :class:`SimulationResult` whose dict iteration order matches the seed
+    scheduler exactly.
     """
 
     compiled: CompiledGraph

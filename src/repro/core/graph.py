@@ -18,6 +18,21 @@ class Dependency:
     dep_type: DependencyType
 
 
+class _CompileMemo:
+    """The slot :func:`repro.core.engine.compile_graph` keeps a topology in.
+
+    A graph and its clones (:meth:`ExecutionGraph.clone`) share one memo,
+    so whichever of them compiles first compiles for all.  It holds no
+    graph and no :class:`Task`: only the structure and the snapshot a later
+    compile checks against.
+    """
+
+    __slots__ = ("topology",)
+
+    def __init__(self) -> None:
+        self.topology: Any = None
+
+
 @dataclass
 class ExecutionGraph:
     """Tasks plus typed dependencies for one (or several) ranks.
@@ -35,6 +50,17 @@ class ExecutionGraph:
     _predecessors: dict[int, list[int]] = field(
         default_factory=lambda: defaultdict(list), repr=False)
     _next_id: int = 0
+    #: Compile memo shared with clones; ``None`` until compiled or cloned.
+    #: :meth:`add_task`/:meth:`add_dependency` detach it, and it is never
+    #: pickled.
+    _compile_memo: _CompileMemo | None = field(default=None, repr=False,
+                                               compare=False)
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Unpickled graphs read the field's class-level default (None).
+        state = dict(self.__dict__)
+        state.pop("_compile_memo", None)
+        return state
 
     # -- construction -----------------------------------------------------------
 
@@ -44,6 +70,7 @@ class ExecutionGraph:
             task.task_id = self._next_id
         self.tasks[task.task_id] = task
         self._next_id = max(self._next_id, task.task_id + 1)
+        self._compile_memo = None
         return task
 
     def add_dependency(self, src: int, dst: int, dep_type: DependencyType) -> None:
@@ -55,6 +82,7 @@ class ExecutionGraph:
         self.dependencies.append(Dependency(src=src, dst=dst, dep_type=dep_type))
         self._successors[src].append(dst)
         self._predecessors[dst].append(src)
+        self._compile_memo = None
 
     def clone(self, *, metadata: dict[str, Any] | None = None,
               tasks: dict[int, Task] | None = None) -> "ExecutionGraph":
@@ -67,7 +95,14 @@ class ExecutionGraph:
         substitutes a pre-built task map with the same ids — a caller doing
         copy-on-write can share the unchanged task objects outright instead
         of paying a copy per task.
+
+        The clone shares this graph's compile memo, so a clone whose tasks
+        keep their scheduling attributes compiles by reusing the structure
+        (:func:`~repro.core.engine.compile_graph` checks that first);
+        adding a task or an edge to either graph detaches it from the memo.
         """
+        if self._compile_memo is None:
+            self._compile_memo = _CompileMemo()
         clone = ExecutionGraph(
             metadata=dict(self.metadata if metadata is None else metadata))
         clone.tasks = (dict(tasks) if tasks is not None else
@@ -78,6 +113,7 @@ class ExecutionGraph:
         clone._predecessors = defaultdict(
             list, {dst: list(srcs) for dst, srcs in self._predecessors.items()})
         clone._next_id = self._next_id
+        clone._compile_memo = self._compile_memo
         return clone
 
     # -- queries ----------------------------------------------------------------

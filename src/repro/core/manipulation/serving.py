@@ -11,7 +11,10 @@ shape is regenerated for the base and the target configuration from the
 same decomposition the emulator used
 (:mod:`repro.workload.inference`), and the observed duration is rescaled
 by the analytical ratio — the paper's §3.4 recipe, where systematic model
-error cancels in the ratio.
+error cancels in the ratio.  The derived graph is a copy-on-write
+:meth:`~repro.core.graph.ExecutionGraph.clone`: it keeps the base's task
+ids and edges, shares every task it does not retime, and so compiles to
+the base's shared structure and batch plan.
 
 Knobs that would change the topology are rejected up front with
 :class:`ValueError` (callers map it onto the typed
@@ -193,27 +196,24 @@ def rescale_serving_graph(graph: ExecutionGraph, target: ServingTarget, *,
         new_ops = _op_table(base_model, new_parallel, new_inference)
     new_tp_ranks = new_parallel.groups().tp_group(0).ranks
 
-    new_graph = ExecutionGraph(metadata={
-        **graph.metadata,
-        "manipulated": "serving",
-        "parallelism": new_parallel.label(),
-        "inference": new_inference.to_json(),
-    })
-    id_map: dict[int, int] = {}
+    # Re-timing changes durations and shape args only, so the derived graph
+    # is a copy-on-write clone: it keeps the base's task ids and edges and
+    # copies just the GPU tasks it retimes.
+    new_tasks: dict[int, Task] = {}
     gpu_tasks = matched = 0
-    for task in graph.task_list():
-        clone = task.copy()
-        clone.task_id = -1
-        if clone.kind == TaskKind.GPU:
+    for task_id, task in graph.tasks.items():
+        if task.kind == TaskKind.GPU:
             gpu_tasks += 1
-            key = _task_key(clone, stream=plan is not None)
+            key = _task_key(task, stream=plan is not None)
             old_op = old_ops.get(key) if key is not None else None
             new_op = new_ops.get(key) if key is not None else None
             if old_op is not None and new_op is not None:
                 matched += 1
-                clone.duration = _rescale(task, old_op, new_op, scaled_model,
-                                          new_tp_ranks)
-                _update_args(clone, new_op, new_tp_ranks)
+                duration = _rescale(task, old_op, new_op, scaled_model,
+                                    new_tp_ranks)
+                task = task.copy()
+                task.duration = duration
+                _update_args(task, new_op, new_tp_ranks)
             elif (old_op is not None and old_op.is_communication
                     and new_parallel.tp == 1):
                 # The TP=1 decomposition emits no collectives at all, so
@@ -221,10 +221,11 @@ def rescale_serving_graph(graph: ExecutionGraph, target: ServingTarget, *,
                 # to a rank-local no-op.  Keeping the (empty) task
                 # preserves the graph topology.
                 matched += 1
-                clone.duration = 0.0
-                clone.args["group_ranks"] = list(new_tp_ranks)
-                clone.args["group_size"] = 1
-        id_map[task.task_id] = new_graph.add_task(clone).task_id
+                task = task.copy()
+                task.duration = 0.0
+                task.args["group_ranks"] = list(new_tp_ranks)
+                task.args["group_size"] = 1
+        new_tasks[task_id] = task
     if gpu_tasks and not matched:
         # Every lookup missed: the trace is not a serving episode of this
         # configuration (e.g. an inference= override forced onto a
@@ -234,11 +235,12 @@ def rescale_serving_graph(graph: ExecutionGraph, target: ServingTarget, *,
             "no GPU task of the trace matched the serving operator "
             "decomposition; the base trace does not look like a serving "
             "episode of this model/parallelism/inference configuration")
-
-    for dependency in graph.dependencies:
-        new_graph.add_dependency(id_map[dependency.src], id_map[dependency.dst],
-                                 dependency.dep_type)
-    return new_graph
+    return graph.clone(metadata={
+        **graph.metadata,
+        "manipulated": "serving",
+        "parallelism": new_parallel.label(),
+        "inference": new_inference.to_json(),
+    }, tasks=new_tasks)
 
 
 @register_manipulation(KIND_SERVING)

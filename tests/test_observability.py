@@ -360,6 +360,22 @@ class TestStudyPipelineInstrumentation:
         assert cached["metrics"]["gauges"]["sweep.cache.hit_rate"] == 1.0
         assert cached["metrics"]["counters"]["sweep.scenarios.cached"] == len(result)
 
+    def test_report_shows_which_configurations_shared_a_topology(self):
+        with profile() as prof:
+            study = Study.from_emulation(
+                "gpt3-15b", "2x1x1",
+                TrainingConfig(micro_batch_size=1, num_microbatches=2),
+                iterations=1, seed=5)
+            study.sweep(parallelism=("2x1x2",), hardware=("H200-SXM",),
+                        whatif=("gemm:2", "comm:2"))
+        counters = prof.metrics.snapshot()["counters"]
+        # The base (at replay) and 2x1x2 are the two topologies; both
+        # gpu=H200-SXM retargets reuse their structure and batch plan.
+        assert counters["engine.compile.full"] == 2.0
+        assert counters["engine.compile.shared"] == 2.0
+        assert counters["batch.plan.full"] == 2.0
+        assert counters["batch.plan.shared"] == 2.0
+
     def test_serving_study_profiles_too(self):
         with profile() as prof:
             study = Study.from_emulation(

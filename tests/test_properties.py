@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.breakdown import rank_breakdown
+from repro.core.engine import SimulationSession, _compile_graph, compile_graph
 from repro.core.graph import ExecutionGraph
 from repro.core.sm_utilization import sm_utilization_timeline
 from repro.core.tasks import DependencyType, Task, TaskKind
@@ -222,3 +223,37 @@ class TestSimulatorProperties:
         serial = sum(t.duration for t in graph.tasks.values())
         assert total >= longest_task - 1e-6
         assert total <= serial + 1e-6
+
+
+# --------------------------------------------------------------------------------------
+# Compile memo: a retimed clone reuses its parent's structure and batch plan
+# --------------------------------------------------------------------------------------
+
+#: Per-task retime factors; zero and identity trigger heap tie-breaks.
+_RETIME_FACTORS = np.array([0.0, 0.5, 1.0, 1.5, 3.0])
+
+
+class TestCompileMemoProperties:
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           share=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=hyp_max_examples(15), deadline=None)
+    def test_memo_hit_times_equal_a_fresh_compile(self, small_graph, seed, share):
+        parent = compile_graph(small_graph)
+        rng = np.random.default_rng(seed)
+        tasks = {}
+        for task_id, task in small_graph.tasks.items():
+            if rng.random() < share:
+                task = task.copy()
+                task.duration *= float(rng.choice(_RETIME_FACTORS))
+            tasks[task_id] = task
+        retimed = small_graph.clone(tasks=tasks)
+
+        shared = compile_graph(retimed)
+        assert shared._topology is parent._topology
+        fresh = _compile_graph(retimed)
+        assert fresh._topology is not parent._topology
+        shared_session, fresh_session = SimulationSession(shared), SimulationSession(fresh)
+        assert np.array_equal(shared_session.run().starts, fresh_session.run().starts)
+        matrix = shared.durations * rng.choice(_RETIME_FACTORS, size=(3, len(shared)))
+        assert np.array_equal(shared_session.run_batch(matrix).starts,
+                              fresh_session.run_batch(matrix).starts)
