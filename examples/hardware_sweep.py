@@ -17,7 +17,7 @@ latency.
 Run with ``python examples/hardware_sweep.py``.
 """
 
-from repro import InferenceConfig, Study
+from repro import InferenceConfig, Study, Target
 
 #: Relative per-part cost weights (H100 = 1.0) — a stand-in for cloud
 #: $/hr or procurement price; swap in real numbers to make the frontier
@@ -30,11 +30,11 @@ def cost_proxy(world_size: int, gpu: str) -> float:
     return world_size * COST_WEIGHT[gpu]
 
 
-def scenario_gpu(label: str) -> str:
-    """The part a scenario ran on: ``...+gpu=<name>`` or the profiled part."""
-    for piece in label.split("+"):
-        if piece.startswith("gpu="):
-            return piece[len("gpu="):]
+def scenario_gpu(row) -> str:
+    """The part a sweep row ran on: its ``gpu=<name>`` step or the profiled part."""
+    for kind, label in Target(row.kind, row.target).manipulations:
+        if kind == "hardware":
+            return label.removeprefix("gpu=")
     return "H100-SXM"
 
 
@@ -67,7 +67,7 @@ def main() -> None:
           f"(3 TP degrees x 4 parts, one profiled episode):")
     rows = []
     for row in result.ranked():
-        gpu = scenario_gpu(row.label)
+        gpu = scenario_gpu(row)
         cost = cost_proxy(row.world_size, gpu)
         rows.append((row.label, cost, row.iteration_time_ms))
         print(f"  {row.label:24s} {row.iteration_time_ms:8.1f} ms "

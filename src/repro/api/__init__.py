@@ -5,8 +5,8 @@ predict loop behind one stateful object:
 
 ``repro.api.study``
     :class:`Study` (the facade), :class:`Prediction`,
-    :class:`WhatIfBuilder`, the shared :func:`derive_graph` manipulation
-    dispatcher and the one-call :func:`predict` convenience wrapper.
+    :class:`WhatIfBuilder` and the one-call :func:`predict` convenience
+    wrapper.
 ``repro.api.target``
     :class:`Target` and :func:`parse_target` — the unified prediction-
     target type every study method accepts (parallelism, model, serving
@@ -30,7 +30,6 @@ from repro.api.study import (
     Prediction,
     Study,
     WhatIfBuilder,
-    derive_graph,
     predict,
 )
 from repro.api.target import Target, parse_target
@@ -47,7 +46,6 @@ __all__ = [
     "StudyError",
     "Target",
     "WhatIfBuilder",
-    "derive_graph",
     "parse_target",
     "predict",
 ]

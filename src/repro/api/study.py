@@ -9,46 +9,47 @@ configuration.  A :class:`Study` owns that state and memoizes it:
 * the base trace is replayed once (:meth:`Study.replay`);
 * the perf model is calibrated lazily, on the first manipulation that
   needs it (:attr:`Study.perf_model`);
-* derived graphs and their compiled sessions are cached per target, so a
-  repeated :meth:`Study.predict` of the same configuration is a lookup and
-  a batch of :meth:`Study.whatif` scenarios against one target is a series
-  of duration-vector swaps on a single session;
+* every target is folded onto one :class:`~repro.api.target.Target` key
+  (segments equal to the base configuration fold away, so a target equal
+  to the base *is* the base), and derived graphs, their compiled sessions
+  and predictions are cached per key: a repeated :meth:`Study.predict`
+  of the same configuration is a lookup, and a batch of
+  :meth:`Study.whatif` scenarios against one target is a series of
+  duration-vector swaps on a single session;
 * the base trace's content digest — the sweep cache's key — is hashed
   once (:attr:`Study.trace_digest`).
 
 The sweep runner (:mod:`repro.sweep.runner`) and the CLI are thin clients
-of this class; :func:`derive_graph` below is the one place that dispatches
-a ``(kind, target)`` configuration onto :mod:`repro.core.manipulation`.
+of this class, which derives every key's graph one manipulation at a time
+through :func:`repro.core.manipulation.derive`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.api.errors import PredictError, StudyError
-from repro.api.target import Target, parse_target
+from repro.api.target import Target, TargetLike, on_gpu, parse_target
 from repro.core import whatif as whatif_mod
 from repro.core.breakdown import ExecutionBreakdown
 from repro.core.engine import SessionRun, SimulationSession, compile_graph
 from repro.core.graph import ExecutionGraph
 from repro.core.manipulation import (
-    COMPOSITE_SEPARATOR,
     KIND_ARCHITECTURE,
     KIND_BASELINE,
     KIND_HARDWARE,
     KIND_PARALLELISM,
     KIND_SERVING,
     DeriveContext,
+    dispatch,
 )
-from repro.core.manipulation import derive as _dispatch_derive
 from repro.core.perf_model import KernelPerfModel
 from repro.core.replay import ReplayResult
 from repro.core.replay import replay as _replay_trace
 from repro.core.serving_metrics import (
     ServingMetrics,
     compute_serving_metrics,
-    metrics_from_task_times,
     stream_plan_of,
 )
 from repro.observability import tracing as observability
@@ -99,53 +100,6 @@ def _resolve_parallelism(parallelism: ParallelismConfig | str,
         return ParallelismConfig.parse(parallelism)
     except ValueError as exc:
         raise error(str(exc)) from exc
-
-
-def derive_graph(graph: ExecutionGraph, kind: str, target: str, *,
-                 base_model: ModelConfig, base_parallel: ParallelismConfig,
-                 training: TrainingConfig, perf_model: KernelPerfModel,
-                 cluster: ClusterSpec,
-                 target_model: ModelConfig | None = None,
-                 target_gpu: "GPUSpec | None" = None,
-                 base_inference: InferenceConfig | None = None,
-                 world_size: int | None = None) -> tuple[ExecutionGraph, int]:
-    """Derive the execution graph for one ``(kind, target)`` configuration.
-
-    This is the single manipulation-dispatch point of the library: the
-    :class:`Study` methods and the sweep runner both route through the
-    registry populated by :mod:`repro.core.manipulation` (each
-    manipulation kind registers its own handler there, so new kinds add
-    no branches here).  ``kind`` and ``target`` may be composite
-    (``+``-separated segments, e.g. ``"serving+hardware"`` /
-    ``"batch=64+gpu=B200"``) and are applied left to right.
-
-    Returns the derived graph and the target's world size; raises
-    :class:`PredictError` for unsupported targets (TP changes, unknown
-    models or GPUs, malformed labels) and for the hardware axis's typed
-    refusals (memory-capacity overflow, unclassifiable kernels — see
-    :mod:`repro.core.manipulation.hardware`).  ``target_model`` /
-    ``target_gpu`` supply payload objects that are not in the respective
-    registries (custom model variants, custom GPU specs); labels resolve
-    through the registries otherwise.  ``base_inference`` marks the base
-    trace as a serving episode: serving targets require it, and the
-    training-iteration manipulations refuse to run against it.
-    ``world_size`` seeds the chain when ``graph`` is an already-derived
-    prefix rather than the base replay (see :meth:`Study.derived_graph`'s
-    composite-prefix reuse).
-    """
-    context = DeriveContext(
-        base_model=base_model, base_parallel=base_parallel, training=training,
-        perf_model=perf_model, cluster=cluster, target_model=target_model,
-        target_gpu=target_gpu, base_inference=base_inference)
-    try:
-        return _dispatch_derive(graph, kind, target, context,
-                                world_size=world_size)
-    except PredictError:
-        raise
-    except ValueError as exc:
-        raise PredictError(str(exc), base_tp=getattr(exc, "base_tp", None),
-                           target_tp=getattr(exc, "target_tp", None),
-                           code=getattr(exc, "code", None)) from exc
 
 
 @dataclass(frozen=True)
@@ -219,7 +173,7 @@ class WhatIfBuilder:
                    .run())
     """
 
-    def __init__(self, study: "Study", key: tuple[str, str]) -> None:
+    def __init__(self, study: "Study", key: Target) -> None:
         self._study = study
         self._key = key
         self._scenarios: list[whatif_mod.Scenario] = []
@@ -268,28 +222,13 @@ class WhatIfBuilder:
         """
         if not self._scenarios:
             raise StudyError("no what-if scenarios queued; add one before run()")
-        kind, target = self._key
-        with observability.trace_span("study.whatif", kind=kind, target=target,
+        with observability.trace_span("study.whatif", kind=self._key.kind,
+                                      target=self._key.label,
                                       scenarios=len(self._scenarios)):
-            graph, _ = self._study.derived_graph(kind, target)
-            session, baseline = self._study.config_session(kind, target)
-            plan = stream_plan_of(graph.metadata)
-            collected: dict[int, ServingMetrics] = {}
-            collect = None
-            if plan is not None:
-                tasks = session.compiled.tasks
-
-                def collect(row: int, starts, durations) -> None:
-                    collected[row] = metrics_from_task_times(
-                        tasks, starts, durations, plan)
-
+            graph, _, session, baseline = self._study.config_state(self._key)
             results = whatif_mod.evaluate_scenarios(graph, self._scenarios,
                                                     baseline=baseline,
-                                                    session=session,
-                                                    collect=collect)
-            if collected:
-                results = [replace(result, serving=collected.get(row))
-                           for row, result in enumerate(results)]
+                                                    session=session)
         observability.count("study.whatif_scenarios", len(results))
         return results
 
@@ -384,9 +323,10 @@ class Study:
         #: Non-registry GPU specs by name (predict(GPUSpec) / JSON spec
         #: files); travels in the picklable snapshot like custom models.
         self._custom_gpus: dict[str, GPUSpec] = {}
-        self._graphs: dict[tuple[str, str], tuple[ExecutionGraph, int]] = {}
-        self._sessions: dict[tuple[str, str], tuple[SimulationSession, SessionRun]] = {}
-        self._predictions: dict[tuple[str, str], Prediction] = {}
+        #: Per-target memos, keyed by the folded :class:`Target` (:meth:`_key`).
+        self._graphs: dict[Target, tuple[ExecutionGraph, int]] = {}
+        self._sessions: dict[Target, tuple[SimulationSession, SessionRun]] = {}
+        self._predictions: dict[Target, Prediction] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -584,72 +524,45 @@ class Study:
         """Which workload family the base trace came from."""
         return WORKLOAD_TRAINING if self.inference is None else WORKLOAD_SERVING
 
-    def _config_key(self, target: "Target | ParallelismConfig | ModelConfig | ServingTarget | GPUSpec | str | None" = None) -> tuple[str, str]:
-        """Map a user-facing target onto the memoization key ``(kind, target)``.
+    def _key(self, target: TargetLike | None = None) -> Target:
+        """Fold a target onto this study's memo key.
 
         ``target`` is any form :func:`~repro.api.target.parse_target`
-        accepts; ``None`` is the base configuration.
+        accepts, or ``None`` for the base configuration.  Segments equal
+        to the base fold away: a workload segment matching the base
+        becomes the baseline, a hardware segment naming the profiled GPU
+        is dropped.  So every spelling of one configuration is one key,
+        and a target equal to the base shares the base replay instead of
+        deriving a no-op graph.  Custom model and GPU payloads ride on
+        the key, resolved by name.
         """
+        base = Target(KIND_BASELINE, self.base_parallel.label())
         if target is None:
-            return (KIND_BASELINE, self.base_parallel.label())
-        return self._key_for(parse_target(target))
-
-    def _key_for(self, resolved: Target) -> tuple[str, str]:
-        """Collapse a parsed :class:`Target` onto the memoization key.
-
-        Target segments equal to the study's base configuration fold away
-        (a workload segment matching the base folds onto the baseline
-        key, a hardware segment naming the profiled GPU is dropped), so
-        every spelling of one configuration shares one cache entry — and
-        a fully-folded target shares the base replay instead of deriving
-        a no-op graph.
-        """
-        workload_key: tuple[str, str] | None = None
-        hardware_label: str | None = None
-        for segment_kind, segment_label in resolved.manipulations:
-            if segment_kind == KIND_HARDWARE:
-                hardware_label = self._hardware_key(segment_label, resolved.gpu)
-            else:
-                workload_key = self._workload_key(segment_kind, segment_label,
-                                                  resolved.model)
-        if workload_key is None:
-            workload_key = (KIND_BASELINE, self.base_parallel.label())
-        if hardware_label is None:
-            return workload_key
-        kind, label = workload_key
-        if kind == KIND_BASELINE:
-            return (KIND_HARDWARE, hardware_label)
-        return (f"{kind}{COMPOSITE_SEPARATOR}{KIND_HARDWARE}",
-                f"{label}{COMPOSITE_SEPARATOR}{hardware_label}")
-
-    def _workload_key(self, kind: str, label: str,
-                      model: ModelConfig | None) -> tuple[str, str]:
-        """The memoization key of one workload segment (base folds away)."""
-        if kind == KIND_SERVING:
-            serving = ServingTarget.parse(label)
-            if (self.inference is not None
-                    and serving.is_noop(self.inference, self.base_parallel)):
-                return (KIND_BASELINE, self.base_parallel.label())
-            return (KIND_SERVING, serving.label())
-        if kind == KIND_ARCHITECTURE:
-            name = (self._register_model(model)
-                    if model is not None else label)
-            if name == self.base_model.name:
-                return (KIND_BASELINE, self.base_parallel.label())
-            return (KIND_ARCHITECTURE, name)
-        if label == self.base_parallel.label():
-            return (KIND_BASELINE, label)
-        return (KIND_PARALLELISM, label)
-
-    def _hardware_key(self, label: str, gpu: "GPUSpec | None") -> str | None:
-        """Canonicalise a hardware segment; ``None`` when it names the
-        profiled GPU (retargeting onto the base hardware is a no-op)."""
-        name = label[len("gpu="):] if label.startswith("gpu=") else label
-        if gpu is not None:
-            name = self._register_gpu(gpu)
-        if name == self.cluster.gpu.name:
-            return None
-        return f"gpu={name}"
+            return base
+        resolved = parse_target(target)
+        workload, gpu = base, None
+        for kind, label in resolved.manipulations:
+            if kind == KIND_HARDWARE:
+                gpu = (self._register_gpu(resolved.gpu) if resolved.gpu is not None
+                       else label.removeprefix("gpu="))
+            elif kind == KIND_SERVING:
+                serving = ServingTarget.parse(label)
+                if (self.inference is None
+                        or not serving.is_noop(self.inference, self.base_parallel)):
+                    workload = Target(KIND_SERVING, serving.label())
+            elif kind == KIND_ARCHITECTURE:
+                name = (self._register_model(resolved.model)
+                        if resolved.model is not None else label)
+                if name != self.base_model.name:
+                    workload = Target(KIND_ARCHITECTURE, name,
+                                      model=self._custom_models.get(name))
+            elif kind == KIND_PARALLELISM:
+                label = ParallelismConfig.parse(label).label()
+                if label != base.label:
+                    workload = Target(KIND_PARALLELISM, label)
+        if gpu is None or gpu == self.cluster.gpu.name:
+            return workload
+        return on_gpu(workload, gpu, self._custom_gpus.get(gpu))
 
     def _register_model(self, model: ModelConfig) -> str:
         """Record a target ModelConfig under its name, refusing collisions.
@@ -705,84 +618,81 @@ class Study:
         self._custom_gpus[name] = gpu
         return name
 
-    def _derive(self, kind: str, target: str) -> tuple[ExecutionGraph, int]:
+    def _derive(self, key: Target) -> tuple[ExecutionGraph, int]:
         if self._base_guessed:
             raise StudyError(
                 "the trace did not record its base model/parallelism, so graph "
                 "manipulation would run against a guessed base configuration; "
                 "pass model= and parallelism= explicitly when opening the study")
-        # Composite chains resume from the memoized prefix graph: in a
+        # A composite chain resumes from its memoized workload prefix: in a
         # hardware-crossed sweep every ``<workload>+hardware`` scenario
         # shares its workload sibling's derivation, so the composite pays
         # only the final (cheap, copy-on-write) retarget step instead of
         # re-synthesizing the workload graph.
-        kinds = kind.split(COMPOSITE_SEPARATOR)
-        labels = target.split(COMPOSITE_SEPARATOR)
-        base_graph, base_world = self.base_graph, None
-        if len(kinds) > 1 and len(kinds) == len(labels):
-            prefix_kind = COMPOSITE_SEPARATOR.join(kinds[:-1])
-            prefix_target = COMPOSITE_SEPARATOR.join(labels[:-1])
-            base_graph, base_world = self.derived_graph(prefix_kind, prefix_target)
-            kind, target = kinds[-1], labels[-1]
-        target_model = None
-        target_gpu = None
-        for segment_kind, segment_label in zip(kind.split(COMPOSITE_SEPARATOR),
-                                               target.split(COMPOSITE_SEPARATOR)):
-            if segment_kind == KIND_HARDWARE:
-                name = (segment_label[len("gpu="):]
-                        if segment_label.startswith("gpu=") else segment_label)
-                target_gpu = self._custom_gpus.get(name)
-            elif segment_kind == KIND_ARCHITECTURE:
-                target_model = self._custom_models.get(segment_label)
+        *prefix, (kind, label) = key.manipulations
+        if prefix:
+            graph, world_size = self._graph(Target(*prefix[0], model=key.model))
+        else:
+            graph, world_size = self.base_graph, self.base_parallel.world_size
+        context = DeriveContext(
+            base_model=self.base_model, base_parallel=self.base_parallel,
+            training=self.training, perf_model=self.perf_model,
+            cluster=self.cluster, target_model=key.model, target_gpu=key.gpu,
+            base_inference=self.inference)
         with observability.trace_span("study.derive_graph", kind=kind,
-                                      target=target) as span:
-            derived = derive_graph(
-                base_graph, kind, target,
-                base_model=self.base_model, base_parallel=self.base_parallel,
-                training=self.training, perf_model=self.perf_model,
-                cluster=self.cluster, target_model=target_model,
-                target_gpu=target_gpu, base_inference=self.inference,
-                world_size=base_world)
+                                      target=label) as span:
+            try:
+                derived = dispatch.derive(graph, kind, label, context, world_size)
+            except ValueError as exc:
+                raise PredictError(str(exc), base_tp=getattr(exc, "base_tp", None),
+                                   target_tp=getattr(exc, "target_tp", None),
+                                   code=getattr(exc, "code", None)) from exc
             span.set(tasks=len(derived[0]))
         return derived
 
-    def derived_graph(self, kind: str, target: str) -> tuple[ExecutionGraph, int]:
-        """The (memoized) derived graph and world size for one configuration."""
-        if kind == KIND_BASELINE:
+    def _graph(self, key: Target) -> tuple[ExecutionGraph, int]:
+        if key.kind == KIND_BASELINE:
             return self.base_graph, self.base_parallel.world_size
-        key = (kind, target)
         if key not in self._graphs:
-            self._graphs[key] = self._derive(kind, target)
+            self._graphs[key] = self._derive(key)
         return self._graphs[key]
 
-    def config_session(self, kind: str, target: str) -> tuple[SimulationSession, SessionRun]:
-        """The (memoized) compiled session and its baseline run for one target."""
-        key = (kind, target)
+    def _session(self, key: Target) -> tuple[SimulationSession, SessionRun]:
         if key not in self._sessions:
-            if kind == KIND_BASELINE:
-                if self._replay is not None or self._bundle is not None:
-                    # The replay already simulated the base durations —
-                    # reuse its compiled graph and its run.
-                    result = self.replay()
-                    session = result.session()
-                    run = result.base_run or session.run()
-                else:
-                    # Pickled for a worker process: rebuild from the base
-                    # graph carried in the snapshot.
-                    with observability.trace_span("study.compile", kind=kind,
-                                                  target=target):
-                        session = SimulationSession(compile_graph(self.base_graph))
-                    run = session.run()
+            if key.kind == KIND_BASELINE and (self._replay is not None
+                                              or self._bundle is not None):
+                # The replay already simulated the base durations — reuse
+                # its compiled graph and its run.
+                result = self.replay()
+                session = result.session()
+                run = result.base_run or session.run()
             else:
-                graph, _ = self.derived_graph(kind, target)
-                with observability.trace_span("study.compile", kind=kind,
-                                              target=target):
-                    session = SimulationSession(compile_graph(graph))
+                # A derived target, or the base of a study pickled for a
+                # worker process: compile the graph the snapshot carries.
+                session = self._compile(key, self._graph(key)[0])
                 run = session.run()
             self._sessions[key] = (session, run)
         return self._sessions[key]
 
-    def config_state(self, kind: str, target: str, *, retain: bool = True) \
+    @staticmethod
+    def _compile(key: Target, graph: ExecutionGraph) -> SimulationSession:
+        with observability.trace_span("study.compile", kind=key.kind,
+                                      target=key.label):
+            return SimulationSession(compile_graph(graph))
+
+    def derived_graph(self, target: TargetLike | None) -> tuple[ExecutionGraph, int]:
+        """The (memoized) derived graph and world size for one target.
+
+        ``target`` takes any form :func:`~repro.api.target.parse_target`
+        accepts; a target equal to the base is the base graph.
+        """
+        return self._graph(self._key(target))
+
+    def config_session(self, target: TargetLike | None) -> tuple[SimulationSession, SessionRun]:
+        """The (memoized) compiled session and its baseline run for one target."""
+        return self._session(self._key(target))
+
+    def config_state(self, target: TargetLike | None, *, retain: bool = True) \
             -> tuple[ExecutionGraph, int, SimulationSession, SessionRun]:
         """Derived graph, world size, session and baseline run for one target.
 
@@ -794,17 +704,11 @@ class Study:
         baseline configuration is always served from the memoized replay
         (one bounded entry).
         """
-        key = (kind, target)
-        if retain or kind == KIND_BASELINE or key in self._sessions:
-            graph, world_size = self.derived_graph(kind, target)
-            session, run = self.config_session(kind, target)
-            return graph, world_size, session, run
-        if key in self._graphs:
-            graph, world_size = self._graphs[key]
-        else:
-            graph, world_size = self._derive(kind, target)
-        with observability.trace_span("study.compile", kind=kind, target=target):
-            session = SimulationSession(compile_graph(graph))
+        key = self._key(target)
+        if retain or key.kind == KIND_BASELINE or key in self._sessions:
+            return (*self._graph(key), *self._session(key))
+        graph, world_size = self._graphs.get(key) or self._derive(key)
+        session = self._compile(key, graph)
         return graph, world_size, session, session.run()
 
     def release(self) -> None:
@@ -821,7 +725,7 @@ class Study:
 
     # -- the paper workflow -------------------------------------------------
 
-    def predict(self, target: "Target | ParallelismConfig | ModelConfig | ServingTarget | GPUSpec | str | None" = None) -> Prediction:
+    def predict(self, target: TargetLike | None = None) -> Prediction:
         """Predict a new parallelism, model, serving or hardware setup.
 
         ``target`` takes any form :func:`~repro.api.target.parse_target`
@@ -844,25 +748,24 @@ class Study:
         if target is None:
             raise PredictError("predict requires a target parallelism, a "
                                "target model or a serving target")
-        kind, label = self._config_key(target)
-        key = (kind, label)
+        key = self._key(target)
         if key not in self._predictions:
-            with observability.trace_span("study.predict", kind=kind,
-                                          target=label):
-                graph, world_size = self.derived_graph(kind, label)
-                session, run = self.config_session(kind, label)
+            with observability.trace_span("study.predict", kind=key.kind,
+                                          target=key.label):
+                graph, world_size = self._graph(key)
+                session, run = self._session(key)
                 simulation = run.to_simulation_result()
                 result = ReplayResult(graph=graph, simulation=simulation,
                                       replayed_trace=simulation.to_trace_bundle(),
                                       compiled=session.compiled)
                 self._predictions[key] = Prediction(
-                    target=label, kind=kind, world_size=world_size,
+                    target=key.label, kind=key.kind, world_size=world_size,
                     base_time_us=self.base_time_us, result=result)
             observability.count("study.predictions")
         return self._predictions[key]
 
     def whatif(self, kind: str | None = None, *,
-               target: "Target | ParallelismConfig | ModelConfig | ServingTarget | GPUSpec | str | None" = None,
+               target: TargetLike | None = None,
                op_class: str | None = None, group: str | None = None,
                speedup: float = 2.0) -> "WhatIfBuilder | WhatIfResult":
         """What-if scenarios (§5) against the base or a predicted target.
@@ -873,7 +776,7 @@ class Study:
         scenario immediately and returns its
         :class:`~repro.core.whatif.WhatIfResult`.
         """
-        builder = WhatIfBuilder(self, self._config_key(target))
+        builder = WhatIfBuilder(self, self._key(target))
         if kind is None:
             return builder
         return builder.apply(kind, op_class=op_class, group=group,
@@ -1001,7 +904,7 @@ class Study:
 
 
 def predict(trace: "TraceBundle | str | Path",
-            target: "Target | ParallelismConfig | ModelConfig | ServingTarget | GPUSpec | str | None" = None, *,
+            target: TargetLike | None = None, *,
             base_model: ModelConfig | str | None = None,
             base_parallelism: ParallelismConfig | str | None = None,
             micro_batch_size: int = 2,

@@ -13,7 +13,12 @@ A target may compose a *workload* manipulation with a *hardware*
 retarget; the composite is encoded as ``+``-separated segments in both
 fields (``kind="serving+hardware"``, ``label="batch=64+gpu=B200"``) and
 :attr:`Target.manipulations` exposes the ordered ``(kind, label)``
-chain.
+chain.  This module is the only place that writes or reads that
+encoding: :func:`on_gpu` composes a target with a hardware retarget
+(``parse_target``'s ``workload,gpu=`` grammar, a study's key fold and
+the sweep grid's hardware axis all use it).  The ``baseline`` kind names
+the unmodified base configuration; :class:`~repro.api.Study` folds every
+target equal to its base onto it, so one configuration is one key.
 
 :func:`parse_target` is the single coercion point.  It accepts a
 :class:`Target`, the typed configuration objects
@@ -53,8 +58,8 @@ from typing import Iterable
 
 from repro.api.errors import PredictError
 from repro.core.manipulation import (
-    COMPOSITE_SEPARATOR,
     KIND_ARCHITECTURE,
+    KIND_BASELINE,
     KIND_HARDWARE,
     KIND_PARALLELISM,
     KIND_SERVING,
@@ -65,6 +70,9 @@ from repro.workload.model_config import ModelConfig
 from repro.workload.parallelism import ParallelismConfig
 
 __all__ = ["Target", "parse_target"]
+
+#: Separator of composite kind / label segments.
+_SEPARATOR = "+"
 
 _PARALLELISM_RE = re.compile(r"^\d+x\d+x\d+$")
 
@@ -78,8 +86,8 @@ _PREFIXES = {
 }
 
 #: Kinds a single (non-composite) target may carry.
-_SINGLE_KINDS = (KIND_PARALLELISM, KIND_ARCHITECTURE, KIND_SERVING,
-                 KIND_HARDWARE)
+_SINGLE_KINDS = (KIND_BASELINE, KIND_PARALLELISM, KIND_ARCHITECTURE,
+                 KIND_SERVING, KIND_HARDWARE)
 
 #: Workload kinds that may precede ``+hardware`` in a composite.
 _WORKLOAD_KINDS = (KIND_PARALLELISM, KIND_ARCHITECTURE, KIND_SERVING)
@@ -95,6 +103,8 @@ class Target:
 
     ``kind`` and ``label`` may be composite (``+``-separated segments,
     applied left to right); :attr:`manipulations` exposes the chain.
+    Kind ``baseline`` is the unmodified base configuration, labelled by
+    its parallelism.
     ``model`` carries the :class:`ModelConfig` payload of an architecture
     target built from a config object, ``gpu`` the :class:`GPUSpec`
     payload of a hardware target built from a non-registry spec;
@@ -107,8 +117,8 @@ class Target:
     gpu: GPUSpec | None = None
 
     def __post_init__(self) -> None:
-        kinds = self.kind.split(COMPOSITE_SEPARATOR)
-        labels = self.label.split(COMPOSITE_SEPARATOR)
+        kinds = self.kind.split(_SEPARATOR)
+        labels = self.label.split(_SEPARATOR)
         if len(kinds) != len(labels):
             raise PredictError(
                 f"composite target label '{self.label}' has {len(labels)} "
@@ -121,7 +131,7 @@ class Target:
             raise PredictError(
                 f"unknown target kind '{self.kind}'; composite targets "
                 f"chain one workload kind with hardware "
-                f"('<workload>{COMPOSITE_SEPARATOR}{KIND_HARDWARE}')")
+                f"('<workload>{_SEPARATOR}{KIND_HARDWARE}')")
         if self.model is not None and KIND_ARCHITECTURE not in kinds:
             raise PredictError(
                 f"a ModelConfig payload only belongs on an architecture "
@@ -134,8 +144,8 @@ class Target:
     @property
     def manipulations(self) -> tuple[tuple[str, str], ...]:
         """The ordered ``(kind, label)`` manipulation chain."""
-        return tuple(zip(self.kind.split(COMPOSITE_SEPARATOR),
-                         self.label.split(COMPOSITE_SEPARATOR)))
+        return tuple(zip(self.kind.split(_SEPARATOR),
+                         self.label.split(_SEPARATOR)))
 
     def __str__(self) -> str:
         manipulations = self.manipulations
@@ -149,6 +159,10 @@ class Target:
         else:
             workload = workload_label  # serving knobs are already key=value
         return f"{workload},{gpu_label}"
+
+
+#: Every form :func:`parse_target` accepts.
+TargetLike = Target | ParallelismConfig | ModelConfig | ServingTarget | GPUSpec | str
 
 
 def _parallelism_target(text: str) -> Target:
@@ -179,21 +193,24 @@ def _resolve_gpu_payload(name: str) -> tuple[str, GPUSpec | None]:
 
 def _hardware_target(text: str) -> Target:
     name = text[len("gpu="):] if text.lower().startswith("gpu=") else text
-    canonical, payload = _resolve_gpu_payload(name.strip())
-    return Target(KIND_HARDWARE, f"gpu={canonical}", gpu=payload)
+    return on_gpu(None, *_resolve_gpu_payload(name.strip()))
 
 
-def _combine(workload: Target | None, gpu_name: str | None,
-             gpu_payload: GPUSpec | None) -> Target:
-    if gpu_name is None:
-        assert workload is not None
-        return workload
-    gpu_label = f"gpu={gpu_name}"
-    if workload is None:
-        return Target(KIND_HARDWARE, gpu_label, gpu=gpu_payload)
-    return Target(f"{workload.kind}{COMPOSITE_SEPARATOR}{KIND_HARDWARE}",
-                  f"{workload.label}{COMPOSITE_SEPARATOR}{gpu_label}",
-                  model=workload.model, gpu=gpu_payload)
+def on_gpu(workload: Target | None, gpu: str,
+           payload: GPUSpec | None = None) -> Target:
+    """``workload`` retargeted onto the GPU named ``gpu``.
+
+    A workload manipulation becomes the composite ``<kind>+hardware``
+    target; no workload (``None`` or the baseline) becomes a pure
+    hardware target.  ``payload`` is the :class:`GPUSpec` of a
+    non-registry part.
+    """
+    gpu_label = f"gpu={gpu}"
+    if workload is None or workload.kind == KIND_BASELINE:
+        return Target(KIND_HARDWARE, gpu_label, gpu=payload)
+    return Target(f"{workload.kind}{_SEPARATOR}{KIND_HARDWARE}",
+                  f"{workload.label}{_SEPARATOR}{gpu_label}",
+                  model=workload.model, gpu=payload)
 
 
 def _parse_body(text: str, constraint: str | None, original: str) -> Target:
@@ -271,21 +288,18 @@ def _parse_body(text: str, constraint: str | None, original: str) -> Target:
                 f"target '{original}': a hardware target only takes "
                 "'gpu=<name>'")
 
-    gpu_name: str | None = None
-    gpu_payload: GPUSpec | None = None
     if gpu_values:
-        gpu_name, gpu_payload = _resolve_gpu_payload(gpu_values[0])
-    elif constraint == KIND_HARDWARE:
+        return on_gpu(workload, *_resolve_gpu_payload(gpu_values[0]))
+    if constraint == KIND_HARDWARE:
         raise PredictError(
             f"target '{original}': a hardware target needs 'gpu=<name>'")
-
-    if workload is None and gpu_name is None:
+    if workload is None:
         raise PredictError(
             f"cannot interpret '{original}' as a prediction target")
-    return _combine(workload, gpu_name, gpu_payload)
+    return workload
 
 
-def parse_target(value: "Target | ParallelismConfig | ModelConfig | ServingTarget | GPUSpec | str") -> Target:
+def parse_target(value: TargetLike) -> Target:
     """Coerce any supported target form into a canonical :class:`Target`.
 
     Typed objects map directly onto their kind; strings are parsed with
@@ -305,8 +319,8 @@ def parse_target(value: "Target | ParallelismConfig | ModelConfig | ServingTarge
     if isinstance(value, ServingTarget):
         return Target(KIND_SERVING, value.label())
     if isinstance(value, GPUSpec):
-        payload = None if registry_gpu(value.name) == value else value
-        return Target(KIND_HARDWARE, f"gpu={value.name}", gpu=payload)
+        return on_gpu(None, value.name,
+                      None if registry_gpu(value.name) == value else value)
     if not isinstance(value, str):
         raise PredictError(
             f"cannot interpret {value!r} as a prediction target; give a "

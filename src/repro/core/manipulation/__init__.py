@@ -18,16 +18,16 @@ out of a profiled trace it derives new graphs for
   collectives by the alpha-beta model on the retargeted fabric.
 
 Each manipulation registers itself with the dispatch registry
-(:mod:`repro.core.manipulation.dispatch`), which is the single point the
-API facade routes ``(kind, target)`` configurations through — including
-composite ``workload+hardware`` chains.
+(:mod:`repro.core.manipulation.dispatch`), the single point through which
+the API facade applies each ``(kind, label)`` segment of a
+:class:`~repro.api.target.Target` (a composite ``workload+hardware``
+target is two such steps).
 
 Tensor-parallelism changes are not supported, matching the paper's stated
 scope ("we currently do not support modifications to tensor parallelism").
 """
 
 from repro.core.manipulation.dispatch import (
-    COMPOSITE_SEPARATOR,
     KIND_ARCHITECTURE,
     KIND_BASELINE,
     KIND_HARDWARE,
@@ -58,7 +58,6 @@ __all__ = [
     "KIND_HARDWARE",
     "KIND_PARALLELISM",
     "KIND_SERVING",
-    "COMPOSITE_SEPARATOR",
     "DeriveContext",
     "ManipulationRefusal",
     "derive",

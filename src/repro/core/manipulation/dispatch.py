@@ -1,22 +1,21 @@
 """Single dispatch point for graph manipulations.
 
-Every configuration a study can derive is a ``(kind, target)`` pair; this
-module maps the kind onto the manipulation that implements it through a
-registry the manipulation modules populate themselves
-(:func:`register_manipulation`).  Adding a manipulation kind therefore
-adds no branches to :mod:`repro.api.study` — the hardware axis and any
-future kinds (e.g. MoE routing) register here and are immediately
-reachable from ``predict``/``sweep``/the service.
+Every manipulation a study can apply is one ``(kind, label)`` segment of a
+:class:`~repro.api.target.Target`; this module maps the kind onto the
+manipulation that implements it through a registry the manipulation
+modules populate themselves (:func:`register_manipulation`).  Adding a
+manipulation kind therefore adds no branches to :mod:`repro.api.study` —
+the hardware axis and any future kinds (e.g. MoE routing) register here
+and are immediately reachable from ``predict``/``sweep``/the service.
 
-Composite targets chain manipulations: ``kind`` and ``target`` carry
-``+``-separated segments (``"serving+hardware"`` /
-``"batch=64+gpu=B200"``) applied left to right, each handler re-deriving
-the previous handler's graph.  The encoding keeps every cache, sweep
-scenario and service payload a plain string pair.
+:func:`derive` applies exactly one segment.  A composite
+``workload+hardware`` target is a chain the caller walks: the study
+derives (and memoizes) the workload prefix, then hands the hardware
+segment and the prefix's graph to :func:`derive`.
 
 Handlers raise :class:`ValueError` (optionally a :class:`ManipulationRefusal`
 carrying a machine-readable ``code`` and the TP degrees of a refused
-reshard); :func:`repro.api.study.derive_graph` maps them onto the typed
+reshard); :class:`~repro.api.Study` maps them onto the typed
 :class:`~repro.api.errors.PredictError`.
 """
 
@@ -50,9 +49,6 @@ KIND_ARCHITECTURE = "architecture"
 KIND_SERVING = "serving"
 KIND_HARDWARE = "hardware"
 
-#: Separator of composite kind / target segments.
-COMPOSITE_SEPARATOR = "+"
-
 
 class ManipulationRefusal(ValueError):
     """A typed manipulation refusal carrying machine-readable context.
@@ -74,9 +70,8 @@ class ManipulationRefusal(ValueError):
 class DeriveContext:
     """Everything a manipulation may need to derive a target graph.
 
-    One context serves a whole composite chain; handlers read what they
-    need and ignore the rest.  ``target_model`` / ``target_gpu`` carry
-    non-registry payload objects the caller pre-registered for the target
+    Handlers read what they need and ignore the rest.  ``target_model`` /
+    ``target_gpu`` carry the non-registry payload objects of the target
     being derived (custom architectures and custom GPU specs).
     """
 
@@ -111,32 +106,21 @@ def registered_kinds() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def derive(graph: ExecutionGraph, kind: str, target: str,
+def derive(graph: ExecutionGraph, kind: str, label: str,
            context: DeriveContext,
-           world_size: int | None = None) -> tuple[ExecutionGraph, int]:
-    """Apply the (possibly composite) manipulation ``kind`` for ``target``.
+           world_size: int) -> tuple[ExecutionGraph, int]:
+    """Apply the manipulation ``kind`` for ``label`` to ``graph``.
 
-    Returns the derived graph and the target's world size.  Raises
-    :class:`ValueError` for unknown kinds, malformed composites and
-    handler refusals.  ``world_size`` seeds the chain when ``graph`` is
-    not the base replay but an already-derived prefix (callers that cache
-    intermediate graphs resume the chain from it); it defaults to the
-    base configuration's world size.
+    ``world_size`` is ``graph``'s: the base configuration's, or an
+    already-derived workload prefix's when the caller resumes a composite
+    chain from it.  Returns the derived graph and the target's world
+    size.  Raises :class:`ValueError` for unknown kinds and handler
+    refusals.
     """
-    kinds = kind.split(COMPOSITE_SEPARATOR)
-    labels = target.split(COMPOSITE_SEPARATOR)
-    if len(kinds) != len(labels):
-        raise ValueError(
-            f"composite target '{target}' has {len(labels)} segment(s) but "
-            f"its kind '{kind}' has {len(kinds)}")
-    if world_size is None:
-        world_size = context.base_parallel.world_size
-    for segment_kind, label in zip(kinds, labels):
-        handler = _REGISTRY.get(segment_kind)
-        if handler is None:
-            raise ValueError(f"unknown configuration kind '{segment_kind}'")
-        graph, world_size = handler(graph, label, context, world_size)
-    return graph, world_size
+    handler = _REGISTRY.get(kind)
+    if handler is None:
+        raise ValueError(f"unknown configuration kind '{kind}'")
+    return handler(graph, label, context, world_size)
 
 
 def refuse_training_manipulation(kind: str, context: DeriveContext) -> None:

@@ -18,7 +18,9 @@ vectorized sweep through
 :meth:`~repro.core.engine.SimulationSession.run_batch` — with the engine's
 documented fallback to per-scenario sequential runs for graphs whose
 schedule is not provably duration-independent.  Both paths produce
-bit-identical times.  One scenario against a graph reads::
+bit-identical times.  Over a continuous-batching serving episode every
+result also carries the scenario's own per-request serving metrics.
+One scenario against a graph reads::
 
     evaluate_scenarios(graph, [scenario_for("kernel_class", op_class="gemm")])[0]
 """
@@ -26,17 +28,19 @@ bit-identical times.  One scenario against a graph reads::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.engine import SessionRun, SimulationSession, compile_graph
 from repro.core.graph import ExecutionGraph
 from repro.core.replay import ReplayResult
+from repro.core.serving_metrics import (
+    ServingMetrics,
+    metrics_from_task_times,
+    stream_plan_of,
+)
 from repro.core.tasks import Task, TaskKind
-
-if TYPE_CHECKING:
-    from repro.core.serving_metrics import ServingMetrics
 
 TaskPredicate = Callable[[Task], bool]
 
@@ -53,10 +57,9 @@ class WhatIfResult:
     baseline_time_us: float
     scenario_time_us: float
     affected_tasks: int
-    #: Per-request serving metrics of the scenario's own simulation — set
-    #: by callers that evaluate over a continuous-batching episode (the
-    #: :class:`~repro.api.WhatIfBuilder`), ``None`` everywhere else.
-    serving: "ServingMetrics | None" = None
+    #: Per-request serving metrics of the scenario's own simulation when
+    #: the graph is a continuous-batching episode, ``None`` everywhere else.
+    serving: ServingMetrics | None = None
 
     @property
     def saved_us(self) -> float:
@@ -141,18 +144,11 @@ def _baseline_time_us(baseline: Baseline) -> float:
     return baseline.iteration_time_us
 
 
-#: Per-scenario timing observer for :func:`evaluate_scenarios`: called as
-#: ``collect(row, starts, durations)`` with dense-ordered arrays (one row
-#: of the batched simulation).  Serving studies use it to derive
-#: per-request metrics from the same simulation that timed the scenario.
-ScenarioCollector = Callable[[int, np.ndarray, np.ndarray], None]
-
-
 def evaluate_scenarios(graph: ExecutionGraph,
                        scenarios: Sequence[Scenario], *,
                        baseline: Baseline | None = None,
                        session: SimulationSession | None = None,
-                       collect: ScenarioCollector | None = None) -> list[WhatIfResult]:
+                       deadline_ms: float | None = None) -> list[WhatIfResult]:
     """Evaluate a batch of scenarios against one graph in a single sweep.
 
     The graph is compiled once (or not at all when ``session`` — which
@@ -162,15 +158,16 @@ def evaluate_scenarios(graph: ExecutionGraph,
     :meth:`~repro.core.engine.SimulationSession.run_batch` call.  Results
     are bit-identical to evaluating each scenario on its own.
 
-    ``collect`` (when given) observes every scenario's full timing row —
-    ``collect(row, starts, durations)`` in dense task order — without a
-    second simulation.
+    When ``graph`` carries a continuous-batching stream plan, every
+    result's :attr:`~WhatIfResult.serving` holds the per-request metrics
+    of the scenario's own simulation row (no second simulation), scored
+    against the SLO ``deadline_ms`` (default
+    :data:`~repro.core.serving_metrics.DEFAULT_SLO_MS`).
     """
     if not scenarios:
         return []
-    for scenario in scenarios:
-        if scenario.speedup <= 0:
-            raise ValueError("speedup must be positive")
+    if not all(scenario.speedup > 0 for scenario in scenarios):  # NaN fails too
+        raise ValueError("speedup must be positive")
     if session is None:
         session = SimulationSession(compile_graph(graph))
     baseline_time = (_baseline_time_us(baseline) if baseline is not None
@@ -187,19 +184,21 @@ def evaluate_scenarios(graph: ExecutionGraph,
 
     if len(scenarios) == 1:
         run = session.run(durations=matrix[0])
-        times = [run.iteration_time_us]
-        if collect is not None:
-            collect(0, run.starts, matrix[0])
+        times, starts = [run.iteration_time_us], [run.starts]
     else:
         batch = session.run_batch(matrix)
-        times = batch.iteration_times_us.tolist()
-        if collect is not None:
-            for row in range(len(scenarios)):
-                collect(row, batch.starts[row], matrix[row])
+        times, starts = batch.iteration_times_us.tolist(), batch.starts
 
+    plan = stream_plan_of(graph.metadata)
+    serving = ([None] * len(scenarios) if plan is None else
+               [metrics_from_task_times(compiled.tasks, row_starts, durations, plan,
+                                        deadline_ms=deadline_ms)
+                for row_starts, durations in zip(starts, matrix)])
     return [WhatIfResult(name=scenario.name,
                          baseline_time_us=baseline_time,
                          scenario_time_us=time,
-                         affected_tasks=count)
-            for scenario, time, count in zip(scenarios, times, affected)]
+                         affected_tasks=count,
+                         serving=metrics)
+            for scenario, time, count, metrics in zip(scenarios, times, affected,
+                                                      serving)]
 

@@ -39,6 +39,7 @@ through it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -189,6 +190,9 @@ class SubmitRequest:
                 slo_ms = float(slo_ms)
             except (TypeError, ValueError):
                 raise ProtocolError(CODE_BAD_REQUEST, "'slo_ms' must be a number") from None
+            if not 0 < slo_ms < math.inf:
+                raise ProtocolError(CODE_BAD_REQUEST,
+                                    "'slo_ms' must be a positive finite number")
         target = payload.get("target")
         if kind == "predict":
             if not isinstance(target, str) or not target.strip():

@@ -4,9 +4,10 @@ The runner amortises the expensive, shared work of a what-if sweep through
 a :class:`~repro.api.Study`: the base trace is replayed and the kernel
 performance model calibrated exactly once, after which every scenario of
 the expanded grid only needs graph manipulation plus one simulation.
-Scenario evaluation is grouped by target configuration (all what-if
-variants of ``2x2x8`` share one derived graph and one compiled session —
-both memoized on the study) and the groups fan out over a
+Scenario evaluation is grouped by target configuration — one
+:class:`~repro.api.target.Target` per group, so all what-if variants of
+``2x2x8`` share one derived graph and one compiled session, both
+memoized on the study — and the groups fan out over a
 ``ProcessPoolExecutor`` when ``workers > 1``.
 
 Determinism: graph manipulation and simulation are pure functions of the
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.api.study import Study
+from repro.api.target import Target
 from repro.core.serving_metrics import metrics_from_task_times, stream_plan_of
 from repro.core.whatif import evaluate_scenarios, scenario_for
 from repro.observability import tracing as observability
@@ -160,19 +162,19 @@ def _pool_initializer(study: Study) -> None:
     _WORKER_STUDY = study
 
 
-def _pool_evaluate(item: tuple[str, str, list[dict[str, Any]], float | None]) -> list[dict[str, Any]]:
+def _pool_evaluate(item: tuple[Target, list[dict[str, Any]], float | None]) -> list[dict[str, Any]]:
     assert _WORKER_STUDY is not None, "worker pool used before initialisation"
-    kind, target, scenarios, slo_ms = item
+    config, scenarios, slo_ms = item
     # retain=False: each group is evaluated once, so its derived graph and
     # session are freed with the group instead of pinning in the worker.
-    return _evaluate_group(_WORKER_STUDY, kind, target,
+    return _evaluate_group(_WORKER_STUDY, config,
                            [ScenarioSpec.from_json(s) for s in scenarios],
                            retain=False, slo_ms=slo_ms)
 
 
 # -- evaluation ---------------------------------------------------------------
 
-def _evaluate_group(study: Study, kind: str, target: str,
+def _evaluate_group(study: Study, config: Target,
                     scenarios: list[ScenarioSpec], *,
                     retain: bool = True,
                     slo_ms: float | None = None) -> list[dict[str, Any]]:
@@ -189,50 +191,32 @@ def _evaluate_group(study: Study, kind: str, target: str,
     (reusing anything a prior ``predict`` already derived); pass
     ``False`` for throwaway studies so groups free with the loop.
     """
-    with observability.trace_span("sweep.group", kind=kind, target=target,
-                                  scenarios=len(scenarios)):
-        graph, world_size, session, config_run = study.config_state(kind, target,
+    with observability.trace_span("sweep.group", kind=config.kind,
+                                  target=config.label, scenarios=len(scenarios)):
+        graph, world_size, session, config_run = study.config_state(config,
                                                                     retain=retain)
+        whatifs = iter(evaluate_scenarios(
+            graph, [scenario_for(s.whatif.kind, op_class=s.whatif.op_class,
+                                 group=s.whatif.group, speedup=s.whatif.speedup)
+                    for s in scenarios if s.whatif is not None],
+            baseline=config_run, session=session, deadline_ms=slo_ms))
+        # Continuous-batching groups score the configuration's own run for
+        # per-request metrics (evaluate_scenarios scores the what-ifs).
         plan = stream_plan_of(graph.metadata)
-        whatif_rows = [index for index, scenario in enumerate(scenarios)
-                       if scenario.whatif is not None]
-        batch = [scenario_for(scenarios[index].whatif.kind,
-                              op_class=scenarios[index].whatif.op_class,
-                              group=scenarios[index].whatif.group,
-                              speedup=scenarios[index].whatif.speedup)
-                 for index in whatif_rows]
-        # Continuous-batching groups score every scenario's own simulation
-        # (same timing arrays, no extra run) for per-request metrics.
-        serving_rows: dict[int, dict[str, Any]] = {}
-        collect = None
-        if plan is not None:
-            tasks = session.compiled.tasks
-
-            def collect(row: int, starts, durations) -> None:
-                serving_rows[whatif_rows[row]] = metrics_from_task_times(
-                    tasks, starts, durations, plan,
-                    deadline_ms=slo_ms).to_json()
-
-        evaluated = dict(zip(whatif_rows, evaluate_scenarios(graph, batch,
-                                                             baseline=config_run,
-                                                             session=session,
-                                                             collect=collect)))
-        config_serving: dict[str, Any] | None = None
-        if plan is not None:
-            config_serving = metrics_from_task_times(
-                session.compiled.tasks, config_run.starts,
-                config_run.durations, plan, deadline_ms=slo_ms).to_json()
+        config_serving = None if plan is None else metrics_from_task_times(
+            session.compiled.tasks, config_run.starts, config_run.durations,
+            plan, deadline_ms=slo_ms)
     results: list[dict[str, Any]] = []
-    for index, scenario in enumerate(scenarios):
+    for scenario in scenarios:
         if scenario.whatif is None:
             iteration_time = config_run.iteration_time_us
             affected = 0
             serving = config_serving
         else:
-            whatif = evaluated[index]
+            whatif = next(whatifs)
             iteration_time = whatif.scenario_time_us
             affected = whatif.affected_tasks
-            serving = serving_rows.get(index)
+            serving = whatif.serving
         results.append(ScenarioResult(
             label=scenario.label,
             kind=scenario.kind,
@@ -242,7 +226,7 @@ def _evaluate_group(study: Study, kind: str, target: str,
             iteration_time_us=iteration_time,
             base_time_us=study.base_time_us,
             affected_tasks=affected,
-            serving=serving,
+            serving=None if serving is None else serving.to_json(),
         ).to_json())
     return results
 
@@ -327,11 +311,11 @@ def run_sweep(bundle: TraceBundle, spec: SweepSpec, *, workers: int = 1,
     if missing:
         with observability.trace_span("sweep.prepare"):
             state = (study if study is not None else _study_for(bundle, spec)).prepare()
-        groups: dict[tuple[str, str], list[ScenarioSpec]] = {}
+        groups: dict[Target, list[ScenarioSpec]] = {}
         for scenario in missing:
-            groups.setdefault((scenario.kind, scenario.target), []).append(scenario)
-        items = [(kind, target, [s.to_json() for s in group], spec.slo_ms)
-                 for (kind, target), group in groups.items()]
+            groups.setdefault(Target(scenario.kind, scenario.target), []).append(scenario)
+        items = [(config, [s.to_json() for s in group], spec.slo_ms)
+                 for config, group in groups.items()]
         if workers > 1 and len(items) > 1:
             # Worker processes run with tracing disabled, so the parent
             # accounts pool time as one span instead of per-worker spans.
@@ -345,10 +329,10 @@ def run_sweep(bundle: TraceBundle, spec: SweepSpec, *, workers: int = 1,
             # Memoize per-target state only on a caller-owned study (the
             # facade contract); a runner-private study is garbage after
             # this call, so groups should free with the loop.
-            evaluated = [_evaluate_group(state, kind, target, group,
+            evaluated = [_evaluate_group(state, config, group,
                                          retain=study is not None,
                                          slo_ms=spec.slo_ms)
-                         for (kind, target), group in groups.items()]
+                         for config, group in groups.items()]
         for (_, group), payloads in zip(groups.items(), evaluated):
             for scenario, payload in zip(group, payloads):
                 result = ScenarioResult.from_json(payload)

@@ -51,14 +51,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.api.target import Target, on_gpu
+
 # The scenario kinds are shared vocabulary defined by the manipulation
 # layer (the one place that implements them); re-exported here for spec
 # authors.
 from repro.core.manipulation import (
-    COMPOSITE_SEPARATOR,
     KIND_ARCHITECTURE,
     KIND_BASELINE,
-    KIND_HARDWARE,
     KIND_PARALLELISM,
     KIND_SERVING,
 )
@@ -132,7 +132,7 @@ class WhatIfSpec:
                 f"unknown what-if kind '{self.kind}' (expected one of {_WHATIF_KINDS})")
         if self.kind == "kernel_class" and not self.op_class:
             raise SweepSpecError("what-if kind 'kernel_class' requires 'op_class'")
-        if self.speedup <= 0:
+        if not self.speedup > 0:  # NaN fails too
             raise SweepSpecError("what-if speedup must be positive")
 
     def describe(self) -> str:
@@ -352,8 +352,8 @@ class SweepSpec:
     def validate(self) -> None:
         """Reject unsupported or inconsistent specs before any work happens."""
         base_parallel = _parsed_label(self.base_parallelism)
-        if self.slo_ms is not None and self.slo_ms <= 0:
-            raise SweepSpecError("slo_ms must be positive")
+        if self.slo_ms is not None and not 0 < self.slo_ms < math.inf:
+            raise SweepSpecError("slo_ms must be a positive finite number")
         if self.inference is not None:
             # Serving manipulation regenerates operators from the study's
             # own ModelConfig, so the base model need not be in the GPT-3
@@ -413,50 +413,35 @@ class SweepSpec:
         if not self.expand():
             raise SweepSpecError("sweep spec expands to zero scenarios")
 
-    def configurations(self) -> list[tuple[str, str]]:
-        """The ``(kind, target)`` configuration axis, de-duplicated in order.
+    def configurations(self) -> list[Target]:
+        """The configuration axis, one :class:`~repro.api.target.Target` per
+        configuration, de-duplicated in order.
 
-        A non-empty ``hardware`` axis crosses the grid: every workload
-        configuration appears once unretargeted (the profiled-GPU
-        reference) and once per listed GPU, as a composite
-        ``<kind>+hardware`` configuration (pure ``hardware`` for the
-        baseline row).
+        The baseline row is ``Target("baseline", <base parallelism>)``.  A
+        non-empty ``hardware`` axis crosses the grid: every configuration
+        appears once unretargeted (the profiled-GPU reference) and once
+        per listed GPU (:func:`~repro.api.target.on_gpu`: a composite
+        ``<kind>+hardware`` target, pure ``hardware`` for the baseline).
+        Labels are the spec's own spellings, so scenario labels and cache
+        keys do not depend on a study; :class:`~repro.api.Study` folds
+        them onto its keys when it evaluates them.
         """
-        configs: list[tuple[str, str]] = []
-        if self.include_baseline:
-            configs.append((KIND_BASELINE, self.base_parallelism))
-        for label in self.parallelism:
-            configs.append((KIND_PARALLELISM, label))
-        for name in self.models:
-            configs.append((KIND_ARCHITECTURE, name))
-        for label in self.serving:
-            configs.append((KIND_SERVING, ServingTarget.parse(label).label()))
+        configs = ([Target(KIND_BASELINE, self.base_parallelism)]
+                   if self.include_baseline else [])
+        configs += [Target(KIND_PARALLELISM, label) for label in self.parallelism]
+        configs += [Target(KIND_ARCHITECTURE, name) for name in self.models]
+        configs += [Target(KIND_SERVING, ServingTarget.parse(label).label())
+                    for label in self.serving]
         gpus = [_canonical_gpu(name) for name in self.hardware]
-        if gpus:
-            crossed: list[tuple[str, str]] = []
-            for kind, target in configs:
-                crossed.append((kind, target))
-                for gpu in gpus:
-                    if kind == KIND_BASELINE:
-                        crossed.append((KIND_HARDWARE, f"gpu={gpu}"))
-                    else:
-                        crossed.append(
-                            (f"{kind}{COMPOSITE_SEPARATOR}{KIND_HARDWARE}",
-                             f"{target}{COMPOSITE_SEPARATOR}gpu={gpu}"))
-            configs = crossed
-        seen: set[tuple[str, str]] = set()
-        unique = []
-        for config in configs:
-            if config not in seen:
-                seen.add(config)
-                unique.append(config)
-        return unique
+        crossed = [target for config in configs
+                   for target in (config, *(on_gpu(config, gpu) for gpu in gpus))]
+        return list(dict.fromkeys(crossed))
 
     def expand(self) -> list[ScenarioSpec]:
         """The full scenario grid: configurations × (no what-if + each what-if)."""
         variants: list[WhatIfSpec | None] = [None, *self.whatif]
-        return [ScenarioSpec(kind=kind, target=target, whatif=variant)
-                for kind, target in self.configurations()
+        return [ScenarioSpec(kind=config.kind, target=config.label, whatif=variant)
+                for config in self.configurations()
                 for variant in variants]
 
 

@@ -20,7 +20,7 @@ from repro.core.replay import replay
 from repro.core.simulator import SimulationResult
 from repro.emulator.api import ClusterEmulator, emulate
 from repro.hardware.cluster import ClusterSpec
-from repro.workload.model_config import ModelConfig
+from repro.workload.model_config import ModelConfig, gpt3_model
 from repro.workload.parallelism import ParallelismConfig
 from repro.workload.training import TrainingConfig
 
@@ -166,3 +166,23 @@ def bundle_hashes(monkeypatch):
     for module in (repro.sweep.hashing, repro.sweep.runner, repro.service.jobs):
         monkeypatch.setattr(module, "hash_trace_bundle", recording)
     return hashed
+
+
+#: The replayed iteration time (us) of :func:`h100_base_trace`.
+H100_BASE_TIME_US = 588_266.90
+
+
+@pytest.fixture(scope="session")
+def h100_base_trace(tmp_path_factory) -> Path:
+    """A saved gpt3-15b 2x1x1 training base profiled on H100s.
+
+    Micro-batch size 1, two microbatches, seed 1.  The hardware retarget's
+    per-rank memory bound refuses this workload on an 80 GiB part, the
+    profiled H100 included, so a target naming the H100 is only served
+    when it folds onto the base replay.
+    """
+    directory = tmp_path_factory.mktemp("h100-base") / "bundle"
+    emulate(gpt3_model("gpt3-15b"), ParallelismConfig.parse("2x1x1"),
+            TrainingConfig(micro_batch_size=1, num_microbatches=2),
+            iterations=1, seed=1).profiled.save(directory)
+    return directory

@@ -531,6 +531,23 @@ class TestHardwareCli:
         assert "evaluated 4 scenarios" in output
         assert "2x2x4+gpu=H200-SXM" in output
 
+    def test_sweep_of_the_profiled_gpu_folds_onto_the_base(self, h100_base_trace,
+                                                           capsys):
+        # The retarget's memory bound refuses gpt3-15b 2x1x1 on any 80 GiB
+        # part; naming the profiled H100 is the base, so the sweep reports
+        # the base replay for it, as predict does, instead of exiting 2.
+        code = main([
+            "sweep", "--trace", str(h100_base_trace), "--model", "gpt3-15b",
+            "--parallelism", "2x1x1", "--micro-batch-size", "1",
+            "--num-microbatches", "2", "--target", "gpu=H100-SXM",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        rows = [line.split() for line in captured.out.splitlines()
+                if line.startswith(("1 ", "2 "))]
+        assert {(row[1], row[4]) for row in rows} == {("base", "588.3"),
+                                                     ("gpu=H100-SXM", "588.3")}
+
     @pytest.mark.parametrize("name", [
         "target-parallelism", "target-model", "target-serving",
         "targets", "target-models", "serving",

@@ -158,6 +158,10 @@ class TestWhatIf:
         with pytest.raises(ValueError):
             evaluate_predicate(small_graph, "bad", lambda t: True, 0.0)
 
+    def test_nan_speedup_rejected(self, small_graph):
+        with pytest.raises(ValueError, match="positive"):
+            evaluate_predicate(small_graph, "nan", lambda t: True, float("nan"))
+
     def test_baseline_reuse_matches_fresh_simulation(self, small_graph, small_replay):
         with_baseline = evaluate(small_graph, "kernel_class", op_class="gemm",
                                  baseline=small_replay)

@@ -269,7 +269,7 @@ class TestServingManipulation:
         # The TP=1 decomposition has no collective ops to match against,
         # so the observed collectives must degenerate to empty tasks —
         # not silently keep their TP=2 durations.
-        derived, _ = serving_study.derived_graph(KIND_SERVING, "tp=1")
+        derived, _ = serving_study.derived_graph("serving:tp=1")
         comm = [t for t in derived.task_list()
                 if t.kind.value == "gpu" and t.is_communication]
         assert comm
@@ -281,7 +281,7 @@ class TestServingManipulation:
     def test_tp_resharding_up_rescales_collectives(self, serving_study):
         wide = serving_study.predict("serving:tp=4")
         assert wide.world_size == 4
-        derived, _ = serving_study.derived_graph(KIND_SERVING, "tp=4")
+        derived, _ = serving_study.derived_graph("serving:tp=4")
         comm = [t for t in derived.task_list()
                 if t.kind.value == "gpu" and t.is_communication]
         assert comm

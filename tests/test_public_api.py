@@ -46,7 +46,6 @@ REPRO_API_ALL = [
     "StudyError",
     "Target",
     "WhatIfBuilder",
-    "derive_graph",
     "parse_target",
     "predict",
 ]

@@ -67,6 +67,7 @@ from repro.sweep.spec import SweepSpecError
 from repro.workload.inference import InferenceConfig
 from repro.workload.model_config import gpt3_model
 from repro.workload.parallelism import ParallelismConfig
+from tests.conftest import H100_BASE_TIME_US
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +161,16 @@ class TestSubmitRequest:
         error = self._parse_error({"version": 1, "kind": "sweep", "trace": "t",
                                    "targets": ["2x2x8"], "slo_ms": "fast"})
         assert error.code == CODE_BAD_REQUEST
+
+    @pytest.mark.parametrize("kind", ["predict", "sweep"])
+    @pytest.mark.parametrize("slo_ms", [-5, 0, "nan", float("nan"), "inf"])
+    def test_rejects_non_positive_or_non_finite_slo(self, kind, slo_ms):
+        # Predict jobs never reach SweepSpec.validate, so admission checks.
+        error = self._parse_error({"version": 1, "kind": kind, "trace": "t",
+                                   "target": "batch=4", "targets": ["batch=4"],
+                                   "slo_ms": slo_ms})
+        assert error.code == CODE_BAD_REQUEST
+        assert "slo_ms" in error.message
 
     def test_webhook_must_be_an_http_url(self):
         request = SubmitRequest.parse({
@@ -550,6 +561,23 @@ class TestServiceEndToEnd:
         assert {"base", "batch=8", "gpu=H200-SXM",
                 "batch=8+gpu=H200-SXM"} <= labels
 
+    def test_profiled_gpu_sweep_folds_onto_the_base(self, h100_base_trace, tmp_path):
+        # The retarget's memory bound refuses this base on any 80 GiB
+        # part; naming its own H100 is the base, so the job completes.
+        with ServiceApp(tmp_path / "svc", workers=0,
+                        traces={"h100": h100_base_trace}) as app:
+            client = ServiceClient(app.url)
+            submitted = client.submit({"kind": "sweep", "trace": "h100",
+                                       "targets": ["gpu=H100-SXM"],
+                                       "base": {"micro_batch_size": 1}})
+            job_id = submitted["job"]["job_id"]
+            _drain(app)
+            assert client.job(job_id)["state"] == STATE_DONE
+            rows = validate_result_payload(client.result(job_id)["result"])["scenarios"]
+        times = {row["label"]: row["iteration_time_us"] for row in rows}
+        assert times == {"base": pytest.approx(H100_BASE_TIME_US, abs=0.005),
+                         "gpu=H100-SXM": times["base"]}
+
     def test_live_workers_complete_a_predict_job(self, serving_trace_dir, tmp_path):
         with ServiceApp(tmp_path / "svc", workers=1,
                         traces={"canned": serving_trace_dir}) as app:
@@ -628,6 +656,20 @@ class TestServiceErrors:
                          "targets": ["4x1x1"]})
         assert error.code == CODE_INVALID_SPEC
         assert error.status == 400
+
+    @pytest.mark.parametrize("body", [
+        {"targets": ["batch=4"], "whatif": ["gemm:nan"]},
+        {"spec": {"serving": ["batch=4"],
+                  "whatif": [{"kind": "kernel_class", "op_class": "gemm",
+                              "speedup": "nan"}]}},
+        {"spec": {"base": {"slo_ms": "nan"}, "serving": ["batch=4"]}},
+    ])
+    def test_non_finite_spec_values_refused_at_admission(self, manual_app, body):
+        # Admitted, they ran to NaN rows that were cached as results.
+        error = self._submit_error(manual_app, {"kind": "sweep", "trace": "canned",
+                                                **body})
+        assert error.code == CODE_INVALID_SPEC
+        assert manual_app.store.queue_depth() == 0
 
     def test_malformed_target_refused_at_admission(self, manual_app):
         error = self._submit_error(

@@ -24,6 +24,7 @@ from repro.core.serving_metrics import (
     metrics_from_task_times,
     stream_plan_of,
 )
+from repro.core.whatif import evaluate_scenarios, scenario_for
 from repro.observability import (
     serving_request_events,
     timeline_json,
@@ -228,6 +229,18 @@ class TestStreamWhatIf:
         # An everything-at-1.0 scenario reproduces the base episode.
         result = stream_study.whatif().kernel_class("gemm", 1.0).run()[0]
         assert result.serving == stream_study.base_serving_metrics()
+
+    def test_evaluate_scenarios_scores_against_the_deadline(self, stream_study):
+        # evaluate_scenarios attaches the metrics itself, against deadline_ms.
+        graph, _, session, run = stream_study.config_state(None)
+        scenarios = [scenario_for("kernel_class", op_class="gemm", speedup=1.0)] * 2
+        loose, tight = (evaluate_scenarios(graph, scenarios[:1], baseline=run,
+                                           session=session, deadline_ms=deadline)[0]
+                        for deadline in (None, 0.001))
+        assert loose.serving == stream_study.base_serving_metrics()
+        assert tight.serving == stream_study.base_serving_metrics(deadline_ms=0.001)
+        batched = evaluate_scenarios(graph, scenarios, session=session)
+        assert [result.serving for result in batched] == [loose.serving] * 2
 
     def test_training_whatif_has_no_serving(self):
         study = Study.from_emulation(tiny_model(), "2x1x1", iterations=1, seed=5)

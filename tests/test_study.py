@@ -18,8 +18,10 @@ from repro.api import (
     PredictError,
     Study,
     StudyError,
+    Target,
     predict,
 )
+from repro.core.manipulation import dispatch
 from repro.core.replay import replay
 from repro.core.whatif import WhatIfResult, evaluate_scenarios, scenario_for
 from repro.emulator.api import emulate
@@ -27,6 +29,7 @@ from repro.sweep import SweepSpec, WhatIfSpec, run_sweep
 from repro.workload.model_config import gpt3_model
 from repro.workload.parallelism import ParallelismConfig
 from repro.workload.training import TrainingConfig
+from tests.conftest import H100_BASE_TIME_US
 
 BASE_PARALLELISM = "2x1x2"
 TRAINING = TrainingConfig(micro_batch_size=1, num_microbatches=2)
@@ -120,22 +123,24 @@ class TestMemoization:
         first = study.predict("2x1x4")
         second = study.predict("2x1x4")
         assert first is second
-        graph, _ = study.derived_graph(KIND_PARALLELISM, "2x1x4")
+        graph, _ = study.derived_graph("2x1x4")
         assert graph is first.graph
-        session, run = study.config_session(KIND_PARALLELISM, "2x1x4")
-        session2, run2 = study.config_session(KIND_PARALLELISM, "2x1x4")
+        session, run = study.config_session("2x1x4")
+        session2, run2 = study.config_session("parallelism:2x1x4")
         assert session is session2 and run is run2
 
     def test_config_state_scratch_does_not_pin(self, study):
-        key = (KIND_PARALLELISM, "2x2x1")
-        graph, world_size, session, run = study.config_state(*key, retain=False)
+        key = Target(KIND_PARALLELISM, "2x2x1")
+        graph, world_size, session, run = study.config_state(key, retain=False)
         assert world_size == 4 and run.iteration_time_us > 0
         assert key not in study._graphs
         assert key not in study._sessions
-        # ... but cached state from an earlier predict is still reused.
+        # The memos are keyed by that Target: retaining pins it.
+        study.config_state("2x2x1")
+        assert key in study._graphs and key in study._sessions
+        # ... and cached state from an earlier predict is still reused.
         prediction = study.predict("2x1x4")
-        _, _, _, cached_run = study.config_state(KIND_PARALLELISM, "2x1x4",
-                                                 retain=False)
+        _, _, _, cached_run = study.config_state("2x1x4", retain=False)
         assert cached_run.iteration_time_us == \
             pytest.approx(prediction.iteration_time_us)
 
@@ -151,14 +156,14 @@ class TestMemoization:
     def test_baseline_session_reuses_replay_run(self, study):
         # The base replay already simulated the base durations; the
         # baseline config session must not re-run Algorithm 1.
-        _, run = study.config_session(KIND_BASELINE, BASE_PARALLELISM)
+        _, run = study.config_session(BASE_PARALLELISM)
         assert run is study.replay().base_run
 
     def test_whatif_reuses_predict_session(self, study):
         study.predict("2x1x4")
-        session_before, _ = study.config_session(KIND_PARALLELISM, "2x1x4")
+        session_before, _ = study.config_session("2x1x4")
         study.whatif("kernel_class", target="2x1x4", op_class="gemm")
-        session_after, _ = study.config_session(KIND_PARALLELISM, "2x1x4")
+        session_after, _ = study.config_session("2x1x4")
         assert session_before is session_after
 
 
@@ -296,7 +301,7 @@ class TestSweep:
         assert study.calibrations == 1  # the sweep did not recalibrate
         # A caller-owned study keeps the sweep's per-target sessions for
         # later predictions (the facade's memoization contract).
-        assert ("architecture", "gpt3-v1") in study._sessions
+        assert Target(KIND_ARCHITECTURE, "gpt3-v1") in study._sessions
 
     def test_inline_axes(self, study, spec):
         inline = study.sweep(parallelism=["2x1x4"], models=["gpt3-v1"],
@@ -315,13 +320,53 @@ class TestSweep:
             study.sweep(bad)
 
 
+class TestBaseFold:
+    """A target equal to the base is the base, in predict and sweep alike."""
+
+    @pytest.fixture()
+    def h100_study(self, h100_base_trace):
+        return Study.from_trace(h100_base_trace, micro_batch_size=1)
+
+    def test_sweep_of_the_profiled_gpu_is_the_base(self, h100_study):
+        # The memory bound would refuse the base itself on its own GPU.
+        base = h100_study.predict("gpu=H100-SXM").iteration_time_us
+        assert base == h100_study.base_time_us
+        assert base == pytest.approx(H100_BASE_TIME_US, abs=0.005)
+        rows = h100_study.sweep(hardware=["H100-SXM"]).results
+        assert [(row.label, row.kind, row.iteration_time_us) for row in rows] == [
+            ("base", KIND_BASELINE, base), ("gpu=H100-SXM", "hardware", base)]
+
+    def test_sweep_of_the_base_parallelism_derives_nothing(self, h100_study,
+                                                           monkeypatch):
+        derived = []
+        original = dispatch.derive
+
+        def recording(graph, kind, label, *args):
+            derived.append((kind, label))
+            return original(graph, kind, label, *args)
+
+        monkeypatch.setattr(dispatch, "derive", recording)
+        rows = {row.label: row for row in
+                h100_study.sweep(parallelism=["2x1x1", "2x1x2"]).results}
+        assert derived == [(KIND_PARALLELISM, "2x1x2")]
+        # The row keeps the spec's spelling but times the base replay.
+        assert (rows["2x1x1"].kind, rows["2x1x1"].target) == (KIND_PARALLELISM, "2x1x1")
+        assert rows["2x1x1"].iteration_time_us == h100_study.base_time_us
+
+    def test_memo_keys_are_folded_targets(self, h100_study):
+        assert h100_study.config_session("parallelism=2x1x1,gpu=H100-SXM") is \
+            h100_study.config_session(None)
+        h100_study.predict("parallelism=2x1x2,gpu=H100-SXM")
+        assert list(h100_study._predictions) == [Target(KIND_PARALLELISM, "2x1x2")]
+
+
 class TestPickling:
     def test_prepared_study_round_trips(self, study):
         study.prepare()
         clone = pickle.loads(pickle.dumps(study))
         assert clone.calibrations == 1
         assert clone.base_time_us == study.base_time_us
-        graph, world_size = clone.derived_graph(KIND_PARALLELISM, "2x1x4")
+        graph, world_size = clone.derived_graph("2x1x4")
         assert world_size == 8 and len(graph) > 0
         assert clone.calibrations == 1  # the snapshot carried the perf model
 
@@ -335,7 +380,7 @@ class TestPickling:
         # the spawn start method: the snapshot has no bundle and no
         # replay, only the base graph — sessions must rebuild from it.
         clone = pickle.loads(pickle.dumps(study.prepare()))
-        session, run = clone.config_session(KIND_BASELINE, BASE_PARALLELISM)
+        session, run = clone.config_session(BASE_PARALLELISM)
         assert run.iteration_time_us == pytest.approx(study.base_time_us)
 
     def test_custom_model_survives_pickling(self, study):
@@ -344,7 +389,7 @@ class TestPickling:
                                      name="custom-pickled", n_layers=50)
         study.predict(custom)
         clone = pickle.loads(pickle.dumps(study.prepare()))
-        graph, _ = clone.derived_graph(KIND_ARCHITECTURE, "custom-pickled")
+        graph, _ = clone.derived_graph("model:custom-pickled")
         assert len(graph) > 0
 
 

@@ -47,6 +47,17 @@ class TestWhatIfSpec:
         with pytest.raises(SweepSpecError):
             WhatIfSpec(kind="communication", speedup=0.0)
 
+    def test_nan_speedup_rejected_in_every_spelling(self):
+        # ``speedup <= 0`` is false for NaN, which let NaN rows through.
+        with pytest.raises(SweepSpecError, match="positive"):
+            WhatIfSpec.parse("gemm:nan")
+        with pytest.raises(SweepSpecError, match="positive"):
+            WhatIfSpec.from_json({"kind": "kernel_class", "op_class": "gemm",
+                                  "speedup": "nan"})
+        with pytest.raises(SweepSpecError, match="positive"):
+            WhatIfSpec(kind="communication", speedup=float("nan"))
+        assert WhatIfSpec.parse("gemm:inf").speedup == float("inf")
+
     @pytest.mark.parametrize("text, expected", [
         ("launch", WhatIfSpec(kind="launch_overhead", speedup=float("inf"))),
         ("gemm:2", WhatIfSpec(kind="kernel_class", op_class="gemm", speedup=2.0)),
@@ -201,10 +212,19 @@ class TestServingSpecs:
 
     def test_serving_configurations_use_canonical_labels(self):
         from repro.core.manipulation import KIND_SERVING
-        configs = self._serving_spec().configurations()
+        configs = [(t.kind, t.label) for t in self._serving_spec().configurations()]
         assert (KIND_SERVING, "batch=16") in configs
         # Keys are re-ordered canonically so equal targets memoize together.
         assert (KIND_SERVING, "prompt=1024,tp=4") in configs
+
+    @pytest.mark.parametrize("slo_ms", [0.0, -5.0, float("nan"), float("inf")])
+    def test_slo_must_be_positive_and_finite(self, slo_ms):
+        with pytest.raises(SweepSpecError, match="slo_ms"):
+            self._serving_spec(slo_ms=slo_ms).validate()
+        payload = json.loads(json.dumps(self._serving_spec().to_json()))
+        payload["base"]["slo_ms"] = str(slo_ms)
+        with pytest.raises(SweepSpecError, match="slo_ms"):
+            SweepSpec.from_json(payload).validate()
 
     def test_serving_axis_requires_inference_base(self):
         with pytest.raises(SweepSpecError, match="inference base"):
@@ -274,7 +294,7 @@ class TestHardwareAxis:
         assert "hardware" not in SweepSpec().to_json()
 
     def test_axis_crosses_the_configuration_grid(self):
-        configs = self._spec().configurations()
+        configs = [(t.kind, t.label) for t in self._spec().configurations()]
         # Every workload config appears unretargeted (the profiled-GPU
         # reference column) and once per listed GPU.
         assert (KIND_BASELINE, "2x2x2") in configs
@@ -285,7 +305,7 @@ class TestHardwareAxis:
 
     def test_gpu_names_canonicalise(self):
         spec = self._spec(hardware=("h200_sxm", "gpu=H200-SXM"))
-        configs = spec.configurations()
+        configs = [(t.kind, t.label) for t in spec.configurations()]
         assert configs.count(("hardware", "gpu=H200-SXM")) == 1
 
     def test_unknown_gpu_rejected(self):
