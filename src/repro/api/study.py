@@ -49,7 +49,7 @@ from repro.core.replay import ReplayResult
 from repro.core.replay import replay as _replay_trace
 from repro.core.serving_metrics import (
     ServingMetrics,
-    compute_serving_metrics,
+    metrics_from_task_times,
     stream_plan_of,
 )
 from repro.observability import tracing as observability
@@ -102,6 +102,17 @@ def _resolve_parallelism(parallelism: ParallelismConfig | str,
         raise error(str(exc)) from exc
 
 
+def _serving_metrics(result: ReplayResult,
+                     deadline_ms: float | None) -> ServingMetrics | None:
+    """Score a result's run against its graph's stream plan, if it has one."""
+    plan = stream_plan_of(result.graph.metadata)
+    if plan is None:
+        return None
+    run = result.run
+    return metrics_from_task_times(run.compiled.tasks, run.starts.tolist(),
+                                   run.durations.tolist(), plan, deadline_ms=deadline_ms)
+
+
 @dataclass(frozen=True)
 class Prediction:
     """Outcome of predicting one target configuration from a base trace."""
@@ -150,11 +161,7 @@ class Prediction:
         episodes).  ``deadline_ms`` sets the SLO-attainment deadline
         (default :data:`~repro.core.serving_metrics.DEFAULT_SLO_MS`).
         """
-        plan = stream_plan_of(self.result.graph.metadata)
-        if plan is None:
-            return None
-        return compute_serving_metrics(self.result.simulation, plan,
-                                       deadline_ms=deadline_ms)
+        return _serving_metrics(self.result, deadline_ms)
 
 
 class WhatIfBuilder:
@@ -501,11 +508,7 @@ class Study:
         ``None`` unless the base trace is a continuous-batching serving
         episode (see :attr:`stream_plan`).
         """
-        plan = self.stream_plan
-        if plan is None:
-            return None
-        return compute_serving_metrics(self.replay().simulation, plan,
-                                       deadline_ms=deadline_ms)
+        return _serving_metrics(self.replay(), deadline_ms)
 
     def prepare(self) -> "Study":
         """Force-materialise the base replay and perf model; returns self.
@@ -664,8 +667,7 @@ class Study:
                 # The replay already simulated the base durations — reuse
                 # its compiled graph and its run.
                 result = self.replay()
-                session = result.session()
-                run = result.base_run or session.run()
+                session, run = result.session(), result.run
             else:
                 # A derived target, or the base of a study pickled for a
                 # worker process: compile the graph the snapshot carries.
@@ -752,15 +754,11 @@ class Study:
         if key not in self._predictions:
             with observability.trace_span("study.predict", kind=key.kind,
                                           target=key.label):
-                graph, world_size = self._graph(key)
-                session, run = self._session(key)
-                simulation = run.to_simulation_result()
-                result = ReplayResult(graph=graph, simulation=simulation,
-                                      replayed_trace=simulation.to_trace_bundle(),
-                                      compiled=session.compiled)
+                _, world_size = self._graph(key)
+                _, run = self._session(key)
                 self._predictions[key] = Prediction(
                     target=key.label, kind=key.kind, world_size=world_size,
-                    base_time_us=self.base_time_us, result=result)
+                    base_time_us=self.base_time_us, result=ReplayResult(run))
             observability.count("study.predictions")
         return self._predictions[key]
 

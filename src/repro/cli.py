@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from dataclasses import replace
@@ -193,6 +194,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if len(args.target) != 1:
         print("predict requires a single --target", file=sys.stderr)
         args.parser.print_usage(sys.stderr)
+        return 2
+    if args.slo_ms is not None and not 0 < args.slo_ms < math.inf:
+        print("error: slo_ms must be a positive finite number", file=sys.stderr)
         return 2
     try:
         study = _study_from_args(args)

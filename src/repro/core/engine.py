@@ -32,9 +32,10 @@ This module splits Algorithm 1 into two phases:
 The engine is bit-identical to the seed scheduler: it performs the same
 floating-point operations in the same order, so every start time matches
 exactly (``tests/test_engine.py`` asserts this against a verbatim copy of
-the seed algorithm, ``tests/reference_simulator.py``).  The dict-based
-:class:`~repro.core.simulator.SimulationResult` the analyses consume is
-one :meth:`SessionRun.to_simulation_result` away.
+the seed algorithm, ``tests/reference_simulator.py``).  A
+:class:`SessionRun` is the result; the dict-based
+:class:`~repro.core.simulator.SimulationResult` and its trace bundle are
+renderings of it, made only for the analyses that read them.
 """
 
 from __future__ import annotations
@@ -373,10 +374,9 @@ class SessionRun:
     def iteration_time_us(self) -> float:
         """Global span (earliest start to latest end) in microseconds.
 
-        Matches ``SimulationResult.to_trace_bundle().iteration_time()``:
-        the simulated bundle wraps each rank's events in one profiler-step
-        annotation, so the bundle-level iteration time collapses to the
-        global task span.
+        The iteration time of every replay and prediction.  The rendered
+        trace bundle wraps each rank's events in one profiler-step
+        annotation, so its ``iteration_time()`` is the same span.
         """
         if len(self.starts) == 0:
             return 0.0

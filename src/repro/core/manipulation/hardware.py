@@ -164,12 +164,9 @@ def _cluster_pair(graph: ExecutionGraph, gpu: GPUSpec,
         if ranks:
             needed = max(needed, max(ranks) + 1)
     old_cluster = replace(base_cluster, num_gpus=max(base_cluster.num_gpus, needed))
-    # A GPU swap swaps the NVLink generation with it; the inter-node
-    # fabric (NICs, switches) is datacenter infrastructure and stays.
-    new_network = replace(base_cluster.network,
-                          intra_node_bandwidth_gbps=gpu.nvlink_bandwidth_gbps)
-    new_cluster = replace(old_cluster, gpu=gpu, network=new_network)
-    return old_cluster, new_cluster
+    # A GPU swap swaps the NVLink generation with it (the cluster reads it
+    # from its GPU); the inter-node fabric (NICs, switches) stays.
+    return old_cluster, replace(old_cluster, gpu=gpu)
 
 
 def _scale_overheaded(observed: float, variable_ratio: float,

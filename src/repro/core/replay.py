@@ -1,49 +1,58 @@
 """High-level replay API.
 
 ``replay(bundle)`` builds the execution graph from a profiled trace bundle,
-simulates it with Algorithm 1 and returns the replayed iteration time, the
-replayed trace (for breakdowns and SM utilisation) and the underlying graph
-and simulation objects for further analysis.
+simulates it with Algorithm 1 and returns a :class:`ReplayResult`, a view
+over the :class:`~repro.core.engine.SessionRun` it produced.  The replayed
+trace (for breakdowns, SM utilisation and timeline export) and the
+dict-based simulation behind it are rendered on first read, then kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.breakdown import ExecutionBreakdown, compute_breakdown
-from repro.core.engine import CompiledGraph, SessionRun, SimulationSession, compile_graph
+from repro.core.engine import SessionRun, SimulationSession, compile_graph
 from repro.core.graph import ExecutionGraph
 from repro.core.graph_builder import GraphBuilder, GraphBuilderOptions
 from repro.core.simulator import SimulationResult
 from repro.trace.kineto import KinetoTrace, TraceBundle
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplayResult:
-    """Outcome of replaying a profiled trace."""
+    """Outcome of replaying a profiled trace: a view over its session run.
 
-    graph: ExecutionGraph
-    simulation: SimulationResult
-    replayed_trace: TraceBundle
-    #: The compiled form of ``graph`` (compiling is part of replaying, so
-    #: it is kept for callers that re-simulate — what-if evaluation and
-    #: sweeps open a session on it instead of recompiling).
-    compiled: CompiledGraph | None = None
-    #: The session run that produced ``simulation`` (its arrays are
-    #: copies, so it stays valid however the session is reused).  Callers
-    #: that need the baseline timings — the ``Study`` facade's what-if
-    #: path — read it instead of re-simulating.
-    base_run: SessionRun | None = None
+    The run's arrays are copies, so the result stays valid however the
+    session that produced it is reused.
+    """
+
+    run: SessionRun
+
+    @property
+    def graph(self) -> ExecutionGraph:
+        return self.run.compiled.graph
 
     @property
     def iteration_time_us(self) -> float:
         """Replayed per-iteration execution time in microseconds."""
-        return self.replayed_trace.iteration_time()
+        return self.run.iteration_time_us
 
     @property
     def iteration_time_ms(self) -> float:
         """Replayed per-iteration execution time in milliseconds."""
         return self.iteration_time_us / 1000.0
+
+    @cached_property
+    def simulation(self) -> SimulationResult:
+        """The dict-based per-task timings, rendered on first read."""
+        return self.run.to_simulation_result()
+
+    @cached_property
+    def replayed_trace(self) -> TraceBundle:
+        """The simulated Kineto-style trace bundle, rendered on first read."""
+        return self.simulation.to_trace_bundle()
 
     def breakdown(self) -> ExecutionBreakdown:
         """Execution breakdown of the replayed iteration."""
@@ -51,8 +60,7 @@ class ReplayResult:
 
     def session(self) -> SimulationSession:
         """A fresh simulation session over this replay's compiled graph."""
-        compiled = self.compiled or compile_graph(self.graph)
-        return SimulationSession(compiled)
+        return SimulationSession(self.run.compiled)
 
 
 def replay(traces: TraceBundle | KinetoTrace | None = None,
@@ -76,12 +84,7 @@ def replay(traces: TraceBundle | KinetoTrace | None = None,
         if traces is None:
             raise ValueError("replay() requires traces or a pre-built graph")
         graph = GraphBuilder(options).build(traces)
-    compiled = compile_graph(graph)
-    run = SimulationSession(compiled).run()
-    simulation = run.to_simulation_result()
-    return ReplayResult(graph=graph, simulation=simulation,
-                        replayed_trace=simulation.to_trace_bundle(),
-                        compiled=compiled, base_run=run)
+    return ReplayResult(SimulationSession(compile_graph(graph)).run())
 
 
 def simulate_graph(graph: ExecutionGraph) -> ReplayResult:

@@ -24,8 +24,9 @@ golden snapshots are stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.tasks import Task
 from repro.observability import tracing as observability
@@ -35,7 +36,6 @@ __all__ = [
     "DEFAULT_SLO_MS",
     "RequestMetrics",
     "ServingMetrics",
-    "compute_serving_metrics",
     "metrics_from_task_times",
     "stream_plan_of",
 ]
@@ -101,8 +101,8 @@ class ServingMetrics:
     def __post_init__(self) -> None:
         if not self.requests:
             raise ValueError("serving metrics need at least one request")
-        if self.deadline_ms <= 0:
-            raise ValueError("deadline_ms must be positive")
+        if not 0 < self.deadline_ms < math.inf:  # NaN fails too
+            raise ValueError("deadline_ms must be a positive finite number")
 
     @property
     def num_requests(self) -> int:
@@ -179,13 +179,17 @@ def stream_plan_of(metadata: Mapping[str, Any]) -> StreamPlan | None:
     return StreamPlan.from_json(payload)
 
 
-def _metrics_from_events(events: Iterator[tuple[Task, float, float]],
-                         plan: StreamPlan,
-                         deadline_ms: float | None) -> ServingMetrics:
-    """Core computation over (task, start, end) timing triples."""
+def metrics_from_task_times(tasks: Sequence[Task], starts: Iterable[float],
+                            durations: Iterable[float], plan: StreamPlan, *,
+                            deadline_ms: float | None = None) -> ServingMetrics:
+    """Score dense-ordered task timing arrays against a stream plan.
+
+    ``tasks`` is ``CompiledGraph.tasks`` and ``starts``/``durations`` one
+    row of a (batched) session run, all in dense task order.
+    """
     anchor: float | None = None
     sample_ends: dict[tuple[str, int], float] = {}
-    for task, start, end in events:
+    for task, start, duration in zip(tasks, starts, durations):
         if anchor is None or start < anchor:
             anchor = start
         args = task.args
@@ -195,6 +199,7 @@ def _metrics_from_events(events: Iterator[tuple[Task, float, float]],
         if phase not in ("prefill", "decode"):
             continue
         key = (phase, int(args.get("microbatch", 0)))
+        end = start + duration
         known = sample_ends.get(key)
         if known is None or end > known:
             sample_ends[key] = end
@@ -227,23 +232,3 @@ def _metrics_from_events(events: Iterator[tuple[Task, float, float]],
         observability.gauge("serving.slo_attainment", metrics.slo_attainment)
         observability.gauge("serving.goodput_rps", metrics.goodput_rps)
     return metrics
-
-
-def compute_serving_metrics(simulation, plan: StreamPlan, *,
-                            deadline_ms: float | None = None) -> ServingMetrics:
-    """Score a :class:`SimulationResult` against a stream plan."""
-    events = ((t.task, t.start, t.end) for t in simulation.tasks.values())
-    return _metrics_from_events(events, plan, deadline_ms)
-
-
-def metrics_from_task_times(tasks: Sequence[Task], starts: Iterable[float],
-                            durations: Iterable[float], plan: StreamPlan, *,
-                            deadline_ms: float | None = None) -> ServingMetrics:
-    """Score dense-ordered task timing arrays (the batched what-if path).
-
-    ``tasks`` is ``CompiledGraph.tasks`` and ``starts``/``durations`` one
-    row of a (batched) session run, all in dense task order.
-    """
-    events = ((task, start, start + duration)
-              for task, start, duration in zip(tasks, starts, durations))
-    return _metrics_from_events(events, plan, deadline_ms)

@@ -15,11 +15,11 @@ processor (a CPU thread or a CUDA stream), honouring:
 The output records the simulated start time of every task, from which the
 iteration time, execution breakdown and SM utilisation are derived.
 
-This module holds the dict-based result types.  The scheduling itself
-lives in the array-backed engine (:mod:`repro.core.engine`): compile the
-graph once, run a :class:`~repro.core.engine.SimulationSession`, and
-materialise the :class:`SimulationResult` the rest of the code base
-consumes with :meth:`~repro.core.engine.SessionRun.to_simulation_result`::
+This module holds the dict-based renderings of a simulation.  The
+scheduling lives in the array-backed engine (:mod:`repro.core.engine`),
+whose :class:`~repro.core.engine.SessionRun` is the result; the analyses
+that walk tasks one by one read a :class:`SimulationResult` (or its trace
+bundle) rendered from a run on demand::
 
     SimulationSession(compile_graph(graph)).run().to_simulation_result()
 

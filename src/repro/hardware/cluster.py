@@ -48,9 +48,9 @@ class ClusterSpec:
     gpus_per_node:
         GPUs per server; 8 for the paper's H100 servers.
     gpu:
-        Per-GPU specification.
+        Per-GPU specification; its NVLink bandwidth is the intra-node tier.
     network:
-        Fabric specification.
+        Fabric specification: the inter-node tier, latencies, efficiencies.
     """
 
     num_gpus: int
@@ -83,6 +83,13 @@ class ClusterSpec:
         """True when all ``ranks`` live on the same node."""
         nodes = {self.node_of(r) for r in ranks}
         return len(nodes) <= 1
+
+    def bandwidth_bytes_per_us(self, intra_node: bool) -> float:
+        """Effective per-GPU bandwidth in bytes/us: NVLink or the fabric's NIC."""
+        net = self.network
+        gbps = (self.gpu.nvlink_bandwidth_gbps * net.intra_node_efficiency if intra_node
+                else net.inter_node_bandwidth_gbps * net.inter_node_efficiency)
+        return gbps * 1e9 / 1e6
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.num_gpus:

@@ -2,7 +2,8 @@
 
 Two tiers matter for 3D-parallel training:
 
-* intra-node: GPUs inside a server communicate over NVLink/NVSwitch;
+* intra-node: GPUs inside a server communicate over NVLink/NVSwitch, at
+  the GPU's own NVLink bandwidth (:attr:`GPUSpec.nvlink_bandwidth_gbps`);
 * inter-node: servers communicate over the datacenter fabric (the paper's
   cluster uses 8×400 Gbps RoCE per host, i.e. one 400 Gbps NIC per GPU).
 """
@@ -16,10 +17,11 @@ from dataclasses import dataclass
 class NetworkSpec:
     """Bandwidth/latency description of the training fabric.
 
+    The intra-node tier's bandwidth is the GPU's own NVLink, which
+    ``ClusterSpec.bandwidth_bytes_per_us`` reads from the cluster's GPU.
+
     Attributes
     ----------
-    intra_node_bandwidth_gbps:
-        Per-GPU unidirectional NVLink bandwidth in GB/s.
     inter_node_bandwidth_gbps:
         Per-GPU unidirectional network bandwidth in GB/s (NIC line rate
         divided by 8 bits, shared fabric effects folded into efficiency).
@@ -32,20 +34,11 @@ class NetworkSpec:
         (protocol overhead, congestion).
     """
 
-    intra_node_bandwidth_gbps: float = 450.0
     inter_node_bandwidth_gbps: float = 50.0
     intra_node_latency_us: float = 2.0
     inter_node_latency_us: float = 12.0
     intra_node_efficiency: float = 0.80
     inter_node_efficiency: float = 0.72
-
-    def bandwidth_bytes_per_us(self, intra_node: bool) -> float:
-        """Effective bandwidth in bytes/us for the given tier."""
-        if intra_node:
-            gbps = self.intra_node_bandwidth_gbps * self.intra_node_efficiency
-        else:
-            gbps = self.inter_node_bandwidth_gbps * self.inter_node_efficiency
-        return gbps * 1e9 / 1e6
 
     def latency_us(self, intra_node: bool) -> float:
         """Per-hop latency in microseconds for the given tier."""

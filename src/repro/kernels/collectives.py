@@ -1,7 +1,7 @@
 """Collective communication cost models.
 
 Ring-based alpha-beta models for NCCL-style collectives on a two-tier
-fabric (NVLink inside a node, RoCE across nodes).
+fabric (the GPU's NVLink inside a node, RoCE across nodes).
 
 For groups that span nodes, NCCL builds multiple rings (channels) so that
 every group member inside a node drives its own NIC.  The effective
@@ -43,10 +43,10 @@ def effective_bandwidth_bytes_per_us(group_ranks: tuple[int, ...] | list[int],
     """Effective per-rank bus bandwidth for a ring over ``group_ranks``."""
     ranks = tuple(group_ranks)
     if cluster.is_intra_node(ranks):
-        return cluster.network.bandwidth_bytes_per_us(intra_node=True)
+        return cluster.bandwidth_bytes_per_us(intra_node=True)
     members_per_node = max(Counter(cluster.node_of(r) for r in ranks).values())
     nic_parallelism = min(members_per_node, cluster.gpus_per_node)
-    return cluster.network.bandwidth_bytes_per_us(intra_node=False) * nic_parallelism
+    return cluster.bandwidth_bytes_per_us(intra_node=False) * nic_parallelism
 
 
 def collective_time_us(kind: str, size_bytes: float, group_ranks: tuple[int, ...] | list[int],
@@ -72,6 +72,6 @@ def point_to_point_time_us(size_bytes: float, src: int, dst: int,
     if size_bytes < 0:
         raise ValueError("size_bytes must be non-negative")
     intra_node = cluster.is_intra_node((src, dst))
-    bandwidth = cluster.network.bandwidth_bytes_per_us(intra_node)
+    bandwidth = cluster.bandwidth_bytes_per_us(intra_node)
     latency = cluster.network.latency_us(intra_node)
     return size_bytes / bandwidth + latency + _NCCL_KERNEL_OVERHEAD_US

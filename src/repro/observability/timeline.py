@@ -56,7 +56,8 @@ def coerce_bundle(source: Any) -> TraceBundle:
     Accepts a bundle, one per-rank trace, a ``SimulationResult`` (or any
     object with ``to_trace_bundle``), a ``SessionRun`` (or any object with
     ``to_simulation_result``), a ``ReplayResult`` (``replayed_trace``) or
-    a ``Prediction`` (``result``).  Raises ``TypeError`` otherwise.
+    a ``Prediction`` (``result``; both render their bundle on first
+    read, then keep it).  Raises ``TypeError`` otherwise.
     """
     if isinstance(source, TraceBundle):
         return source

@@ -352,6 +352,19 @@ class TestStreamCommands:
         assert "goodput" in out
         assert "within SLO" in out
 
+    @pytest.mark.parametrize("slo_ms", ["nan", "inf", "0", "-5"])
+    @pytest.mark.parametrize("trace, target", [
+        ("stream_trace_directory", ["--parallelism", "2x1x1",
+                                    "--target", "serving:prompt=128"]),
+        ("trace_directory", ["--parallelism", "2x2x2", "--micro-batch-size", "1",
+                             "--num-microbatches", "2", "--target", "2x2x4"]),
+    ], ids=["stream", "training"])
+    def test_predict_refuses_a_bad_slo(self, request, trace, target, slo_ms, capsys):
+        code = main(["predict", "--trace", str(request.getfixturevalue(trace)),
+                     "--model", "gpt3-15b", *target, f"--slo-ms={slo_ms}"])
+        assert code == 2
+        assert "slo_ms must be a positive finite number" in capsys.readouterr().err
+
     def test_predict_unified_target_auto_detects_parallelism(self, trace_directory,
                                                              capsys):
         code = main([

@@ -242,7 +242,8 @@ class TestFixtureBundles:
 
     def test_iteration_time_matches_trace_bundle(self, small_graph):
         run = SimulationSession(compile_graph(small_graph)).run()
-        assert run.iteration_time_us == simulate_graph(small_graph).iteration_time_us
+        rendered = simulate_graph(small_graph).replayed_trace
+        assert run.iteration_time_us == rendered.iteration_time()
 
 
 class TestSessionReuse:

@@ -30,14 +30,23 @@ class TestGPUSpec:
 
 
 class TestNetworkSpec:
+    """The intra-node tier is the cluster GPU's NVLink; the rest is the fabric's."""
+
+    @staticmethod
+    def cluster(network: NetworkSpec | None = None) -> ClusterSpec:
+        gpu = GPUSpec(name="nvlink-100", sm_count=1, bf16_tflops=1.0, fp32_tflops=1.0,
+                      memory_gb=1.0, memory_bandwidth_gbps=1.0,
+                      nvlink_bandwidth_gbps=100.0)
+        return ClusterSpec(num_gpus=8, gpu=gpu, network=network or NetworkSpec())
+
     def test_intra_node_is_faster_than_inter_node(self):
-        network = NetworkSpec()
-        assert network.bandwidth_bytes_per_us(True) > network.bandwidth_bytes_per_us(False)
-        assert network.latency_us(True) < network.latency_us(False)
+        cluster = self.cluster()
+        assert cluster.bandwidth_bytes_per_us(True) > cluster.bandwidth_bytes_per_us(False)
+        assert cluster.network.latency_us(True) < cluster.network.latency_us(False)
 
     def test_efficiency_reduces_bandwidth(self):
-        network = NetworkSpec(intra_node_bandwidth_gbps=100.0, intra_node_efficiency=0.5)
-        assert network.bandwidth_bytes_per_us(True) == pytest.approx(50.0 * 1e9 / 1e6)
+        cluster = self.cluster(NetworkSpec(intra_node_efficiency=0.5))
+        assert cluster.bandwidth_bytes_per_us(True) == pytest.approx(50.0 * 1e9 / 1e6)
 
 
 class TestClusterSpec:

@@ -22,10 +22,13 @@ from repro.core.manipulation.hardware import (
 )
 from repro.core.perf_model import KernelPerfModel
 from repro.core.tasks import Task, TaskKind
+from repro.emulator.api import emulate
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.gpu import B200, H100_SXM, H200_SXM, GPUSpec
 from repro.workload.inference import InferenceConfig
+from repro.workload.model_config import gpt3_model
 from repro.workload.parallelism import ParallelismConfig
+from repro.workload.training import TrainingConfig
 from tests.conftest import tiny_model
 
 TINY_GPU = GPUSpec(name="TINY", sm_count=8, bf16_tflops=10.0, fp32_tflops=5.0,
@@ -106,6 +109,20 @@ class TestTrainingRetarget:
         second = GPUSpec(**dict(B200.to_json(), name="X100"))
         with pytest.raises(PredictError, match="already predicted"):
             study.predict(second)
+
+
+class TestEmulatedTruth:
+    def test_b200_retarget_matches_a_b200_emulation(self, h100_base_trace):
+        # Emulation and retarget take the NVLink tier from the same GPU
+        # field, so the retarget of this base lands on the B200 emulation.
+        study = Study.from_trace(h100_base_trace, micro_batch_size=1)
+        predicted = study.predict("gpu=B200").iteration_time_us
+        parallel = ParallelismConfig.parse("2x1x1")
+        truth = emulate(gpt3_model("gpt3-15b"), parallel,
+                        TrainingConfig(micro_batch_size=1, num_microbatches=2),
+                        cluster=ClusterSpec.for_world_size(2, gpu=B200),
+                        iterations=1, seed=1).measured_iteration_time()
+        assert abs(predicted - truth) / truth < 0.001
 
 
 class TestServingRetarget:

@@ -20,7 +20,6 @@ from repro.api import PredictError
 from repro.core.manipulation.serving import REFUSE_STREAM_BATCH
 from repro.core.serving_metrics import (
     RequestMetrics,
-    compute_serving_metrics,
     metrics_from_task_times,
     stream_plan_of,
 )
@@ -142,6 +141,12 @@ class TestServingMetricsMath:
             ServingMetrics(requests=(RequestMetrics(0, 0.0, 1.0, 2.0, 1),),
                            deadline_ms=0.0)
 
+    @pytest.mark.parametrize("deadline_ms", [float("nan"), float("inf")])
+    def test_deadline_must_be_finite(self, deadline_ms):
+        with pytest.raises(ValueError, match="positive finite"):
+            ServingMetrics(requests=(RequestMetrics(0, 0.0, 1.0, 2.0, 1),),
+                           deadline_ms=deadline_ms)
+
 
 class TestBaseServingMetrics:
     def test_episode_summary(self, stream_study):
@@ -162,15 +167,19 @@ class TestBaseServingMetrics:
         assert tight.goodput_rps == 0.0
 
     def test_dense_array_path_is_bit_identical(self, stream_study):
-        # The sweep/what-if path scores (tasks, starts, durations) arrays;
-        # it must agree exactly with scoring the SimulationResult.
+        # Every path scores the run's dense (tasks, starts, durations)
+        # arrays; scoring the rendered SimulationResult instead (its tasks
+        # in dict order) must agree exactly.
         replay = stream_study.replay()
         plan = stream_study.stream_plan
-        from_sim = compute_serving_metrics(replay.simulation, plan)
-        tasks = replay.compiled.tasks
-        run = replay.base_run or replay.session().run()
+        simulated = list(replay.simulation.tasks.values())
+        from_sim = metrics_from_task_times(
+            [entry.task for entry in simulated],
+            [entry.start for entry in simulated],
+            [entry.duration for entry in simulated], plan)
+        run = replay.run
         from_arrays = metrics_from_task_times(
-            tasks, run.starts, run.durations, plan)
+            run.compiled.tasks, run.starts, run.durations, plan)
         assert from_arrays == from_sim
 
     def test_training_study_has_no_stream(self):

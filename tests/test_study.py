@@ -21,15 +21,21 @@ from repro.api import (
     Target,
     predict,
 )
+from repro.core.engine import SessionRun
 from repro.core.manipulation import dispatch
 from repro.core.replay import replay
+from repro.core.simulator import SimulationResult
 from repro.core.whatif import WhatIfResult, evaluate_scenarios, scenario_for
 from repro.emulator.api import emulate
+from repro.observability import coerce_bundle
+from repro.service.protocol import predict_result_payload
 from repro.sweep import SweepSpec, WhatIfSpec, run_sweep
+from repro.workload.arrivals import parse_arrival
+from repro.workload.inference import InferenceConfig
 from repro.workload.model_config import gpt3_model
 from repro.workload.parallelism import ParallelismConfig
 from repro.workload.training import TrainingConfig
-from tests.conftest import H100_BASE_TIME_US
+from tests.conftest import H100_BASE_TIME_US, tiny_model
 
 BASE_PARALLELISM = "2x1x2"
 TRAINING = TrainingConfig(micro_batch_size=1, num_microbatches=2)
@@ -157,7 +163,7 @@ class TestMemoization:
         # The base replay already simulated the base durations; the
         # baseline config session must not re-run Algorithm 1.
         _, run = study.config_session(BASE_PARALLELISM)
-        assert run is study.replay().base_run
+        assert run is study.replay().run
 
     def test_whatif_reuses_predict_session(self, study):
         study.predict("2x1x4")
@@ -401,3 +407,47 @@ class TestReplaySignature:
     def test_replay_without_input_raises(self):
         with pytest.raises(ValueError, match="traces or a pre-built graph"):
             replay()
+
+
+class TestRenderOnRead:
+    """A prediction is its session run; traces render only when read."""
+
+    @pytest.fixture()
+    def renders(self, monkeypatch):
+        calls = {"simulation": 0, "bundle": 0}
+
+        def spy(name, original):
+            def counted(self):
+                calls[name] += 1
+                return original(self)
+            return counted
+
+        monkeypatch.setattr(SessionRun, "to_simulation_result",
+                            spy("simulation", SessionRun.to_simulation_result))
+        monkeypatch.setattr(SimulationResult, "to_trace_bundle",
+                            spy("bundle", SimulationResult.to_trace_bundle))
+        return calls
+
+    def test_predictions_render_nothing_unasked(self, renders):
+        training = Study.from_emulation(tiny_model(), "2x1x1", iterations=1,
+                                        seed=7).prepare()
+        stream = Study.from_emulation(
+            tiny_model(n_layers=2, d_model=4096, name="tiny-stream"), "2x1x1",
+            inference=InferenceConfig(
+                batch_size=4, prompt_length=512, decode_length=2,
+                arrival=parse_arrival("poisson:rate=600,n=6,seed=3")),
+            iterations=1, seed=7).prepare()
+        predictions = [training.predict("2x1x2"),
+                       stream.predict("serving:prompt=1024")]
+        for prediction in predictions:
+            assert prediction.iteration_time_us > 0
+            assert prediction.speedup_vs_base > 0
+            prediction.serving_metrics()
+            predict_result_payload(prediction)
+        assert predictions[1].serving_metrics() is not None
+        assert renders == {"simulation": 0, "bundle": 0}
+
+        prediction = predictions[0]
+        assert prediction.breakdown() == prediction.breakdown()
+        assert len(coerce_bundle(prediction)) > 0
+        assert renders == {"simulation": 1, "bundle": 1}

@@ -118,16 +118,14 @@ class TestCoercion:
     def test_coerces_every_timeline_shape(self, training_study):
         replay = training_study.replay()
         prediction = training_study.predict("2x1x2")
-        session_run = replay.base_run
         for source in (training_study.trace,
                        next(iter(training_study.trace)),
                        replay,
                        replay.simulation,
+                       replay.run,
                        prediction):
             bundle = coerce_bundle(source)
             assert sum(len(trace.events) for trace in bundle) > 0
-        if session_run is not None:
-            assert coerce_bundle(session_run) is not None
 
 
 class TestExportAndProfileRendering:
