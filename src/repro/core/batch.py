@@ -56,6 +56,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core.engine import CompiledGraph
+from repro.core.graph import edge_csr
 from repro.observability import tracing as observability
 
 if TYPE_CHECKING:
@@ -155,19 +156,25 @@ class BatchPlan:
         return starts
 
 
-def _predecessor_lists(compiled: CompiledGraph) -> list[list[int]]:
-    """Fixed-dependency predecessors per dense task index."""
-    preds: list[list[int]] = [[] for _ in range(compiled.n_tasks)]
-    indptr = compiled.succ_indptr
-    indices = compiled.succ_indices
-    for src in range(compiled.n_tasks):
-        for position in range(indptr[src], indptr[src + 1]):
-            preds[int(indices[position])].append(src)
-    return preds
+def _edge_sources(compiled: CompiledGraph) -> np.ndarray:
+    """Source task of every edge, in successor-CSR order."""
+    return np.repeat(np.arange(compiled.n_tasks, dtype=np.int64),
+                     np.diff(compiled.succ_indptr))
+
+
+def _predecessor_csr(compiled: CompiledGraph) -> tuple[list[int], list[int]]:
+    """Fixed-dependency predecessors per dense task index, as a CSR of lists.
+
+    The predecessors of ``i`` are ``preds[indptr[i]:indptr[i + 1]]``: a
+    stable argsort of the successor CSR by destination.
+    """
+    indptr, preds = edge_csr(compiled.succ_indices, _edge_sources(compiled),
+                             compiled.n_tasks)
+    return indptr.tolist(), preds.tolist()
 
 
 def _chain_predecessors(compiled: CompiledGraph, topo_pos: np.ndarray,
-                        preds: list[list[int]]) -> np.ndarray:
+                        pred_indptr: list[int], preds: list[int]) -> np.ndarray:
     """Same-processor predecessor per task, verifying the chain condition.
 
     Orders each processor's tasks by topological position and proves that
@@ -190,9 +197,7 @@ def _chain_predecessors(compiled: CompiledGraph, topo_pos: np.ndarray,
         return chain_pred
 
     # Cheap sufficient check: a direct edge src -> dst proves the order.
-    edge_keys = (np.repeat(np.arange(n, dtype=np.int64),
-                           np.diff(compiled.succ_indptr)) * n
-                 + compiled.succ_indices)
+    edge_keys = _edge_sources(compiled) * n + compiled.succ_indices
     pair_keys = chain_src * n + chain_dst
     unproven = ~np.isin(pair_keys, edge_keys)
     if not unproven.any():
@@ -208,7 +213,7 @@ def _chain_predecessors(compiled: CompiledGraph, topo_pos: np.ndarray,
     latest = np.full((n, compiled.n_procs), -1, dtype=np.int64)
     for index in compiled.topological.tolist():
         row = latest[index]
-        for pred in preds[index]:
+        for pred in preds[pred_indptr[index]:pred_indptr[index + 1]]:
             np.maximum(row, latest[pred], out=row)
             pred_proc = proc[pred]
             if topo_pos[pred] > row[pred_proc]:
@@ -239,8 +244,8 @@ def compile_batch_plan(compiled: CompiledGraph) -> BatchPlan:
     topo = compiled.topological
     topo_pos = np.empty(n, dtype=np.int64)
     topo_pos[topo] = np.arange(n, dtype=np.int64)
-    preds = _predecessor_lists(compiled)
-    chain_pred = _chain_predecessors(compiled, topo_pos, preds)
+    pred_indptr, preds = _predecessor_csr(compiled)
+    chain_pred = _chain_predecessors(compiled, topo_pos, pred_indptr, preds)
 
     # Node assignment: collective groups collapse to one node (their
     # members start together), everything else is its own node, and every
@@ -272,7 +277,7 @@ def compile_batch_plan(compiled: CompiledGraph) -> BatchPlan:
         operands: set[int] = set()
         pred_nodes: set[int] = set()
         for index in members:
-            for pred in preds[index]:
+            for pred in preds[pred_indptr[index]:pred_indptr[index + 1]]:
                 operands.add(pred)
                 pred_nodes.add(int(node_of[pred]))
             if chain_pred[index] >= 0:

@@ -13,21 +13,24 @@ This module splits Algorithm 1 into two phases:
   ``task_id`` order so heap tie-breaking matches the seed scheduler),
   CSR-style successor adjacency, a topological task order (which doubles
   as the cycle check), processor slots, per-stream kernel totals and
-  collective-group membership — all as flat numpy arrays.  A graph keeps
-  its structure in a compile memo that it shares with its clones
+  collective-group membership — all as flat numpy arrays.  The edge part
+  is array work over the graph's edge arrays: the endpoints map to dense
+  indices, the indegrees are a ``bincount`` and the CSR a stable
+  ``argsort`` of the sources.  A graph keeps its structure in a compile
+  memo that it shares with its clones
   (:meth:`~repro.core.graph.ExecutionGraph.clone`); a clone that only
   retimes tasks (a serving re-timing, a hardware retarget) compiles to the
   shared structure plus its own task tuple and duration vector.  The hit is
   checked against the snapshot taken at compile time: the same task ids,
-  the same edge list and, per task, the same processor, collective group
+  the same edge arrays and, per task, the same processor, collective group
   and drained streams; anything else gets a full compile.
 
-* :class:`SimulationSession` owns preallocated per-run buffers (ready
-  times, start times, processor-available times, stream drain counters)
-  and replays the compiled graph.  Repeated :meth:`SimulationSession.run`
-  calls only reset buffers and optionally swap the duration vector, so a
-  what-if scenario costs one array scaling plus one simulation — no graph
-  clone, no dict rebuilds, no trace-bundle materialisation.
+* :class:`SimulationSession` replays the compiled graph.  It keeps no
+  per-run buffers: each :meth:`SimulationSession.run` reads the compiled
+  arrays its event loop indexes as Python lists and keeps its state in
+  lists, and may swap the duration vector, so a what-if scenario costs
+  one array scaling plus one simulation — no graph clone, no dict
+  rebuilds, no trace-bundle materialisation.
 
 The engine is bit-identical to the seed scheduler: it performs the same
 floating-point operations in the same order, so every start time matches
@@ -41,6 +44,7 @@ renderings of it, made only for the analyses that read them.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import attrgetter
@@ -48,7 +52,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.core.graph import Dependency, ExecutionGraph, _CompileMemo
+from repro.core.graph import ExecutionGraph, _CompileMemo, edge_csr, topological_sort
 from repro.core.simulator import SimulatedTask, SimulationResult
 from repro.core.tasks import Task, TaskKind
 from repro.observability import tracing as observability
@@ -118,7 +122,7 @@ class CompiledGraph:
         arithmetic matches the seed what-if path (per-element division)
         exactly.
         """
-        if speedup <= 0:
+        if not speedup > 0:  # NaN fails too
             raise ValueError("speedup must be positive")
         durations = self.durations.copy()
         mask = self.mask(predicate)
@@ -141,14 +145,15 @@ class _Topology:
     """The compiled structure of one topology, kept in a graph's compile memo.
 
     ``fields`` are :class:`CompiledGraph`'s structural fields.  Their task
-    ids (``index_of``), the edge list and the slot maps (placement, stream
-    and collective group to slot) are the snapshot taken at compile time
-    that :meth:`bind` checks a graph against.  ``plan`` holds the
-    topology's batch plan or its refusal once one is built
+    ids (``index_of``), copies of the two edge id arrays and the slot maps
+    (placement, stream and collective group to slot) are the snapshot
+    taken at compile time that :meth:`bind` checks a graph against.
+    ``plan`` holds the topology's batch plan or its refusal once one is built
     (:mod:`repro.core.batch`).  Nothing here references a graph or a task.
     """
 
-    dependencies: list[Dependency]
+    edge_src: array
+    edge_dst: array
     placements: dict[tuple, int]
     streams: dict[tuple[int, int], int]
     groups: dict[str, int]
@@ -158,14 +163,15 @@ class _Topology:
     def bind(self, graph: ExecutionGraph) -> CompiledGraph | None:
         """``graph`` compiled onto this structure, or ``None`` if it differs.
 
-        A graph matches when it has the same task ids, the same edge list
-        and, per task, the same processor, collective group and drained
-        streams; only its task tuple and duration vector are new.
+        A graph matches when it has the same task ids, the same edge
+        arrays and, per task, the same processor, collective group and
+        drained streams; only its task tuple and duration vector are new.
         """
         fields = self.fields
         index_of = fields["index_of"]
         if (graph.tasks.keys() != index_of.keys()
-                or graph.dependencies != self.dependencies):
+                or graph.edge_src != self.edge_src
+                or graph.edge_dst != self.edge_dst):
             return None
         tasks = tuple(map(graph.tasks.__getitem__, index_of))
         n = len(tasks)
@@ -207,7 +213,8 @@ def compile_graph(graph: ExecutionGraph) -> CompiledGraph:
 
     Raises ``RuntimeError`` when the fixed dependencies contain a cycle
     (the seed scheduler reported this at run time; compiling surfaces it
-    up front via the topological sort).
+    up front via the topological sort), and ``ValueError`` when an edge
+    references a task the graph no longer has.
     """
     with observability.trace_span("engine.compile_graph",
                                   tasks=len(graph.tasks)) as span:
@@ -229,24 +236,14 @@ def compile_graph(graph: ExecutionGraph) -> CompiledGraph:
 
 
 def _compile_graph(graph: ExecutionGraph) -> CompiledGraph:
-    task_ids = sorted(graph.tasks)
-    tasks = tuple(graph.tasks[task_id] for task_id in task_ids)
-    index_of = {task_id: index for index, task_id in enumerate(task_ids)}
+    ids, src, dst = graph.dense_edges()
+    task_ids = ids.tolist()
+    tasks = tuple(map(graph.tasks.__getitem__, task_ids))
+    index_of = dict(zip(task_ids, range(len(task_ids))))
     n = len(tasks)
 
-    indegree = np.zeros(n, dtype=np.int32)
-    succ_counts = np.zeros(n, dtype=np.int64)
-    for dependency in graph.dependencies:
-        indegree[index_of[dependency.dst]] += 1
-        succ_counts[index_of[dependency.src]] += 1
-    succ_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(succ_counts, out=succ_indptr[1:])
-    succ_indices = np.zeros(len(graph.dependencies), dtype=np.int64)
-    cursor = succ_indptr[:-1].copy()
-    for dependency in graph.dependencies:
-        src = index_of[dependency.src]
-        succ_indices[cursor[src]] = index_of[dependency.dst]
-        cursor[src] += 1
+    indegree = np.bincount(dst, minlength=n).astype(np.int32)
+    succ_indptr, succ_indices = edge_csr(src, dst, n)
 
     # ``task.processor`` is evaluated once per distinct placement (the raw
     # attributes it derives from); the placement-to-slot map is also what
@@ -288,7 +285,7 @@ def _compile_graph(graph: ExecutionGraph) -> CompiledGraph:
             group_id[index] = slot
     group_members = tuple(tuple(member_list) for member_list in members)
 
-    topological = _topological_order(n, indegree, succ_indptr, succ_indices)
+    topological = topological_sort(indegree, succ_indptr, succ_indices)
     if len(topological) != n:
         on_cycle = sorted(set(range(n)) - set(topological.tolist()))
         names = [tasks[index].name for index in on_cycle[:10]]
@@ -312,30 +309,10 @@ def _compile_graph(graph: ExecutionGraph) -> CompiledGraph:
         group_id=group_id,
         group_members=group_members,
     )
-    topology = _Topology(list(graph.dependencies), placements, streams, groups,
-                         fields)
+    topology = _Topology(graph.edge_src[:], graph.edge_dst[:], placements, streams,
+                         groups, fields)
     return CompiledGraph(graph=graph, tasks=tasks, durations=_durations(tasks),
                          _topology=topology, **fields)
-
-
-def _topological_order(n: int, indegree: np.ndarray, indptr: np.ndarray,
-                       indices: np.ndarray) -> np.ndarray:
-    """Kahn topological order over the CSR adjacency (heap for determinism)."""
-    remaining = indegree.copy()
-    heap = [index for index in range(n) if remaining[index] == 0]
-    heapq.heapify(heap)
-    order = np.zeros(n, dtype=np.int64)
-    count = 0
-    while heap:
-        index = heapq.heappop(heap)
-        order[count] = index
-        count += 1
-        for position in range(indptr[index], indptr[index + 1]):
-            successor = int(indices[position])
-            remaining[successor] -= 1
-            if remaining[successor] == 0:
-                heapq.heappush(heap, successor)
-    return order[:count]
 
 
 @dataclass(frozen=True)
@@ -399,28 +376,16 @@ class SessionRun:
 class SimulationSession:
     """A reusable Algorithm 1 runner over one compiled graph.
 
-    The session preallocates every per-run buffer once; :meth:`run` resets
-    them in place, so back-to-back simulations of the same structure (the
-    sweep hot path) allocate almost nothing.  Passing ``durations`` swaps
+    The session owns no per-run buffers: each :meth:`run` reads the
+    compiled arrays it indexes per event as Python lists (converted at the
+    start of the run, never cached) and keeps its state in lists, so the
+    event loop handles plain floats and ints.  Passing ``durations`` swaps
     the kernel-duration vector without touching the graph.
     """
 
     def __init__(self, compiled: CompiledGraph) -> None:
         self.compiled = compiled
         self._batch = None
-        n = compiled.n_tasks
-        self._ready = np.zeros(n, dtype=np.float64)
-        self._starts = np.zeros(n, dtype=np.float64)
-        self._scheduled = np.zeros(n, dtype=bool)
-        self._indegree = np.zeros(n, dtype=np.int32)
-        self._proc_available = np.zeros(compiled.n_procs, dtype=np.float64)
-        self._stream_finished = np.zeros(compiled.n_streams, dtype=np.int64)
-        self._stream_last_end = np.zeros(compiled.n_streams, dtype=np.float64)
-        self._group_value = np.zeros(n, dtype=np.float64)
-        self._group_seen = np.zeros(n, dtype=bool)
-        self._group_count = np.zeros(len(compiled.group_members), dtype=np.int64)
-        self._waiting: list[list[int]] = [[] for _ in range(compiled.n_streams)]
-        self._order = np.zeros(n, dtype=np.int64)
 
     def run(self, durations: Sequence[float] | np.ndarray | None = None,
             start_time: float = 0.0) -> SessionRun:
@@ -437,55 +402,47 @@ class SimulationSession:
         """
         compiled = self.compiled
         n = compiled.n_tasks
+        start_time = float(start_time)
         if durations is None:
-            duration = compiled.durations
+            duration_vector = compiled.durations
         else:
-            duration = np.ascontiguousarray(durations, dtype=np.float64)
-            if duration.shape != (n,):
+            duration_vector = np.ascontiguousarray(durations, dtype=np.float64)
+            if duration_vector.shape != (n,):
                 raise ValueError(
-                    f"duration vector has shape {duration.shape}, expected ({n},)")
+                    f"duration vector has shape {duration_vector.shape}, "
+                    f"expected ({n},)")
         if n == 0:
             return SessionRun(compiled=compiled, start_time=start_time,
                               starts=np.zeros(0), durations=np.zeros(0),
                               finalize_order=np.zeros(0, dtype=np.int64))
 
-        ready = self._ready
-        ready.fill(start_time)
-        starts = self._starts
-        scheduled = self._scheduled
-        scheduled.fill(False)
-        indegree = self._indegree
-        np.copyto(indegree, compiled.indegree)
-        proc_available = self._proc_available
-        proc_available.fill(start_time)
-        stream_finished = self._stream_finished
-        stream_finished.fill(0)
-        stream_last_end = self._stream_last_end
-        stream_last_end.fill(start_time)
-        stream_total = compiled.stream_total
-        group_value = self._group_value
-        group_seen = self._group_seen
-        group_seen.fill(False)
-        group_count = self._group_count
-        group_count.fill(0)
-        waiting = self._waiting
-        for parked in waiting:
-            parked.clear()
-        order = self._order
-
-        indptr = compiled.succ_indptr
-        indices = compiled.succ_indices
-        proc_index = compiled.proc_index
-        stream_slot = compiled.stream_slot
+        duration = duration_vector.tolist()
+        indptr = compiled.succ_indptr.tolist()
+        indices = compiled.succ_indices.tolist()
+        proc_index = compiled.proc_index.tolist()
+        stream_slot = compiled.stream_slot.tolist()
+        group_id = compiled.group_id.tolist()
+        stream_total = compiled.stream_total.tolist()
         sync_slots = compiled.sync_slots
-        group_id = compiled.group_id
         group_members = compiled.group_members
 
+        ready = [start_time] * n
+        starts = [0.0] * n
+        scheduled = [False] * n
+        indegree = compiled.indegree.tolist()
+        proc_available = [start_time] * compiled.n_procs
+        stream_finished = [0] * compiled.n_streams
+        stream_last_end = [start_time] * compiled.n_streams
+        group_value = [0.0] * n
+        group_seen = [False] * n
+        group_count = [0] * len(group_members)
+        waiting: list[list[int]] = [[] for _ in range(compiled.n_streams)]
+        order: list[int] = []
+
         heap: list[tuple[float, int]] = [
-            (start_time, index) for index in np.flatnonzero(indegree == 0).tolist()
+            (start_time, index) for index in np.flatnonzero(compiled.indegree == 0).tolist()
         ]
         heapq.heapify(heap)
-        finalized = 0
 
         def sync_ready_time(index: int, base: float) -> float:
             latest = base
@@ -494,14 +451,14 @@ class SimulationSession:
             return latest
 
         def finalize(index: int, at: float) -> None:
-            nonlocal finalized
             processor = proc_index[index]
-            begin = max(at, proc_available[processor])
+            available = proc_available[processor]
+            # ``max(at, available)`` without the call: the same comparison.
+            begin = available if available > at else at
             starts[index] = begin
             end = begin + duration[index]
             scheduled[index] = True
-            order[finalized] = index
-            finalized += 1
+            order.append(index)
             proc_available[processor] = end
             slot = stream_slot[index]
             if slot >= 0:
@@ -523,8 +480,7 @@ class SimulationSession:
                                 if stream_finished[pending] < stream_total[pending]:
                                     waiting[pending].append(sync_index)
                                     break
-            for position in range(indptr[index], indptr[index + 1]):
-                successor = int(indices[position])
+            for successor in indices[indptr[index]:indptr[index + 1]]:
                 if end > ready[successor]:
                     ready[successor] = end
                 indegree[successor] -= 1
@@ -566,18 +522,19 @@ class SimulationSession:
 
             finalize(index, ready[index])
 
-        if finalized != n:
+        if len(order) != n:
             missing = [compiled.tasks[index].name for index in range(n)
                        if not scheduled[index]][:10]
             raise RuntimeError(
-                f"simulation did not schedule {n - finalized} of {n} tasks "
+                f"simulation did not schedule {n - len(order)} of {n} tasks "
                 f"(first missing: {missing}); the graph may contain a cycle or an "
                 f"unsatisfiable synchronisation"
             )
 
         return SessionRun(compiled=compiled, start_time=start_time,
-                          starts=starts.copy(), durations=duration.copy(),
-                          finalize_order=order[:finalized].copy())
+                          starts=np.array(starts, dtype=np.float64),
+                          durations=duration_vector.copy(),
+                          finalize_order=np.array(order, dtype=np.int64))
 
     def batch_session(self):
         """The (lazily built) batched runner over this session's graph.

@@ -45,18 +45,13 @@ def scale_data_parallelism(graph: ExecutionGraph, base_parallel: ParallelismConf
     target_groups = target_parallel.groups()
     base_groups = base_parallel.groups()
 
-    new_graph = ExecutionGraph(metadata={
-        **graph.metadata,
-        "manipulated": "data_parallel",
-        "parallelism": target_parallel.label(),
-    })
-    id_map: dict[int, int] = {}
-    for task in graph.task_list():
-        clone = task.copy()
-        clone.task_id = -1
-        if (clone.kind == TaskKind.GPU and clone.args.get("group") == "dp"
-                and clone.args.get("collective")):
-            old_ranks = tuple(clone.args.get("group_ranks", ()))
+    new_graph = graph.subgraph_for_ranks(graph.ranks())
+    new_graph.metadata.update(manipulated="data_parallel",
+                              parallelism=target_parallel.label())
+    for task in new_graph.tasks.values():
+        if (task.kind == TaskKind.GPU and task.args.get("group") == "dp"
+                and task.args.get("collective")):
+            old_ranks = tuple(task.args.get("group_ranks", ()))
             if not old_ranks:
                 old_ranks = base_groups.dp_group(task.rank).ranks
             # The representative rank keeps its pipeline-stage coordinates;
@@ -64,21 +59,16 @@ def scale_data_parallelism(graph: ExecutionGraph, base_parallel: ParallelismConf
             stage = min(base_groups.pp_index(task.rank), target_parallel.pp - 1)
             new_rank = target_groups.rank_of(0, 0, stage)
             new_ranks = target_groups.dp_group(new_rank).ranks
-            size_bytes = float(clone.args.get("size_bytes", 0.0))
+            size_bytes = float(task.args.get("size_bytes", 0.0))
             scaled_model = KernelPerfModel(cluster=cluster, dtype_bytes=perf_model.dtype_bytes,
                                            calibration=dict(perf_model.calibration))
             if new_data_parallel == 1:
-                clone.duration = 0.0
+                task.duration = 0.0
             else:
-                clone.duration = scaled_model.scale_collective(
-                    task.duration, kind=str(clone.args["collective"]),
+                task.duration = scaled_model.scale_collective(
+                    task.duration, kind=str(task.args["collective"]),
                     old_size=size_bytes, old_ranks=old_ranks,
                     new_size=size_bytes, new_ranks=new_ranks)
-            clone.args["group_ranks"] = list(new_ranks)
-            clone.args["group_size"] = len(new_ranks)
-        id_map[task.task_id] = new_graph.add_task(clone).task_id
-
-    for dependency in graph.dependencies:
-        new_graph.add_dependency(id_map[dependency.src], id_map[dependency.dst],
-                                 dependency.dep_type)
+            task.args["group_ranks"] = list(new_ranks)
+            task.args["group_size"] = len(new_ranks)
     return new_graph

@@ -184,3 +184,9 @@ class TestSoundness:
         unmemoized = builder_graph.clone()
         unmemoized._compile_memo = None
         assert pickle.dumps(graph) == pickle.dumps(unmemoized)
+        # Nor is the adjacency CSR that successors()/predecessors() build.
+        first = next(iter(graph.tasks))
+        graph.successors(first)
+        graph.predecessors(first)
+        assert graph._adjacency_csr is not None
+        assert pickle.dumps(graph) == pickle.dumps(unmemoized)

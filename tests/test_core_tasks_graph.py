@@ -1,9 +1,14 @@
 """Unit tests for execution-graph tasks and the graph container."""
 
+import gc
+
 import pytest
 
-from repro.core.graph import ExecutionGraph
+from repro.api import Study
+from repro.core.engine import compile_graph
+from repro.core.graph import DEPENDENCY_TYPES, ExecutionGraph
 from repro.core.tasks import DependencyType, Task, TaskKind
+from repro.workload.training import TrainingConfig
 
 
 def cpu_task(task_id=-1, rank=0, name="op", duration=1.0, thread=1, ts=0.0, **kwargs):
@@ -57,6 +62,32 @@ class TestTask:
         assert task.duration == 1.0 and clone.duration == 5.0
 
 
+def _add_one(graph, src, dst, dep_type):
+    graph.add_dependency(src, dst, dep_type)
+
+
+def _add_bulk(graph, src, dst, dep_type):
+    graph.add_dependencies([src], [dst], [DEPENDENCY_TYPES.index(dep_type)])
+
+
+#: The two ways to add an edge: one call per edge, or one bulk call.
+ADDERS = pytest.mark.parametrize("add", [_add_one, _add_bulk],
+                                 ids=["add_dependency", "add_dependencies"])
+
+
+def _tracked_reachable(root) -> set[int]:
+    """Ids of the GC-tracked objects reachable from ``root`` (types excluded)."""
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        stack.extend(ref for ref in gc.get_referents(obj) if gc.is_tracked(ref))
+    return seen
+
+
 class TestExecutionGraph:
     def _linear_graph(self, n=4):
         graph = ExecutionGraph()
@@ -72,16 +103,78 @@ class TestExecutionGraph:
         assert a.task_id != b.task_id
         assert len(graph) == 2
 
-    def test_dependency_to_unknown_task_raises(self):
+    @ADDERS
+    def test_dependency_to_unknown_task_raises(self, add):
         graph, tasks = self._linear_graph(2)
         with pytest.raises(KeyError):
-            graph.add_dependency(tasks[0].task_id, 999, DependencyType.CPU_INTRA_THREAD)
+            add(graph, tasks[0].task_id, 999, DependencyType.CPU_INTRA_THREAD)
+        assert len(graph.dependencies) == 1
 
-    def test_self_dependency_rejected(self):
+    @ADDERS
+    def test_self_dependency_rejected(self, add):
         graph, tasks = self._linear_graph(1)
         with pytest.raises(ValueError):
-            graph.add_dependency(tasks[0].task_id, tasks[0].task_id,
-                                 DependencyType.CPU_INTRA_THREAD)
+            add(graph, tasks[0].task_id, tasks[0].task_id,
+                DependencyType.CPU_INTRA_THREAD)
+        assert graph.dependencies == []
+
+    @pytest.mark.parametrize("bad_dst, error", [(999, KeyError), (None, ValueError)],
+                             ids=["unknown_task", "self_edge"])
+    def test_bulk_with_one_bad_edge_appends_nothing(self, bad_dst, error):
+        graph = ExecutionGraph()
+        a, b, c = (graph.add_task(cpu_task(ts=float(i))) for i in range(3))
+        bad_dst = c.task_id if bad_dst is None else bad_dst
+        code = DEPENDENCY_TYPES.index(DependencyType.CPU_INTRA_THREAD)
+        with pytest.raises(error):
+            graph.add_dependencies([a.task_id, b.task_id, c.task_id],
+                                   [b.task_id, c.task_id, bad_dst], [code] * 3)
+        assert len(graph.edge_src) == len(graph.edge_dst) == len(graph.edge_type) == 0
+        assert graph.successors(a.task_id) == []
+
+    def test_bulk_copy_matches_single_edges(self):
+        # subgraph_for_ranks re-adds every edge in one add_dependencies call.
+        single, tasks = self._linear_graph(4)
+        single.add_dependency(tasks[0].task_id, tasks[3].task_id,
+                              DependencyType.CPU_INTER_THREAD)
+        copy = single.subgraph_for_ranks(single.ranks())
+        assert copy.dependencies == single.dependencies
+        assert copy.dependency_counts() == single.dependency_counts()
+
+    def test_adjacency_keeps_insertion_order(self):
+        graph = ExecutionGraph()
+        a, b, c, d = (graph.add_task(cpu_task(ts=float(i))) for i in range(4))
+        for src in (c, a, b):
+            graph.add_dependency(src.task_id, d.task_id, DependencyType.CPU_INTER_THREAD)
+        graph.add_dependency(a.task_id, c.task_id, DependencyType.CPU_INTER_THREAD)
+        assert graph.predecessors(d.task_id) == [c.task_id, a.task_id, b.task_id]
+        assert graph.successors(a.task_id) == [d.task_id, c.task_id]
+        # A new edge drops the CSR, so the next read sees it.
+        graph.add_dependency(b.task_id, c.task_id, DependencyType.CPU_INTER_THREAD)
+        assert graph.predecessors(c.task_id) == [a.task_id, b.task_id]
+        assert graph.successors(99) == [] and graph.predecessors(99) == []
+
+    def test_edge_added_to_clone_leaves_parent_unchanged(self):
+        graph, tasks = self._linear_graph(3)
+        successors = graph.successors(tasks[0].task_id)
+        counts = graph.dependency_counts()
+        clone = graph.clone()
+        clone.add_dependency(tasks[0].task_id, tasks[2].task_id,
+                             DependencyType.CPU_INTER_THREAD)
+        assert clone.successors(tasks[0].task_id) == [tasks[1].task_id, tasks[2].task_id]
+        assert graph.successors(tasks[0].task_id) == successors
+        assert graph.dependency_counts() == counts
+        assert counts[DependencyType.CPU_INTER_THREAD] == 0
+
+    def test_edge_to_a_removed_task_is_a_value_error(self):
+        graph = ExecutionGraph()
+        a = graph.add_task(cpu_task())
+        b = graph.add_task(cpu_task(ts=1.0))
+        graph.add_dependency(a.task_id, b.task_id, DependencyType.CPU_INTRA_THREAD)
+        del graph.tasks[b.task_id]
+        with pytest.raises(ValueError, match="dependency references a missing task"):
+            graph.validate()
+        with pytest.raises(ValueError, match="dependency references a missing task"):
+            compile_graph(graph)
 
     def test_successors_and_predecessors(self):
         graph, tasks = self._linear_graph(3)
@@ -150,3 +243,17 @@ class TestExecutionGraph:
         assert subgraph.ranks() == [0]
         assert len(subgraph) == 2
         assert len(subgraph.dependencies) == 1
+
+
+@pytest.mark.parametrize("target", ["parallelism=2x4x2", "model:gpt3-v1"])
+def test_derived_graph_stores_no_object_per_edge(target):
+    # Besides its tasks, a derived graph holds a handful of GC-tracked
+    # objects (itself, its dicts, the three edge arrays), however many
+    # edges it has: no per-edge record, no adjacency lists.
+    study = Study.from_emulation("gpt3-15b", "2x2x2",
+                                 TrainingConfig(micro_batch_size=1, num_microbatches=2),
+                                 iterations=1, seed=1)
+    graph, _ = study.derived_graph(target)
+    assert graph._compile_memo is None and len(graph.edge_src) > 5000
+    extra = _tracked_reachable(graph) - _tracked_reachable(graph.tasks)
+    assert len(extra) < 100

@@ -290,6 +290,18 @@ class TestSessionReuse:
         with pytest.raises(ValueError):
             session.run(durations=np.zeros(3))
 
+    @pytest.mark.parametrize("speedup", [0.0, -1.0, float("nan")],
+                             ids=["zero", "negative", "nan"])
+    def test_scaled_durations_refuse_non_positive_speedups(self, speedup):
+        graph = ExecutionGraph()
+        launch = cpu(graph, duration=1.0)
+        kernel = gpu(graph, duration=4.0, ts=1.0)
+        kernel.args["op_class"] = "gemm"
+        graph.add_dependency(launch.task_id, kernel.task_id, DependencyType.CPU_TO_GPU)
+        with pytest.raises(ValueError, match="speedup must be positive"):
+            compile_graph(graph).scaled_durations(
+                lambda task: task.op_class == "gemm", speedup)
+
 
 class TestCompiledGraph:
     def test_topological_order_is_complete_and_valid(self, small_graph):
