@@ -14,8 +14,8 @@ engine:
    client-side polling loop is needed;
 3. a resubmission after completion is answered entirely from the shared
    on-disk sweep cache (``cache_hit_rate == 1.0``); and
-4. refusals are typed — a bad spec is rejected at admission with a
-   stable machine-readable code, not minutes later in a worker.
+4. refusals are typed — a bad spec or target is rejected at admission
+   with a stable machine-readable code, not minutes later in a worker.
 
 Run with ``python examples/service_client.py``.
 """
@@ -101,14 +101,18 @@ def main() -> None:
               f"{warm['cache']['hit_rate']:.0%}, ranking unchanged: "
               f"{[r['label'] for r in warm['ranked']] == [r['label'] for r in cold['ranked']]}")
 
-        # 4. Refusals are typed and happen at admission: a parallelism
-        #    target needing more GPUs than the traced base never reaches
-        #    a worker.
-        try:
-            client.submit({"kind": "sweep", "trace": "canned",
-                           "targets": ["4x1x1"]})
-        except ServiceError as error:
-            print(f"refused as expected [{error.code}]: {error}")
+        # 4. Refusals are typed and happen at admission, by the rules a
+        #    study applies: a training-parallelism target on this serving
+        #    trace, or a TP degree that does not divide the model's heads,
+        #    never reaches a worker.
+        for refused in ({"kind": "sweep", "trace": "canned", "targets": ["4x1x1"]},
+                        {"kind": "predict", "trace": "canned", "target": "tp=5"}):
+            try:
+                client.submit(refused)
+            except ServiceError as error:
+                print(f"refused as expected [{error.code}]: {error}")
+            else:
+                raise SystemExit(f"expected a refusal at admission: {refused}")
 
         counters = client.metrics()["counters"]
         print(f"\nserver counters: "

@@ -33,10 +33,8 @@ class PredictError(StudyError):
         self.code = code
 
     @classmethod
-    def tp_mismatch(cls, target_label: str, base_tp: int, target_tp: int) -> "PredictError":
-        """The uniform message for tensor-parallelism changes."""
-        return cls(
-            f"target parallelism {target_label} changes tensor parallelism "
-            f"(base TP={base_tp}, target TP={target_tp}); graph manipulation "
-            "does not support TP modifications",
-            base_tp=base_tp, target_tp=target_tp)
+    def from_refusal(cls, refusal: ValueError) -> "PredictError":
+        """A manipulation refusal, typed: its message, code and TP degrees."""
+        return cls(str(refusal), base_tp=getattr(refusal, "base_tp", None),
+                   target_tp=getattr(refusal, "target_tp", None),
+                   code=getattr(refusal, "code", None))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.api.errors import PredictError, StudyError
-from repro.api.target import Target, TargetLike, on_gpu, parse_target
+from repro.api.target import Target, TargetLike, on_gpu, parse_target, resolve_target
 from repro.core import whatif as whatif_mod
 from repro.core.breakdown import ExecutionBreakdown
 from repro.core.engine import SessionRun, SimulationSession, compile_graph
@@ -41,6 +41,7 @@ from repro.core.manipulation import (
     KIND_HARDWARE,
     KIND_PARALLELISM,
     KIND_SERVING,
+    Configuration,
     DeriveContext,
     dispatch,
 )
@@ -627,6 +628,11 @@ class Study:
                 "the trace did not record its base model/parallelism, so graph "
                 "manipulation would run against a guessed base configuration; "
                 "pass model= and parallelism= explicitly when opening the study")
+        # The whole chain is judged before any graph work; the profiled GPU
+        # is known here, so a hardware segment also checks memory.
+        base = Configuration(self.base_model, self.base_parallel, self.inference,
+                             self.cluster.gpu)
+        *_, source, target = resolve_target(key, base)
         # A composite chain resumes from its memoized workload prefix: in a
         # hardware-crossed sweep every ``<workload>+hardware`` scenario
         # shares its workload sibling's derivation, so the composite pays
@@ -637,19 +643,14 @@ class Study:
             graph, world_size = self._graph(Target(*prefix[0], model=key.model))
         else:
             graph, world_size = self.base_graph, self.base_parallel.world_size
-        context = DeriveContext(
-            base_model=self.base_model, base_parallel=self.base_parallel,
-            training=self.training, perf_model=self.perf_model,
-            cluster=self.cluster, target_model=key.model, target_gpu=key.gpu,
-            base_inference=self.inference)
+        context = DeriveContext(source=source, target=target, training=self.training,
+                                perf_model=self.perf_model, cluster=self.cluster)
         with observability.trace_span("study.derive_graph", kind=kind,
                                       target=label) as span:
             try:
                 derived = dispatch.derive(graph, kind, label, context, world_size)
             except ValueError as exc:
-                raise PredictError(str(exc), base_tp=getattr(exc, "base_tp", None),
-                                   target_tp=getattr(exc, "target_tp", None),
-                                   code=getattr(exc, "code", None)) from exc
+                raise PredictError.from_refusal(exc) from exc
             span.set(tasks=len(derived[0]))
         return derived
 
@@ -832,7 +833,7 @@ class Study:
                 include_baseline=include_baseline)
         else:
             if (parallelism or models or serving or hardware or whatif
-                    or slo_ms is not None):
+                    or slo_ms is not None or not include_baseline):
                 raise StudyError("pass either a full spec or inline axes, not both")
             spec = _SweepSpec.coerce(spec)
         self.ensure_matches(spec)

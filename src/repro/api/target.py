@@ -45,6 +45,10 @@ use, so equivalent spellings of one configuration produce equal
 :class:`Target` values (and therefore one memo/cache/service key).
 Malformed targets raise :class:`~repro.api.errors.PredictError`.
 
+:func:`resolve_target` judges a target against a base configuration
+through the manipulation layer's one refusal walk, as a study and the
+service's predict admission do.
+
 :func:`sweep_axes` decomposes a list of target strings onto a sweep
 spec's per-kind axes (the CLI's repeatable ``--target`` and the
 service's ``targets`` field).
@@ -63,13 +67,15 @@ from repro.core.manipulation import (
     KIND_HARDWARE,
     KIND_PARALLELISM,
     KIND_SERVING,
+    Configuration,
+    dispatch,
 )
 from repro.hardware.gpu import GPUSpec, registry_gpu, resolve_gpu
 from repro.workload.inference import ServingTarget
 from repro.workload.model_config import ModelConfig
 from repro.workload.parallelism import ParallelismConfig
 
-__all__ = ["Target", "parse_target"]
+__all__ = ["Target", "parse_target", "resolve_target"]
 
 #: Separator of composite kind / label segments.
 _SEPARATOR = "+"
@@ -337,6 +343,19 @@ def parse_target(value: TargetLike) -> Target:
             raise PredictError(f"target '{text}' has a kind prefix but no value")
         return _parse_body(rest, kind, text)
     return _parse_body(text, None, text)
+
+
+def resolve_target(target: Target, base: Configuration) -> list[Configuration]:
+    """``base`` and the configuration after each segment of ``target``.
+
+    Raises the first refusal of the chain as :class:`PredictError`,
+    keeping its code and TP degrees.
+    """
+    try:
+        return dispatch.resolve(base, target.manipulations, model=target.model,
+                                gpu=target.gpu)
+    except ValueError as exc:
+        raise PredictError.from_refusal(exc) from exc
 
 
 def sweep_axes(texts: Iterable[str]) -> dict[str, list[str]]:

@@ -605,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "--root a server was given)")
     work_parser.add_argument("--cache-dir", default=None,
                              help="shared sweep-cache directory "
-                                  "(default: <root>/cache)")
+                                  "(default: <root>/sweep-cache)")
     work_parser.add_argument("--workers", type=int, default=1,
                              help="worker threads in this fleet process")
     work_parser.add_argument("--trace", action="append", default=[],

@@ -17,11 +17,13 @@ out of a profiled trace it derives new graphs for
   profiled and on a hypothetical :class:`~repro.hardware.gpu.GPUSpec`,
   collectives by the alpha-beta model on the retargeted fabric.
 
-Each manipulation registers itself with the dispatch registry
-(:mod:`repro.core.manipulation.dispatch`), the single point through which
-the API facade applies each ``(kind, label)`` segment of a
-:class:`~repro.api.target.Target` (a composite ``workload+hardware``
-target is two such steps).
+Each manipulation registers a resolve step and a derive step with the
+dispatch registry (:mod:`repro.core.manipulation.dispatch`).  Its
+:func:`resolve` walk is the one place a target is judged: it turns each
+``(kind, label)`` segment of a :class:`~repro.api.target.Target` into the
+:class:`Configuration` it denotes or refuses it, for a study, a sweep spec
+and service admission alike.  :func:`derive` then applies one segment to
+a graph (a composite ``workload+hardware`` target is two such steps).
 
 Tensor-parallelism changes are not supported, matching the paper's stated
 scope ("we currently do not support modifications to tensor parallelism").
@@ -33,11 +35,13 @@ from repro.core.manipulation.dispatch import (
     KIND_HARDWARE,
     KIND_PARALLELISM,
     KIND_SERVING,
+    Configuration,
     DeriveContext,
     ManipulationRefusal,
     derive,
     register_manipulation,
     registered_kinds,
+    resolve,
 )
 from repro.core.manipulation.templates import (
     CpuOverheads,
@@ -58,11 +62,13 @@ __all__ = [
     "KIND_HARDWARE",
     "KIND_PARALLELISM",
     "KIND_SERVING",
+    "Configuration",
     "DeriveContext",
     "ManipulationRefusal",
     "derive",
     "register_manipulation",
     "registered_kinds",
+    "resolve",
     "KernelTemplate",
     "CpuOverheads",
     "IterationTemplate",

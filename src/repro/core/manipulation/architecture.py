@@ -15,17 +15,20 @@ modified :class:`~repro.workload.model_config.ModelConfig`.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core.graph import ExecutionGraph
 from repro.core.manipulation.dispatch import (
     KIND_ARCHITECTURE,
+    Configuration,
     DeriveContext,
-    refuse_training_manipulation,
     register_manipulation,
 )
 from repro.core.manipulation.synthesize import GraphSynthesizer
 from repro.core.manipulation.templates import extract_iteration_template
 from repro.core.perf_model import KernelPerfModel
 from repro.hardware.cluster import ClusterSpec
+from repro.workload.inference import WORKLOAD_TRAINING
 from repro.workload.model_config import ModelConfig, gpt3_model
 from repro.workload.parallelism import ParallelismConfig
 from repro.workload.training import TrainingConfig
@@ -49,19 +52,21 @@ def change_architecture(graph: ExecutionGraph, base_model: ModelConfig,
     return synthesizer.build()
 
 
-@register_manipulation(KIND_ARCHITECTURE)
-def _derive_architecture(graph: ExecutionGraph, label: str,
-                         context: DeriveContext,
-                         world_size: int) -> tuple[ExecutionGraph, int]:
-    refuse_training_manipulation(KIND_ARCHITECTURE, context)
-    target_model = context.target_model
-    if target_model is None or target_model.name != label:
+def _resolve_architecture(config: Configuration, label: str,
+                          model: ModelConfig | None) -> Configuration:
+    if model is None or model.name != label:
         try:
-            target_model = gpt3_model(label)
+            model = gpt3_model(label)
         except KeyError as exc:
             raise ValueError(str(exc.args[0])) from exc
-    derived = change_architecture(graph, context.base_model,
-                                  context.base_parallel, context.training,
-                                  target_model, context.perf_model,
-                                  cluster=context.cluster)
-    return derived, context.base_parallel.world_size
+    config.parallel.validate_for_model(model.n_layers)
+    return replace(config, model=model)
+
+
+@register_manipulation(KIND_ARCHITECTURE, _resolve_architecture,
+                       workload=WORKLOAD_TRAINING)
+def _derive_architecture(graph: ExecutionGraph, context: DeriveContext) -> ExecutionGraph:
+    source = context.source
+    return change_architecture(graph, source.model, source.parallel,
+                               context.training, context.target.model,
+                               context.perf_model, cluster=context.cluster)

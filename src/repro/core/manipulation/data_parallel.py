@@ -44,6 +44,8 @@ def scale_data_parallelism(graph: ExecutionGraph, base_parallel: ParallelismConf
         cluster = ClusterSpec.for_world_size(target_parallel.world_size)
     target_groups = target_parallel.groups()
     base_groups = base_parallel.groups()
+    scaled_model = KernelPerfModel(cluster=cluster, dtype_bytes=perf_model.dtype_bytes,
+                                   calibration=dict(perf_model.calibration))
 
     new_graph = graph.subgraph_for_ranks(graph.ranks())
     new_graph.metadata.update(manipulated="data_parallel",
@@ -60,8 +62,6 @@ def scale_data_parallelism(graph: ExecutionGraph, base_parallel: ParallelismConf
             new_rank = target_groups.rank_of(0, 0, stage)
             new_ranks = target_groups.dp_group(new_rank).ranks
             size_bytes = float(task.args.get("size_bytes", 0.0))
-            scaled_model = KernelPerfModel(cluster=cluster, dtype_bytes=perf_model.dtype_bytes,
-                                           calibration=dict(perf_model.calibration))
             if new_data_parallel == 1:
                 task.duration = 0.0
             else:

@@ -1,34 +1,39 @@
 """Single dispatch point for graph manipulations.
 
 Every manipulation a study can apply is one ``(kind, label)`` segment of a
-:class:`~repro.api.target.Target`; this module maps the kind onto the
-manipulation that implements it through a registry the manipulation
-modules populate themselves (:func:`register_manipulation`).  Adding a
-manipulation kind therefore adds no branches to :mod:`repro.api.study` —
-the hardware axis and any future kinds (e.g. MoE routing) register here
-and are immediately reachable from ``predict``/``sweep``/the service.
+:class:`~repro.api.target.Target`.  Each kind registers two steps here
+from its own module (:func:`register_manipulation`): a *resolve* step
+that turns the segment into the :class:`Configuration` it denotes or
+raises that kind's refusal, and a *derive* step that builds its graph.
 
-:func:`derive` applies exactly one segment.  A composite
-``workload+hardware`` target is a chain the caller walks: the study
-derives (and memoizes) the workload prefix, then hands the hardware
-segment and the prefix's graph to :func:`derive`.
+:func:`resolve` walks a target's chain of resolve steps from a base
+configuration, with no graph.  It is the one refusal policy: sweep-spec
+validation, service admission and study derivation all call it, so a
+target is refused the same way wherever it is named.  The memory check
+needs the profiled GPU, so it runs only where that is known (a study).
+:func:`derive` applies one segment's derive step to a graph; only the
+refusals that need the graph are left to it (kernels the hardware cost
+models cannot classify, a trace no serving operator matches).  A
+composite ``workload+hardware`` target is a chain the study walks: it
+derives (and memoizes) the workload prefix, then the hardware segment.
 
-Handlers raise :class:`ValueError` (optionally a :class:`ManipulationRefusal`
-carrying a machine-readable ``code`` and the TP degrees of a refused
-reshard); :class:`~repro.api.Study` maps them onto the typed
+A refusal is a :class:`ValueError`, typed as :class:`ManipulationRefusal`
+where it carries a machine-readable ``code`` or the TP degrees of a
+refused reshard; :mod:`repro.api` maps it onto
 :class:`~repro.api.errors.PredictError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.graph import ExecutionGraph
 from repro.core.manipulation.data_parallel import scale_data_parallelism
 from repro.core.manipulation.pipeline_parallel import scale_pipeline_parallelism
 from repro.core.perf_model import KernelPerfModel
 from repro.hardware.cluster import ClusterSpec
+from repro.workload.inference import WORKLOAD_SERVING, WORKLOAD_TRAINING
 from repro.workload.parallelism import ParallelismConfig
 
 if TYPE_CHECKING:
@@ -66,37 +71,61 @@ class ManipulationRefusal(ValueError):
         self.target_tp = target_tp
 
 
-@dataclass
-class DeriveContext:
-    """Everything a manipulation may need to derive a target graph.
+@dataclass(frozen=True)
+class Configuration:
+    """What a graph encodes: the workload and the GPU it runs on.
 
-    Handlers read what they need and ignore the rest.  ``target_model`` /
-    ``target_gpu`` carry the non-registry payload objects of the target
-    being derived (custom architectures and custom GPU specs).
+    ``inference`` is ``None`` for a training iteration.  ``model`` is
+    ``None`` when the caller cannot resolve it (a sweep spec's
+    non-registry serving base), and ``gpu`` is ``None`` when the profiled
+    part is unknown (a sweep spec, service admission); the checks that
+    need either are skipped.
     """
 
-    base_model: "ModelConfig"
-    base_parallel: ParallelismConfig
+    model: "ModelConfig | None"
+    parallel: ParallelismConfig
+    inference: "InferenceConfig | None" = None
+    gpu: "GPUSpec | None" = None
+
+
+@dataclass(frozen=True)
+class DeriveContext:
+    """Everything a derive step may need.
+
+    ``source`` is the configuration of the graph being manipulated (the
+    base, or a composite's workload prefix) and ``target`` the one the
+    segment resolves to, both from :func:`resolve`.  ``cluster`` is the
+    cluster the trace was profiled on.
+    """
+
+    source: Configuration
+    target: Configuration
     training: "TrainingConfig"
     perf_model: KernelPerfModel
     cluster: ClusterSpec
-    target_model: "ModelConfig | None" = None
-    target_gpu: "GPUSpec | None" = None
-    base_inference: "InferenceConfig | None" = None
 
 
-#: A handler derives one segment: (graph, label, context, world_size) ->
-#: (derived graph, world size after this manipulation).
-Handler = Callable[[ExecutionGraph, str, DeriveContext, int],
-                   tuple[ExecutionGraph, int]]
+#: A resolve step: (configuration, label, payload) -> the configuration
+#: the segment denotes.  ``payload`` is the target's non-registry object
+#: for the kind (a custom ModelConfig or GPUSpec), else ``None``.
+Resolver = Callable[[Configuration, str, Any], Configuration]
 
-_REGISTRY: dict[str, Handler] = {}
+#: A derive step: (graph, context) -> the graph of ``context.target``.
+Handler = Callable[[ExecutionGraph, DeriveContext], ExecutionGraph]
+
+#: kind -> (resolve step, derive step, workload family or ``None`` for both).
+_REGISTRY: dict[str, tuple[Resolver, Handler, str | None]] = {}
 
 
-def register_manipulation(kind: str) -> Callable[[Handler], Handler]:
-    """Class-level decorator: register ``fn`` as the handler for ``kind``."""
+def register_manipulation(kind: str, resolve: Resolver, *,
+                          workload: str | None = None) -> Callable[[Handler], Handler]:
+    """Decorator: register ``fn`` as the derive step of ``kind``.
+
+    ``resolve`` is the kind's resolve step; ``workload`` restricts the
+    kind to training or serving bases (:func:`resolve` refuses the other).
+    """
     def decorator(fn: Handler) -> Handler:
-        _REGISTRY[kind] = fn
+        _REGISTRY[kind] = (resolve, fn, workload)
         return fn
     return decorator
 
@@ -106,70 +135,96 @@ def registered_kinds() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def _lookup(kind: str) -> tuple[Resolver, Handler, str | None]:
+    if kind not in _REGISTRY:
+        raise ValueError(f"unknown configuration kind '{kind}'")
+    return _REGISTRY[kind]
+
+
+def resolve(base: Configuration, manipulations: Iterable[tuple[str, str]], *,
+            model: "ModelConfig | None" = None,
+            gpu: "GPUSpec | None" = None) -> list[Configuration]:
+    """``base`` and the configuration after each segment of a chain.
+
+    Raises the first step's refusal.  ``model`` / ``gpu`` are the
+    target's non-registry payloads (see :class:`~repro.api.target.Target`).
+    """
+    payloads = {KIND_ARCHITECTURE: model, KIND_HARDWARE: gpu}
+    configurations = [base]
+    for kind, label in manipulations:
+        resolve_step, _, workload = _lookup(kind)
+        config = configurations[-1]
+        if workload == WORKLOAD_TRAINING and config.inference is not None:
+            raise ValueError(
+                f"'{kind}' targets apply to training bases, but the base trace "
+                "is a serving episode; use serving targets (batch=/prompt=/tp=) "
+                "instead")
+        if workload == WORKLOAD_SERVING and config.inference is None:
+            raise ValueError(
+                "serving targets (batch=/prompt=/tp=) need an inference base, "
+                "but the base trace is a training iteration; open the study over "
+                "an emulated serving episode (or set base.inference in a sweep spec)")
+        configurations.append(resolve_step(config, label, payloads.get(kind)))
+    return configurations
+
+
 def derive(graph: ExecutionGraph, kind: str, label: str,
            context: DeriveContext,
            world_size: int) -> tuple[ExecutionGraph, int]:
-    """Apply the manipulation ``kind`` for ``label`` to ``graph``.
+    """Apply the derive step of ``kind`` to ``graph`` (of ``world_size`` ranks).
 
-    ``world_size`` is ``graph``'s: the base configuration's, or an
-    already-derived workload prefix's when the caller resumes a composite
-    chain from it.  Returns the derived graph and the target's world
-    size.  Raises :class:`ValueError` for unknown kinds and handler
-    refusals.
+    ``context`` carries what :func:`resolve` returned for this ``(kind,
+    label)`` segment, which is all the step reads.  Returns the derived
+    graph and the target's world size.
     """
-    handler = _REGISTRY.get(kind)
-    if handler is None:
-        raise ValueError(f"unknown configuration kind '{kind}'")
-    return handler(graph, label, context, world_size)
+    return _lookup(kind)[1](graph, context), context.target.parallel.world_size
 
 
-def refuse_training_manipulation(kind: str, context: DeriveContext) -> None:
-    """Refuse a training-iteration manipulation of a serving-episode base."""
-    if context.base_inference is not None:
-        raise ValueError(
-            f"the base trace is a serving episode; "
-            f"'{kind}' targets apply to training iterations — use serving "
-            "targets (batch=/prompt=/tp=) instead")
-
-
-# -- built-in handlers --------------------------------------------------------
+# -- built-in kinds -----------------------------------------------------------
 # Baseline and 3D-parallelism register here: the former is trivial and the
 # latter spans two manipulation modules (data_parallel / pipeline_parallel),
 # so neither has a single home module to self-register from.  Architecture,
 # serving and hardware register in their own modules.
 
 
-@register_manipulation(KIND_BASELINE)
-def _derive_baseline(graph: ExecutionGraph, label: str, context: DeriveContext,
-                     world_size: int) -> tuple[ExecutionGraph, int]:
-    return graph, context.base_parallel.world_size
+def _resolve_baseline(config: Configuration, label: str, payload: Any) -> Configuration:
+    return config
 
 
-@register_manipulation(KIND_PARALLELISM)
-def _derive_parallelism(graph: ExecutionGraph, label: str, context: DeriveContext,
-                        world_size: int) -> tuple[ExecutionGraph, int]:
-    refuse_training_manipulation(KIND_PARALLELISM, context)
+@register_manipulation(KIND_BASELINE, _resolve_baseline)
+def _derive_baseline(graph: ExecutionGraph, context: DeriveContext) -> ExecutionGraph:
+    return graph
+
+
+def _resolve_parallelism(config: Configuration, label: str,
+                         payload: Any) -> Configuration:
     parallel = ParallelismConfig.parse(label)
-    base_parallel = context.base_parallel
-    if parallel.tp != base_parallel.tp:
+    base_tp = config.parallel.tp
+    if parallel.tp != base_tp:
         raise ManipulationRefusal(
             f"target parallelism {parallel.label()} changes tensor parallelism "
-            f"(base TP={base_parallel.tp}, target TP={parallel.tp}); graph "
+            f"(base TP={base_tp}, target TP={parallel.tp}); graph "
             "manipulation does not support TP modifications",
-            base_tp=base_parallel.tp, target_tp=parallel.tp)
+            base_tp=base_tp, target_tp=parallel.tp)
+    if config.model is not None:
+        parallel.validate_for_model(config.model.n_layers)
+    return replace(config, parallel=parallel)
+
+
+@register_manipulation(KIND_PARALLELISM, _resolve_parallelism,
+                       workload=WORKLOAD_TRAINING)
+def _derive_parallelism(graph: ExecutionGraph, context: DeriveContext) -> ExecutionGraph:
+    base_parallel, parallel = context.source.parallel, context.target.parallel
     # The cluster must cover the base trace's ranks as well as the
     # target's: perf-model rescaling evaluates the *old* collective
     # groups too, so a down-scaled target cannot shrink the cluster.
     derived_cluster = ClusterSpec.for_world_size(
         max(base_parallel.world_size, parallel.world_size))
     if parallel.pp == base_parallel.pp:
-        derived = scale_data_parallelism(graph, base_parallel, parallel.dp,
-                                         context.perf_model,
-                                         cluster=derived_cluster)
-    else:
-        derived = scale_pipeline_parallelism(graph, context.base_model,
-                                             base_parallel, context.training,
-                                             parallel.pp, context.perf_model,
-                                             new_data_parallel=parallel.dp,
-                                             cluster=derived_cluster)
-    return derived, parallel.world_size
+        return scale_data_parallelism(graph, base_parallel, parallel.dp,
+                                      context.perf_model, cluster=derived_cluster)
+    return scale_pipeline_parallelism(graph, context.source.model, base_parallel,
+                                      context.training, parallel.pp,
+                                      context.perf_model,
+                                      new_data_parallel=parallel.dp,
+                                      cluster=derived_cluster)

@@ -27,20 +27,24 @@ classified through the same cost model the calibration pass used:
 Kernels that fit none of these classes cannot be retargeted confidently.
 A small unclassified residue is tolerated (its durations are kept
 verbatim); past :data:`UNCLASSIFIED_BUDGET` of total GPU time the
-manipulation refuses with a typed error, as does a target whose
-``memory_gb`` cannot hold the workload's estimated rank-local footprint —
-mirroring how unsupported TP changes are refused rather than guessed.
+manipulation refuses with a typed error.  The hardware resolve step
+refuses a target whose ``memory_gb`` cannot hold the estimated rank-local
+footprint of the configuration the target chain resolves to (its own
+model, parallelism and serving knobs), whenever the profiled GPU is
+known — mirroring how unsupported TP changes are refused rather than
+guessed.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Mapping
 
 from repro.core.graph import ExecutionGraph
 from repro.core.manipulation.dispatch import (
     KIND_HARDWARE,
+    Configuration,
     DeriveContext,
+    ManipulationRefusal,
     register_manipulation,
 )
 from repro.core.perf_model import KernelPerfModel, parse_gemm_shape
@@ -80,17 +84,8 @@ UNCLASSIFIED_BUDGET = 0.01
 TRAINING_BYTES_PER_PARAM = 18.0
 
 
-class HardwareManipulationError(ValueError):
-    """A typed hardware-retarget refusal carrying a machine code.
-
-    Callers that map manipulation errors onto
-    :class:`~repro.api.errors.PredictError` propagate :attr:`code` so
-    tools can branch on the refusal reason without parsing messages.
-    """
-
-    def __init__(self, message: str, *, code: str) -> None:
-        super().__init__(message)
-        self.code = code
+class HardwareManipulationError(ManipulationRefusal):
+    """A typed hardware-retarget refusal; :attr:`code` names the reason."""
 
 
 def estimate_rank_memory_bytes(model: ModelConfig, parallel: ParallelismConfig,
@@ -111,47 +106,19 @@ def estimate_rank_memory_bytes(model: ModelConfig, parallel: ParallelismConfig,
     return weights + inference.kv_cache_bytes(model, parallel)
 
 
-def _check_capacity(gpu: GPUSpec, model: ModelConfig, parallel: ParallelismConfig,
-                    inference: InferenceConfig | None, dtype_bytes: int) -> None:
-    required = estimate_rank_memory_bytes(model, parallel, inference=inference,
-                                          dtype_bytes=dtype_bytes)
+def _check_capacity(gpu: GPUSpec, config: Configuration) -> None:
+    parallel, inference = config.parallel, config.inference
+    required = estimate_rank_memory_bytes(config.model, parallel, inference=inference)
     capacity = gpu.memory_gb * 2**30
     if required > capacity:
         workload = "serving" if inference is not None else "training"
         raise HardwareManipulationError(
-            f"retargeting to {gpu.name} would not fit: the {workload} "
-            f"workload needs at least {required / 2**30:.1f} GiB per rank "
+            f"retargeting to {gpu.name} would not fit: the {config.model.name} "
+            f"{workload} workload needs at least {required / 2**30:.1f} GiB per rank "
             f"(weights sharded {parallel.tp}x{parallel.pp} over TPxPP"
             f"{', plus KV cache' if inference is not None else ', plus gradients and optimizer state'}) "
             f"but {gpu.name} has {gpu.memory_gb:g} GiB; shard further or "
             "pick a larger-memory spec", code=REFUSE_CAPACITY)
-
-
-def _effective_configuration(graph: ExecutionGraph,
-                             base_parallel: ParallelismConfig,
-                             base_inference: InferenceConfig | None,
-                             ) -> tuple[ParallelismConfig, InferenceConfig | None]:
-    """The configuration the graph actually encodes.
-
-    Upstream manipulations in a composite chain (serving tp=, parallelism
-    changes) record the derived configuration in the graph metadata; the
-    capacity check must judge *that* deployment, not the base one.
-    """
-    parallel = base_parallel
-    label = graph.metadata.get("parallelism")
-    if label:
-        try:
-            parallel = ParallelismConfig.parse(str(label))
-        except ValueError:
-            parallel = base_parallel
-    inference = base_inference
-    payload = graph.metadata.get("inference")
-    if base_inference is not None and isinstance(payload, Mapping):
-        try:
-            inference = InferenceConfig.from_json(payload)
-        except (TypeError, ValueError):
-            inference = base_inference
-    return parallel, inference
 
 
 def _cluster_pair(graph: ExecutionGraph, gpu: GPUSpec,
@@ -301,12 +268,8 @@ def _retime_gpu_task(task: Task, old_gpu: GPUSpec, new_gpu: GPUSpec,
 
 
 def retarget_hardware(graph: ExecutionGraph, gpu: GPUSpec, *,
-                      base_model: ModelConfig,
-                      base_parallel: ParallelismConfig,
                       perf_model: KernelPerfModel,
-                      base_cluster: ClusterSpec,
-                      base_inference: InferenceConfig | None = None,
-                      ) -> ExecutionGraph:
+                      base_cluster: ClusterSpec) -> ExecutionGraph:
     """Derive the execution graph of the same workload on a different GPU.
 
     Parameters
@@ -315,10 +278,8 @@ def retarget_hardware(graph: ExecutionGraph, gpu: GPUSpec, *,
         Execution graph to retarget — the base replay or the output of an
         upstream manipulation in a composite chain.
     gpu:
-        The hypothetical target part.
-    base_model, base_parallel, base_inference:
-        The configuration the base trace was collected with (composite
-        chains override parallelism/inference from the graph metadata).
+        The hypothetical target part.  Whether the workload fits its
+        memory is the hardware resolve step's check, not this function's.
     perf_model:
         Kernel performance model calibrated on the profiled hardware;
         supplies ``dtype_bytes`` (ratios need no calibration factors —
@@ -328,14 +289,11 @@ def retarget_hardware(graph: ExecutionGraph, gpu: GPUSpec, *,
         denominator and its fabric is carried over (with the NVLink tier
         swapped for the target part's).
 
-    Raises :class:`HardwareManipulationError` (:data:`REFUSE_CAPACITY`,
-    :data:`REFUSE_UNCLASSIFIED`) when the retarget would be unsound.
+    Raises :class:`HardwareManipulationError` (:data:`REFUSE_UNCLASSIFIED`)
+    when too much GPU time sits in kernels the cost models cannot classify.
     """
     old_gpu = base_cluster.gpu
     dtype_bytes = perf_model.dtype_bytes
-    parallel, inference = _effective_configuration(graph, base_parallel,
-                                                   base_inference)
-    _check_capacity(gpu, base_model, parallel, inference, dtype_bytes)
     old_cluster, new_cluster = _cluster_pair(graph, gpu, base_cluster)
     launch_ratio = (gpu.kernel_launch_overhead_us
                     / old_gpu.kernel_launch_overhead_us
@@ -402,16 +360,17 @@ def retarget_hardware(graph: ExecutionGraph, gpu: GPUSpec, *,
     return new_graph
 
 
-@register_manipulation(KIND_HARDWARE)
-def _derive_hardware(graph: ExecutionGraph, label: str, context: DeriveContext,
-                     world_size: int) -> tuple[ExecutionGraph, int]:
-    name = label[len("gpu="):] if label.startswith("gpu=") else label
-    gpu = context.target_gpu
+def _resolve_hardware(config: Configuration, label: str,
+                      gpu: GPUSpec | None) -> Configuration:
+    name = label.removeprefix("gpu=")
     if gpu is None or gpu.name != name:
         gpu = resolve_gpu(name)
-    derived = retarget_hardware(graph, gpu, base_model=context.base_model,
-                                base_parallel=context.base_parallel,
-                                perf_model=context.perf_model,
-                                base_cluster=context.cluster,
-                                base_inference=context.base_inference)
-    return derived, world_size
+    if config.gpu is not None:
+        _check_capacity(gpu, config)
+    return replace(config, gpu=gpu)
+
+
+@register_manipulation(KIND_HARDWARE, _resolve_hardware)
+def _derive_hardware(graph: ExecutionGraph, context: DeriveContext) -> ExecutionGraph:
+    return retarget_hardware(graph, context.target.gpu, perf_model=context.perf_model,
+                             base_cluster=context.cluster)

@@ -40,8 +40,7 @@ def scale_pipeline_parallelism(graph: ExecutionGraph, base_model: ModelConfig,
     if cluster is None:
         cluster = ClusterSpec.for_world_size(target_parallel.world_size)
     template = extract_iteration_template(graph, base_model, base_parallel, training)
-    retargeted = KernelPerfModel(cluster=cluster, dtype_bytes=perf_model.dtype_bytes,
-                                 calibration=dict(perf_model.calibration))
-    synthesizer = GraphSynthesizer(template, base_model, target_parallel, retargeted,
+    # The synthesizer retargets ``perf_model`` onto ``cluster`` itself.
+    synthesizer = GraphSynthesizer(template, base_model, target_parallel, perf_model,
                                    training=training, cluster=cluster)
     return synthesizer.build()

@@ -16,19 +16,27 @@ error cancels in the ratio.  The derived graph is a copy-on-write
 ids and edges, shares every task it does not retime, and so compiles to
 the base's shared structure and batch plan.
 
-Knobs that would change the topology are rejected up front with
-:class:`ValueError` (callers map it onto the typed
-:class:`~repro.api.errors.PredictError`): changing ``decode_length`` adds
-or removes whole decode steps, and resharding a TP=1 base *up* would have
-to invent collective tasks that the base trace never contained.
+Knobs that would change the topology are refused up front by the serving
+resolve step (:func:`resolve_serving`), the one copy of the serving
+refusals that both the chain walk and direct callers of
+:func:`rescale_serving_graph` go through: changing ``decode_length`` adds
+or removes whole decode steps, resharding a TP=1 base *up* would have to
+invent collective tasks that the base trace never contained, and changing
+the batch cap of a continuous-batching stream changes its admission
+schedule.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Any
+
 from repro.core.graph import ExecutionGraph
 from repro.core.manipulation.dispatch import (
     KIND_SERVING,
+    Configuration,
     DeriveContext,
+    ManipulationRefusal,
     register_manipulation,
 )
 from repro.core.perf_model import KernelPerfModel
@@ -36,6 +44,7 @@ from repro.core.tasks import Task, TaskKind
 from repro.hardware.cluster import ClusterSpec
 from repro.workload.arrivals import STREAM_METADATA_KEY, StreamPlan
 from repro.workload.inference import (
+    WORKLOAD_SERVING,
     InferenceConfig,
     ServingTarget,
     decode_embedding_ops,
@@ -59,23 +68,10 @@ from repro.workload.parallelism import ParallelismConfig
 #: Lookup key of one operator instance: (phase, op_name, decode step).
 _OpKey = tuple[str, str, int | None]
 
-#: Machine-readable refusal code: ``batch=`` targets on a continuous-
-#: batching stream base (the cap drives the admission schedule, so the
-#: derived program's topology would change).
+#: Machine-readable refusal code: a ``batch=`` target that changes the cap
+#: of a continuous-batching stream base (the cap drives the admission
+#: schedule, so the derived program's topology would change).
 REFUSE_STREAM_BATCH = "serving-stream-batch-policy"
-
-
-class ServingManipulationError(ValueError):
-    """A typed serving-manipulation refusal carrying a machine code.
-
-    Callers that map manipulation errors onto
-    :class:`~repro.api.errors.PredictError` propagate :attr:`code` so
-    tools can branch on the refusal reason without parsing messages.
-    """
-
-    def __init__(self, message: str, *, code: str) -> None:
-        super().__init__(message)
-        self.code = code
 
 
 def _op_table(model: ModelConfig, parallel: ParallelismConfig,
@@ -137,7 +133,36 @@ def _task_key(task: Task, stream: bool = False) -> _OpKey | None:
     return (str(phase), str(op_name), step)
 
 
-def rescale_serving_graph(graph: ExecutionGraph, target: ServingTarget, *,
+def resolve_serving(config: Configuration, target: ServingTarget) -> Configuration:
+    """The serving configuration ``target`` denotes from ``config``.
+
+    The serving kind's resolve step: raises the serving refusals instead
+    of returning a configuration the retime could not derive soundly.
+    """
+    inference, parallel = target.resolve(config.inference, config.parallel)
+    parallel.validate_for_inference()
+    if config.model is not None:
+        validate_tp_for_model(config.model, parallel.tp)
+    if parallel.tp > config.parallel.tp == 1:
+        raise ValueError(
+            f"cannot reshard a TP=1 base to TP={parallel.tp}: the base trace "
+            "contains no tensor-parallel collectives to rescale; emulate a "
+            "TP>1 base episode instead")
+    if config.inference.is_stream and inference.batch_size != config.inference.batch_size:
+        raise ManipulationRefusal(
+            "cannot change 'batch' on a continuous-batching stream base: the "
+            "batch-size cap drives the admission schedule, so the derived "
+            "program's topology would change; re-emulate with the new cap "
+            "instead", code=REFUSE_STREAM_BATCH)
+    return replace(config, parallel=parallel, inference=inference)
+
+
+def _resolve_serving(config: Configuration, label: str, payload: Any) -> Configuration:
+    return resolve_serving(config, ServingTarget.parse(label))
+
+
+def rescale_serving_graph(graph: ExecutionGraph,
+                          target: ServingTarget | Configuration, *,
                           base_model: ModelConfig,
                           base_parallel: ParallelismConfig,
                           base_inference: InferenceConfig,
@@ -150,7 +175,9 @@ def rescale_serving_graph(graph: ExecutionGraph, target: ServingTarget, *,
     graph:
         Execution graph built from the base serving episode's trace.
     target:
-        The batch / prompt / TP knobs to change.
+        The batch / prompt / TP knobs to change, resolved (or refused) by
+        :func:`resolve_serving`; the registered derive step passes the
+        configuration that step already resolved instead.
     base_model, base_parallel, base_inference:
         The configuration the base trace was collected with.
     perf_model:
@@ -162,22 +189,12 @@ def rescale_serving_graph(graph: ExecutionGraph, target: ServingTarget, *,
         larger of the base and target world sizes (perf-model rescaling
         evaluates the old collective groups too).
     """
-    new_inference, new_parallel = target.resolve(base_inference, base_parallel)
-    new_parallel.validate_for_inference()
-    validate_tp_for_model(base_model, new_parallel.tp)
-    if new_parallel.tp > base_parallel.tp == 1:
-        raise ValueError(
-            "cannot reshard a TP=1 serving base to "
-            f"TP={new_parallel.tp}: the base trace contains no tensor-parallel "
-            "collectives to rescale; emulate a TP>1 base episode instead")
+    if isinstance(target, ServingTarget):
+        target = resolve_serving(
+            Configuration(base_model, base_parallel, base_inference), target)
+    new_parallel, new_inference = target.parallel, target.inference
     stream_payload = graph.metadata.get(STREAM_METADATA_KEY)
     plan = None if stream_payload is None else StreamPlan.from_json(stream_payload)
-    if plan is not None and target.batch_size is not None:
-        raise ServingManipulationError(
-            "cannot change 'batch' on a continuous-batching stream base: the "
-            "batch-size cap drives the admission schedule, so the derived "
-            "program's topology would change; re-emulate with the new cap "
-            "instead", code=REFUSE_STREAM_BATCH)
     if cluster is None:
         cluster = ClusterSpec.for_world_size(
             max(base_parallel.world_size, new_parallel.world_size))
@@ -188,7 +205,7 @@ def rescale_serving_graph(graph: ExecutionGraph, target: ServingTarget, *,
         # Stream re-timing holds the admission schedule fixed: the same
         # chunks and steps run at the target shapes/topology.  (A target
         # that made the engine schedule differently is exactly the
-        # ``batch=`` refusal above.)
+        # ``batch=`` refusal of :func:`resolve_serving`.)
         old_ops = _stream_op_table(base_model, base_parallel, base_inference, plan)
         new_ops = _stream_op_table(base_model, new_parallel, new_inference, plan)
     else:
@@ -243,23 +260,13 @@ def rescale_serving_graph(graph: ExecutionGraph, target: ServingTarget, *,
     }, tasks=new_tasks)
 
 
-@register_manipulation(KIND_SERVING)
-def _derive_serving(graph: ExecutionGraph, label: str, context: DeriveContext,
-                    world_size: int) -> tuple[ExecutionGraph, int]:
-    if context.base_inference is None:
-        raise ValueError(
-            "the base trace is a training iteration; serving targets "
-            "(batch=/prompt=/tp=) require a study opened over an "
-            "emulated serving episode")
-    serving = ServingTarget.parse(label)
-    derived = rescale_serving_graph(
-        graph, serving, base_model=context.base_model,
-        base_parallel=context.base_parallel,
-        base_inference=context.base_inference,
+@register_manipulation(KIND_SERVING, _resolve_serving, workload=WORKLOAD_SERVING)
+def _derive_serving(graph: ExecutionGraph, context: DeriveContext) -> ExecutionGraph:
+    source = context.source
+    return rescale_serving_graph(
+        graph, context.target, base_model=source.model,
+        base_parallel=source.parallel, base_inference=source.inference,
         perf_model=context.perf_model)
-    _, target_parallel = serving.resolve(context.base_inference,
-                                         context.base_parallel)
-    return derived, target_parallel.world_size
 
 
 def _rescale(task: Task, old_op: OpSpec, new_op: OpSpec,

@@ -127,29 +127,6 @@ class ServiceClient:
 
     # -- convenience ---------------------------------------------------------
 
-    def submit_sweep(self, trace: str, *, targets: list[str] | None = None,
-                     whatif: list[str] | None = None,
-                     spec: Mapping[str, Any] | None = None,
-                     slo_ms: float | None = None,
-                     base: Mapping[str, Any] | None = None,
-                     reuse: bool = False,
-                     webhook: str | None = None) -> dict[str, Any]:
-        """Submit a sweep against a server-registered trace name."""
-        body: dict[str, Any] = {"kind": "sweep", "trace": trace, "reuse": reuse}
-        if spec is not None:
-            body["spec"] = dict(spec)
-        if targets:
-            body["targets"] = list(targets)
-        if whatif:
-            body["whatif"] = list(whatif)
-        if slo_ms is not None:
-            body["slo_ms"] = slo_ms
-        if base:
-            body["base"] = dict(base)
-        if webhook:
-            body["webhook"] = webhook
-        return self.submit(body)
-
     def wait(self, job_id: str, *, timeout: float = 120.0,
              poll_interval: float = 0.1) -> dict[str, Any]:
         """Block until the job reaches a terminal state; returns the job.

@@ -44,7 +44,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.api.target import parse_target, sweep_axes
+from repro.api.target import parse_target, resolve_target, sweep_axes
 from repro.api.errors import StudyError
 from repro.observability import tracing as observability
 from repro.service.jobs import (
@@ -68,7 +68,7 @@ from repro.service.protocol import (
     SubmitRequest,
     error_for_exception,
 )
-from repro.service.worker import ServiceMetrics, Worker, deliver_webhook_async
+from repro.service.worker import CACHE_DIRNAME, ServiceMetrics, Worker, deliver_webhook_async
 from repro.sweep.spec import SweepSpec, WhatIfSpec
 from repro.version import __version__
 
@@ -190,7 +190,6 @@ class ServiceApp:
                  port: int = 0, workers: int = 1,
                  traces: Mapping[str, str | Path] | None = None,
                  cache_root: str | Path | None = None,
-                 allow_uploads: bool = True,
                  poll_interval: float = 0.05,
                  lease_seconds: float = DEFAULT_LEASE_SECONDS,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS,
@@ -199,14 +198,13 @@ class ServiceApp:
         self.root.mkdir(parents=True, exist_ok=True)
         self.store = JobStore(self.root, lease_seconds=lease_seconds,
                               max_attempts=max_attempts)
-        spool = (self.root / "bundles") if allow_uploads else None
-        if spool is not None:
-            spool.mkdir(parents=True, exist_ok=True)
+        spool = self.root / "bundles"
+        spool.mkdir(parents=True, exist_ok=True)
         self.registry = TraceRegistry(spool_dir=spool)
         for name, path in (traces or {}).items():
             self.registry.register(name, path)
         self.cache_root = str(cache_root if cache_root is not None
-                              else self.root / "sweep-cache")
+                              else self.root / CACHE_DIRNAME)
         self.metrics = ServiceMetrics()
         # Webhooks are POSTs *from the service's network* to a
         # submitter-chosen URL — an SSRF vector unless the operator opts
@@ -314,7 +312,9 @@ class ServiceApp:
         Validation runs here so malformed specs and unsupported targets
         refuse with a 4xx at submit time instead of failing the job later
         — the job id then hashes a *canonical* payload, which is what
-        makes dedupe robust to equivalent spellings.
+        makes dedupe robust to equivalent spellings.  Targets are judged
+        by the manipulation layer's resolve walk, as a study judges them,
+        except for memory: admission does not know the profiled GPU.
         """
         base = base_from_metadata(metadata, request.base)
         if request.kind == "predict":
@@ -323,6 +323,7 @@ class ServiceApp:
             # round-trips, including composite workload+hardware targets,
             # so every spelling of one configuration hashes to one job.
             target = parse_target(request.target)
+            resolve_target(target, SweepSpec.from_json({"base": base}).base_configuration())
             payload: dict[str, Any] = {"base": base,
                                        "target": str(target)}
             if request.slo_ms is not None:

@@ -318,6 +318,11 @@ class Worker:
                 self.store.queued.wait_past(queued, self.poll_interval)
 
 
+#: The sweep cache directory, under a service root, that every server and
+#: fleet on the root shares unless given another.
+CACHE_DIRNAME = "sweep-cache"
+
+
 class WorkerFleet:
     """A dedicated worker process draining a shared service root.
 
@@ -342,7 +347,8 @@ class WorkerFleet:
         self.registry = TraceRegistry(spool_dir=self.root / "bundles")
         for name, path in (traces or {}).items():
             self.registry.register(name, path)
-        self.cache_root = str(cache_root or self.root / "cache")
+        self.cache_root = str(cache_root if cache_root is not None
+                              else self.root / CACHE_DIRNAME)
         self.metrics = metrics or ServiceMetrics()
         # Terminal records this fleet's store writes — its own finishes
         # and worker-lost reclaims — notify webhook subscribers.  The

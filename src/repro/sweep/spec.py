@@ -20,9 +20,13 @@ Specs are plain JSON on disk::
       "include_baseline": true
     }
 
-Tensor-parallelism targets of training bases are rejected up front: the
-paper (and ``repro.core.manipulation``) does not support modifying TP of a
-training iteration.
+:meth:`SweepSpec.validate` judges every configuration of the grid up front
+through the manipulation layer's one refusal walk
+(:func:`repro.core.manipulation.resolve`), the same walk a study and
+service admission use, so a target is refused the same way wherever it is
+named — e.g. tensor-parallelism targets of training bases, which the paper
+(and ``repro.core.manipulation``) does not support.  Only the memory check
+waits for a study: it needs the profiled GPU.
 
 A spec whose base records an ``inference`` configuration sweeps a
 *serving* episode instead; its configuration axis is ``serving`` (compact
@@ -61,13 +65,11 @@ from repro.core.manipulation import (
     KIND_BASELINE,
     KIND_PARALLELISM,
     KIND_SERVING,
+    Configuration,
+    resolve,
 )
 from repro.hardware.gpu import resolve_gpu
-from repro.workload.inference import (
-    InferenceConfig,
-    ServingTarget,
-    validate_tp_for_model,
-)
+from repro.workload.inference import InferenceConfig, ServingTarget
 from repro.workload.model_config import gpt3_model
 from repro.workload.parallelism import ParallelismConfig
 from repro.workload.training import TrainingConfig
@@ -75,22 +77,6 @@ from repro.workload.training import TrainingConfig
 
 class SweepSpecError(ValueError):
     """Raised when a sweep spec is malformed or asks for unsupported changes."""
-
-
-def _known_model(name: str):
-    """Resolve a model name, reporting unknown names as spec errors."""
-    try:
-        return gpt3_model(name)
-    except KeyError as error:
-        raise SweepSpecError(error.args[0]) from error
-
-
-def _parsed_label(label: str) -> "ParallelismConfig":
-    """Parse a TPxPPxDP label, reporting malformed labels as spec errors."""
-    try:
-        return ParallelismConfig.parse(label)
-    except ValueError as error:
-        raise SweepSpecError(str(error)) from error
 
 
 def _canonical_gpu(name: str) -> str:
@@ -349,68 +335,47 @@ class SweepSpec:
 
     # -- validation and expansion -------------------------------------------
 
+    def base_configuration(self) -> Configuration:
+        """The base as the manipulation layer's resolve walk reads it.
+
+        The model is ``None`` when it is not in the GPT-3 registry: a
+        serving base may be a custom model only its study knows.  The
+        profiled GPU is unknown, so the walk skips the memory check.
+        """
+        try:
+            parallel = ParallelismConfig.parse(self.base_parallelism)
+            if self.inference is not None:
+                parallel.validate_for_inference()
+        except ValueError as error:
+            raise SweepSpecError(str(error)) from error
+        try:
+            model = gpt3_model(self.base_model)
+        except KeyError:
+            model = None
+        return Configuration(model, parallel, self.inference)
+
     def validate(self) -> None:
-        """Reject unsupported or inconsistent specs before any work happens."""
-        base_parallel = _parsed_label(self.base_parallelism)
+        """Reject unsupported or inconsistent specs before any work happens.
+
+        The spec-level checks (the base, ``slo_ms``, registry GPU names, a
+        non-empty grid) live here; each configuration of the grid is
+        judged by :func:`~repro.core.manipulation.resolve`.
+        """
+        base = self.base_configuration()
         if self.slo_ms is not None and not 0 < self.slo_ms < math.inf:
             raise SweepSpecError("slo_ms must be a positive finite number")
-        if self.inference is not None:
-            # Serving manipulation regenerates operators from the study's
-            # own ModelConfig, so the base model need not be in the GPT-3
-            # registry (tiny test models, custom deployments).
-            if self.parallelism or self.models:
-                raise SweepSpecError(
-                    "a serving-base spec sweeps 'serving' targets; the "
-                    "'parallelism' and 'models' axes apply to training bases")
-            try:
-                base_parallel.validate_for_inference()
-            except ValueError as error:
-                raise SweepSpecError(str(error)) from error
-            try:
-                # Resolvable base models get their TP targets checked up
-                # front; custom models (only reachable through Study.sweep)
-                # are checked at evaluation time against the study's own
-                # ModelConfig.
-                serving_base_model = gpt3_model(self.base_model)
-            except KeyError:
-                serving_base_model = None
-            for label in self.serving:
-                try:
-                    target = ServingTarget.parse(label)
-                except ValueError as error:
-                    raise SweepSpecError(str(error)) from error
-                tp = target.tensor_parallel
-                if tp is not None and tp > base_parallel.tp == 1:
-                    raise SweepSpecError(
-                        f"serving target '{label}' reshards a TP=1 base to "
-                        f"TP={tp}; emulate a TP>1 base episode instead")
-                if tp is not None and serving_base_model is not None:
-                    try:
-                        validate_tp_for_model(serving_base_model, tp)
-                    except ValueError as error:
-                        raise SweepSpecError(str(error)) from error
-        else:
-            if self.serving:
-                raise SweepSpecError(
-                    "the 'serving' axis requires an inference base "
-                    "(set base.inference in the spec)")
-            base_model = _known_model(self.base_model)
-            for label in self.parallelism:
-                target = _parsed_label(label)
-                if target.tp != base_parallel.tp:
-                    raise SweepSpecError(
-                        f"target parallelism {label} changes tensor parallelism "
-                        f"(base TP={base_parallel.tp}); TP modifications are not "
-                        "supported by graph manipulation")
-                try:
-                    target.validate_for_model(base_model.n_layers)
-                except ValueError as error:
-                    raise SweepSpecError(str(error)) from error
-            for name in self.models:
-                _known_model(name)
-        for name in self.hardware:
-            _canonical_gpu(name)
-        if not self.expand():
+        try:
+            configurations = self.configurations()
+            for target in configurations:
+                resolve(base, target.manipulations)
+        except ValueError as error:
+            raise SweepSpecError(str(error)) from error
+        if base.model is None and self.inference is None:
+            try:  # a training base is rebuilt from its registry name
+                gpt3_model(self.base_model)
+            except KeyError as error:
+                raise SweepSpecError(error.args[0]) from error
+        if not configurations:
             raise SweepSpecError("sweep spec expands to zero scenarios")
 
     def configurations(self) -> list[Target]:

@@ -125,6 +125,25 @@ class TestEmulatedTruth:
         assert abs(predicted - truth) / truth < 0.001
 
 
+class TestCompositeCapacity:
+    @pytest.fixture(scope="class")
+    def study(self):
+        training = TrainingConfig(micro_batch_size=1, num_microbatches=2)
+        return Study.from_emulation("gpt3-15b", "2x2x2", training,
+                                    iterations=1, seed=1)
+
+    def test_memory_is_judged_on_the_composite_s_own_model(self, study):
+        # gpt3-15b at 2x2x2 fits an 80 GiB A100 (62 GiB/rank); gpt3-v4 at
+        # 2x2x2 needs 185 GiB/rank, so its retarget must refuse, before
+        # the architecture change is derived.
+        assert study.predict("gpu=A100-SXM").iteration_time_us > 0
+        with pytest.raises(PredictError, match="would not fit") as excinfo:
+            study.predict("model=gpt3-v4,gpu=A100-SXM")
+        assert excinfo.value.code == REFUSE_CAPACITY
+        assert "gpt3-v4" in str(excinfo.value)
+        assert not any(key.kind.startswith("architecture") for key in study._graphs)
+
+
 class TestServingRetarget:
     @pytest.fixture(scope="class")
     def study(self):
@@ -159,9 +178,8 @@ class TestUnclassifiedRefusal:
     def _retarget(self, graph):
         cluster = ClusterSpec(num_gpus=1)
         return retarget_hardware(
-            graph, H200_SXM, base_model=tiny_model(),
-            base_parallel=ParallelismConfig.parse("1x1x1"),
-            perf_model=KernelPerfModel(cluster=cluster), base_cluster=cluster)
+            graph, H200_SXM, perf_model=KernelPerfModel(cluster=cluster),
+            base_cluster=cluster)
 
     def test_opaque_kernels_past_the_budget_refuse(self):
         graph = ExecutionGraph()

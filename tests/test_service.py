@@ -64,6 +64,7 @@ from repro.service.protocol import (
 from repro.api.errors import PredictError, StudyError
 from repro.sweep.hashing import hash_trace_bundle
 from repro.sweep.spec import SweepSpecError
+from repro.workload.arrivals import parse_arrival
 from repro.workload.inference import InferenceConfig
 from repro.workload.model_config import gpt3_model
 from repro.workload.parallelism import ParallelismConfig
@@ -78,6 +79,19 @@ def serving_trace_dir(tmp_path_factory):
         inference=InferenceConfig(batch_size=2, prompt_length=64, decode_length=8),
         iterations=1, seed=7).profiled
     directory = tmp_path_factory.mktemp("service-traces") / "serving"
+    bundle.save(directory)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def stream_trace_dir(tmp_path_factory):
+    """A tiny saved gpt3-15b continuous-batching stream (batch cap 2)."""
+    bundle = emulate(
+        gpt3_model("gpt3-15b"), ParallelismConfig.parse("2x1x1"),
+        inference=InferenceConfig(batch_size=2, prompt_length=64, decode_length=2,
+                                  arrival=parse_arrival("poisson:rate=400,n=3,seed=1")),
+        iterations=1, seed=7).profiled
+    directory = tmp_path_factory.mktemp("service-traces") / "stream"
     bundle.save(directory)
     return directory
 
@@ -671,6 +685,30 @@ class TestServiceErrors:
         assert error.code == CODE_INVALID_SPEC
         assert manual_app.store.queue_depth() == 0
 
+    def test_unsupported_predict_targets_refused_at_admission(self, h100_base_trace,
+                                                              tmp_path):
+        # A predict job is judged by the same resolve walk as the worker's
+        # study: a TP change and an unknown model never reach the queue.
+        with ServiceApp(tmp_path / "svc", workers=0,
+                        traces={"h100": h100_base_trace}) as app:
+            for target in ("4x2x2", "model:gpt9"):
+                error = self._submit_error(app, {
+                    "kind": "predict", "trace": "h100", "target": target,
+                    "base": {"micro_batch_size": 1}})
+                assert error.code == CODE_UNSUPPORTED_TARGET
+            app.store.refresh()
+            assert app.store.jobs() == []
+
+    def test_stream_batch_change_refused_at_admission(self, stream_trace_dir, tmp_path):
+        with ServiceApp(tmp_path / "svc", workers=0,
+                        traces={"stream": stream_trace_dir}) as app:
+            error = self._submit_error(app, {"kind": "sweep", "trace": "stream",
+                                             "targets": ["batch=8"]})
+            assert error.code == CODE_INVALID_SPEC
+            assert "re-emulate" in str(error)
+            app.store.refresh()
+            assert app.store.jobs() == []
+
     def test_malformed_target_refused_at_admission(self, manual_app):
         error = self._submit_error(
             manual_app, {"kind": "predict", "trace": "canned",
@@ -790,6 +828,23 @@ class TestWorkerCacheSharing:
         result = validate_result_payload(client.result(job_id)["result"])
         assert result["cache"]["hit_rate"] == 0.0
         assert not any(row["from_cache"] for row in result["scenarios"])
+
+    def test_fleet_and_server_share_one_cache_by_default(self, manual_app,
+                                                         serving_trace_dir):
+        # `serve` and `work` on one root default to one sweep cache: a job
+        # a fleet ran is answered from cache by the server's own worker.
+        fleet = WorkerFleet(manual_app.root, traces={"canned": serving_trace_dir})
+        assert fleet.cache_root == manual_app.cache_root
+        client = ServiceClient(manual_app.url)
+        job_id = client.submit(SWEEP_BODY)["job"]["job_id"]
+        assert fleet.workers[0].run_once()
+        assert client.job(job_id)["cache"]["hit_rate"] == 0.0
+        client.submit(SWEEP_BODY)
+        _drain(manual_app)
+        job = client.job(job_id)
+        assert job["state"] == STATE_DONE
+        assert job["attempts"] == 2
+        assert job["cache"]["hit_rate"] == 1.0
 
     def test_cache_block_lands_on_the_job_status(self, manual_app):
         client = ServiceClient(manual_app.url)

@@ -319,6 +319,12 @@ class TestSweep:
         with pytest.raises(StudyError, match="not both"):
             study.sweep(spec, parallelism=["2x1x4"])
 
+    def test_include_baseline_is_an_inline_argument(self, study, spec):
+        # A full spec carries its own include_baseline; the inline flag
+        # must not be dropped silently.
+        with pytest.raises(StudyError, match="not both"):
+            study.sweep(spec, include_baseline=False)
+
     def test_mismatched_base_is_rejected(self, study):
         bad = SweepSpec(base_model="gpt3-15b", base_parallelism="2x2x4",
                         parallelism=("2x2x8",))

@@ -246,6 +246,19 @@ class TestServingSpecs:
             self._serving_spec(base_parallelism="1x1x1",
                                serving=("tp=2",)).validate()
 
+    def test_stream_base_refuses_a_new_batch_cap(self):
+        # The cap drives a continuous-batching stream's admission schedule;
+        # validate() refuses a new one, as the study would at derive time.
+        from repro.workload.arrivals import parse_arrival
+        from repro.workload.inference import InferenceConfig
+        stream = InferenceConfig(batch_size=4, prompt_length=512, decode_length=2,
+                                 arrival=parse_arrival("poisson:rate=400,n=4,seed=1"))
+        with pytest.raises(SweepSpecError, match="re-emulate"):
+            self._serving_spec(inference=stream, serving=("batch=8",)).validate()
+        # The base's own cap is the base, and other knobs keep the schedule.
+        self._serving_spec(inference=stream,
+                           serving=("batch=4", "prompt=1024", "tp=1")).validate()
+
     def test_malformed_serving_target_rejected(self):
         with pytest.raises(SweepSpecError, match="topology"):
             self._serving_spec(serving=("decode=32",)).validate()
