@@ -51,11 +51,10 @@ def test_benchmark_graph_construction(benchmark, profiled_bundle):
 
 def test_benchmark_simulation(benchmark, built_graph):
     def simulate():
-        session = SimulationSession(compile_graph(built_graph))
-        return session.run().to_simulation_result()
+        return SimulationSession(compile_graph(built_graph)).run()
 
     result = benchmark(simulate)
-    assert len(result.tasks) == len(built_graph)
+    assert len(result.finalize_order) == len(built_graph)
 
 
 def test_benchmark_end_to_end_replay(benchmark, profiled_bundle):

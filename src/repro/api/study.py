@@ -14,8 +14,8 @@ configuration.  A :class:`Study` owns that state and memoizes it:
   to the base *is* the base), and derived graphs, their compiled sessions
   and predictions are cached per key: a repeated :meth:`Study.predict`
   of the same configuration is a lookup, and a batch of
-  :meth:`Study.whatif` scenarios against one target is a series of
-  duration-vector swaps on a single session;
+  :meth:`Study.whatif` scenarios against one target is one simulation
+  call on a single session, whose row 0 is the target itself;
 * the base trace's content digest — the sweep cache's key — is hashed
   once (:attr:`Study.trace_digest`).
 
@@ -33,7 +33,7 @@ from repro.api.errors import PredictError, StudyError
 from repro.api.target import Target, TargetLike, on_gpu, parse_target, resolve_target
 from repro.core import whatif as whatif_mod
 from repro.core.breakdown import ExecutionBreakdown
-from repro.core.engine import SessionRun, SimulationSession, compile_graph
+from repro.core.engine import SimulationSession, compile_graph
 from repro.core.graph import ExecutionGraph
 from repro.core.manipulation import (
     KIND_ARCHITECTURE,
@@ -171,8 +171,9 @@ class WhatIfBuilder:
     Builder methods queue :class:`~repro.core.whatif.Scenario` objects and
     return ``self``; :meth:`run` evaluates the whole batch against the
     study's memoized session for the bound configuration — one compile,
-    one batched simulation of the stacked duration matrix (bit-identical
-    to evaluating each scenario alone)::
+    one simulation call over the stacked duration matrix, whose row 0 is
+    the configuration itself (bit-identical to evaluating each scenario
+    alone)::
 
         results = (study.whatif()
                    .kernel_class("gemm", 2.0)
@@ -221,21 +222,22 @@ class WhatIfBuilder:
     # -- evaluation ---------------------------------------------------------
 
     def run(self) -> "list[WhatIfResult]":
-        """Evaluate every queued scenario in one batched simulation.
+        """Evaluate every queued scenario in one simulation call.
 
-        On a continuous-batching serving study every result also carries
-        the scenario's own :class:`~repro.core.serving_metrics.
-        ServingMetrics` (computed from the same batched simulation, no
-        extra run) in :attr:`~repro.core.whatif.WhatIfResult.serving`.
+        Row 0 of the call times the configuration itself, the baseline
+        of every result.  On a continuous-batching serving study every
+        result also carries the scenario's own :class:`~repro.core.
+        serving_metrics.ServingMetrics` (computed from the same
+        simulation, no extra run) in
+        :attr:`~repro.core.whatif.WhatIfResult.serving`.
         """
         if not self._scenarios:
             raise StudyError("no what-if scenarios queued; add one before run()")
         with observability.trace_span("study.whatif", kind=self._key.kind,
                                       target=self._key.label,
                                       scenarios=len(self._scenarios)):
-            graph, _, session, baseline = self._study.config_state(self._key)
+            graph, _, session = self._study.config_state(self._key)
             results = whatif_mod.evaluate_scenarios(graph, self._scenarios,
-                                                    baseline=baseline,
                                                     session=session)
         observability.count("study.whatif_scenarios", len(results))
         return results
@@ -333,7 +335,7 @@ class Study:
         self._custom_gpus: dict[str, GPUSpec] = {}
         #: Per-target memos, keyed by the folded :class:`Target` (:meth:`_key`).
         self._graphs: dict[Target, tuple[ExecutionGraph, int]] = {}
-        self._sessions: dict[Target, tuple[SimulationSession, SessionRun]] = {}
+        self._sessions: dict[Target, SimulationSession] = {}
         self._predictions: dict[Target, Prediction] = {}
 
     # -- construction -------------------------------------------------------
@@ -661,20 +663,23 @@ class Study:
             self._graphs[key] = self._derive(key)
         return self._graphs[key]
 
-    def _session(self, key: Target) -> tuple[SimulationSession, SessionRun]:
+    def _replays_base(self, key: Target) -> bool:
+        """Whether ``key`` is the base and this study can replay its trace.
+
+        A study pickled for a worker process has neither its bundle nor
+        its replay, only the base graph, so its base compiles that.
+        """
+        return key.kind == KIND_BASELINE and (self._replay is not None
+                                              or self._bundle is not None)
+
+    def _session(self, key: Target) -> SimulationSession:
         if key not in self._sessions:
-            if key.kind == KIND_BASELINE and (self._replay is not None
-                                              or self._bundle is not None):
-                # The replay already simulated the base durations — reuse
-                # its compiled graph and its run.
-                result = self.replay()
-                session, run = result.session(), result.run
+            if self._replays_base(key):
+                # The replay already compiled the base graph — reuse it.
+                session = self.replay().session()
             else:
-                # A derived target, or the base of a study pickled for a
-                # worker process: compile the graph the snapshot carries.
                 session = self._compile(key, self._graph(key)[0])
-                run = session.run()
-            self._sessions[key] = (session, run)
+            self._sessions[key] = session
         return self._sessions[key]
 
     @staticmethod
@@ -691,28 +696,26 @@ class Study:
         """
         return self._graph(self._key(target))
 
-    def config_session(self, target: TargetLike | None) -> tuple[SimulationSession, SessionRun]:
-        """The (memoized) compiled session and its baseline run for one target."""
-        return self._session(self._key(target))
-
     def config_state(self, target: TargetLike | None, *, retain: bool = True) \
-            -> tuple[ExecutionGraph, int, SimulationSession, SessionRun]:
-        """Derived graph, world size, session and baseline run for one target.
+            -> tuple[ExecutionGraph, int, SimulationSession]:
+        """Derived graph, world size and compiled session for one target.
 
-        With ``retain=False`` nothing new is pinned in the study's caches
-        (cached state is still reused when present) — the sweep runner
-        uses this for throwaway studies and pool workers, whose groups are
-        each evaluated once, so per-group state should be freed with the
-        group instead of accumulating for the sweep's lifetime.  The
-        baseline configuration is always served from the memoized replay
-        (one bounded entry).
+        Nothing is simulated: what-if evaluation times the configuration
+        as row 0 of its own call.  With ``retain=False`` the target's
+        graph and session are not pinned in the study's caches (cached
+        state is still reused when present) — the sweep runner uses this
+        for throwaway studies and pool workers, whose groups are each
+        evaluated once, so per-group state should be freed with the group
+        instead of accumulating for the sweep's lifetime.  A composite
+        target's workload prefix is still derived through the memo, so it
+        stays pinned.  The baseline configuration is always served from
+        the memoized replay (one bounded entry).
         """
         key = self._key(target)
         if retain or key.kind == KIND_BASELINE or key in self._sessions:
-            return (*self._graph(key), *self._session(key))
+            return (*self._graph(key), self._session(key))
         graph, world_size = self._graphs.get(key) or self._derive(key)
-        session = self._compile(key, graph)
-        return graph, world_size, session, session.run()
+        return graph, world_size, self._compile(key, graph)
 
     def release(self) -> None:
         """Drop the memoized per-target graphs, sessions and predictions.
@@ -756,10 +759,13 @@ class Study:
             with observability.trace_span("study.predict", kind=key.kind,
                                           target=key.label):
                 _, world_size = self._graph(key)
-                _, run = self._session(key)
+                # The base keeps the replay's run; any other target runs
+                # its session once.
+                result = (self.replay() if self._replays_base(key)
+                          else ReplayResult(self._session(key).run()))
                 self._predictions[key] = Prediction(
                     target=key.label, kind=key.kind, world_size=world_size,
-                    base_time_us=self.base_time_us, result=ReplayResult(run))
+                    base_time_us=self.base_time_us, result=result)
             observability.count("study.predictions")
         return self._predictions[key]
 

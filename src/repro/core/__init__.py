@@ -7,17 +7,17 @@ This package implements the paper's contribution:
   cross-rank collective groups);
 * :mod:`repro.core.graph_builder` — constructing the graph from Kineto
   traces (§3.3);
-* :mod:`repro.core.engine` — the array-backed two-phase engine: a
+* :mod:`repro.core.engine` — the array-backed two-phase engine (the
+  replay simulator, Algorithm 1): a
   :class:`~repro.core.engine.CompiledGraph` precomputes immutable
   structure once, a :class:`~repro.core.engine.SimulationSession` replays
-  it over preallocated numpy buffers;
+  it, and its :class:`~repro.core.engine.SessionRun` holds every task's
+  timing and renders the replayed trace;
 * :mod:`repro.core.batch` — the batched multi-scenario kernel: a
   :class:`~repro.core.batch.BatchSession` simulates a ``(B, n_tasks)``
   duration matrix in one vectorized sweep (bit-identical to B sequential
   runs), with a sequential fallback for graphs whose schedule is not
   provably duration-independent;
-* :mod:`repro.core.simulator` — the dict-based per-task results of the
-  replay simulator (Algorithm 1), materialised from an engine run;
 * :mod:`repro.core.replay` — the high-level replay API;
 * :mod:`repro.core.breakdown` / :mod:`repro.core.sm_utilization` —
   execution-time breakdowns and SM-utilisation timelines (§4.2);
@@ -38,7 +38,6 @@ from repro.core.batch import (
     UnbatchableGraphError,
     compile_batch_plan,
 )
-from repro.core.simulator import SimulationResult
 from repro.core.replay import ReplayResult, replay
 from repro.core.breakdown import ExecutionBreakdown, compute_breakdown
 from repro.core.sm_utilization import sm_utilization_timeline
@@ -68,7 +67,6 @@ __all__ = [
     "BatchSession",
     "UnbatchableGraphError",
     "compile_batch_plan",
-    "SimulationResult",
     "replay",
     "ReplayResult",
     "ExecutionBreakdown",

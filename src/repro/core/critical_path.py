@@ -4,6 +4,8 @@ Beyond replaying the iteration time, the execution graph supports the
 diagnostic questions the paper motivates ("identifying performance
 bottlenecks and guiding optimization efforts"): which chain of tasks
 determines the iteration time, and where the GPU time goes by kernel class.
+The critical path reads a :class:`~repro.core.engine.SessionRun`'s timing
+arrays directly; nothing is rendered.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.core.engine import SessionRun, SimulationSession, compile_graph
 from repro.core.graph import ExecutionGraph
-from repro.core.engine import SimulationSession, compile_graph
-from repro.core.simulator import SimulationResult, SimulatedTask
 from repro.core.tasks import Task, TaskKind
 
 
@@ -51,8 +54,7 @@ class CriticalPath:
         return dict(buckets)
 
 
-def critical_path(graph: ExecutionGraph,
-                  simulation: SimulationResult | None = None) -> CriticalPath:
+def critical_path(graph: ExecutionGraph, run: SessionRun | None = None) -> CriticalPath:
     """Extract the critical path of a (simulated) execution graph.
 
     The path is traced backwards from the task that finishes last: at each
@@ -60,46 +62,54 @@ def critical_path(graph: ExecutionGraph,
     collective/synchronisation constraint is approximated by the graph
     dependencies plus processor order) whose finish time equals the current
     task's start time is followed; if none matches exactly, the
-    latest-finishing predecessor is used.
+    latest-finishing predecessor is used.  Ties go to the task scheduled
+    first, then to the first candidate listed.
+
+    ``run`` is a simulation of ``graph`` (its session run); ``None``
+    simulates the graph here.
     """
-    if simulation is None:
-        simulation = SimulationSession(compile_graph(graph)).run().to_simulation_result()
-    if not simulation.tasks:
+    if run is None:
+        run = SimulationSession(compile_graph(graph)).run()
+    compiled = run.compiled
+    if compiled.n_tasks == 0:
         return CriticalPath(entries=(), total_time=0.0)
+    tasks = compiled.tasks
+    index_of = compiled.index_of
+    starts = run.starts.tolist()
+    durations = run.durations.tolist()
+    ends = [start + duration for start, duration in zip(starts, durations)]
 
-    # Processor predecessor lookup from the simulated order.
-    by_processor: dict[tuple, list[SimulatedTask]] = defaultdict(list)
-    for simulated in simulation.tasks.values():
-        by_processor[simulated.task.processor].append(simulated)
-    processor_predecessor: dict[int, int] = {}
-    for simulated_tasks in by_processor.values():
-        simulated_tasks.sort(key=lambda t: (t.start, t.task.task_id))
-        for previous, current in zip(simulated_tasks, simulated_tasks[1:]):
-            processor_predecessor[current.task.task_id] = previous.task.task_id
+    # Processor predecessor lookup from the simulated order: per processor,
+    # tasks by start time; the sort is stable, so ties keep task-id order.
+    by_processor = np.lexsort((run.starts, compiled.proc_index))
+    same = compiled.proc_index[by_processor[1:]] == compiled.proc_index[by_processor[:-1]]
+    processor_predecessor = dict(zip(by_processor[1:][same].tolist(),
+                                     by_processor[:-1][same].tolist()))
 
-    last = max(simulation.tasks.values(), key=lambda t: t.end)
+    # The first task (in scheduling order) to finish last.
+    order = run.finalize_order
+    current = int(order[np.argmax(run.ends[order])])
+    start_time = run.start_time
     entries: list[CriticalPathEntry] = []
-    current: SimulatedTask | None = last
     visited: set[int] = set()
-    while current is not None and current.task.task_id not in visited:
-        visited.add(current.task.task_id)
-        entries.append(CriticalPathEntry(task=current.task, start=current.start,
-                                         duration=current.duration))
-        candidates = list(graph.predecessors(current.task.task_id))
-        if current.task.task_id in processor_predecessor:
-            candidates.append(processor_predecessor[current.task.task_id])
-        candidate_tasks = [simulation.tasks[c] for c in candidates if c in simulation.tasks]
-        if not candidate_tasks:
+    while current not in visited:
+        visited.add(current)
+        entries.append(CriticalPathEntry(task=tasks[current], start=starts[current],
+                                         duration=durations[current]))
+        candidates = [index_of[task_id]
+                      for task_id in graph.predecessors(tasks[current].task_id)]
+        if current in processor_predecessor:
+            candidates.append(processor_predecessor[current])
+        if not candidates:
             break
-        exact = [c for c in candidate_tasks if abs(c.end - current.start) < 1e-6]
-        current = (max(exact, key=lambda t: t.end) if exact
-                   else max(candidate_tasks, key=lambda t: t.end))
-        if current.end < simulation.start_time + 1e-9 and current.start <= simulation.start_time:
-            entries.append(CriticalPathEntry(task=current.task, start=current.start,
-                                             duration=current.duration))
+        exact = [c for c in candidates if abs(ends[c] - starts[current]) < 1e-6]
+        current = max(exact or candidates, key=ends.__getitem__)
+        if ends[current] < start_time + 1e-9 and starts[current] <= start_time:
+            entries.append(CriticalPathEntry(task=tasks[current], start=starts[current],
+                                             duration=durations[current]))
             break
     entries.reverse()
-    return CriticalPath(entries=tuple(entries), total_time=simulation.total_time())
+    return CriticalPath(entries=tuple(entries), total_time=run.total_time())
 
 
 @dataclass(frozen=True)

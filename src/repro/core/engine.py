@@ -36,15 +36,17 @@ The engine is bit-identical to the seed scheduler: it performs the same
 floating-point operations in the same order, so every start time matches
 exactly (``tests/test_engine.py`` asserts this against a verbatim copy of
 the seed algorithm, ``tests/reference_simulator.py``).  A
-:class:`SessionRun` is the result; the dict-based
-:class:`~repro.core.simulator.SimulationResult` and its trace bundle are
-renderings of it, made only for the analyses that read them.
+:class:`SessionRun` is the one per-task timing record: it renders its own
+Kineto-style trace bundle (:meth:`SessionRun.to_trace_bundle`) for the
+analyses that read events, and :func:`~repro.core.critical_path.
+critical_path` reads its arrays directly.
 """
 
 from __future__ import annotations
 
 import heapq
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import attrgetter
@@ -53,9 +55,10 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.core.graph import ExecutionGraph, _CompileMemo, edge_csr, topological_sort
-from repro.core.simulator import SimulatedTask, SimulationResult
 from repro.core.tasks import Task, TaskKind
 from repro.observability import tracing as observability
+from repro.trace.events import Category, TraceEvent
+from repro.trace.kineto import DistributedInfo, KinetoTrace, TraceBundle
 
 
 @dataclass(frozen=True)
@@ -320,10 +323,8 @@ class SessionRun:
     """Timings of one :meth:`SimulationSession.run` call, as flat arrays.
 
     ``starts``/``durations`` are dense-indexed (``compiled.tasks`` order);
-    ``finalize_order`` records the order tasks were scheduled in, which
-    :meth:`to_simulation_result` uses to materialise a
-    :class:`SimulationResult` whose dict iteration order matches the seed
-    scheduler exactly.
+    ``finalize_order`` records the order tasks were scheduled in (the seed
+    scheduler's result order), which :meth:`to_trace_bundle` walks.
     """
 
     compiled: CompiledGraph
@@ -335,9 +336,6 @@ class SessionRun:
     @property
     def ends(self) -> np.ndarray:
         return self.starts + self.durations
-
-    def start_of(self, task_id: int) -> float:
-        return float(self.starts[self.compiled.index_of[task_id]])
 
     def end_time(self) -> float:
         if len(self.starts) == 0:
@@ -359,18 +357,45 @@ class SessionRun:
             return 0.0
         return float(self.ends.max() - self.starts.min())
 
-    def to_simulation_result(self) -> SimulationResult:
-        """Materialise the seed-compatible :class:`SimulationResult`."""
-        result = SimulationResult(start_time=self.start_time)
+    def to_trace_bundle(self) -> TraceBundle:
+        """Render the run as a Kineto-style trace bundle.
+
+        The output mirrors the input trace (§3.5: "the simulation generates
+        a trace similar to the input trace initially profiled from the real
+        run"), so every downstream analysis — breakdowns, SM utilisation,
+        timeline export — runs identically on real and simulated traces.
+        Each rank's events are wrapped in one profiler-step annotation;
+        events with the same start and duration keep their scheduling
+        (``finalize_order``) order.
+        """
         tasks = self.compiled.tasks
-        starts = self.starts
-        durations = self.durations
+        starts = self.starts.tolist()
+        durations = self.durations.tolist()
+        per_rank: dict[int, list[TraceEvent]] = defaultdict(list)
         for index in self.finalize_order.tolist():
             task = tasks[index]
-            result.tasks[task.task_id] = SimulatedTask(
-                task=task, start=float(starts[index]),
-                duration=float(durations[index]))
-        return result
+            if task.kind == TaskKind.GPU:
+                category = task.category or Category.KERNEL
+                tid = int(task.stream)
+            else:
+                category = task.category or Category.CPU_OP
+                tid = int(task.thread)
+            per_rank[task.rank].append(TraceEvent(
+                name=task.name, cat=category, ts=starts[index], dur=durations[index],
+                pid=task.rank, tid=tid, args=dict(task.args),
+            ))
+        bundle = TraceBundle(metadata={"simulated": True})
+        for rank, events in per_rank.items():
+            start = min(e.ts for e in events)
+            end = max(e.end for e in events)
+            events.append(TraceEvent(name="ProfilerStep#0", cat=Category.USER_ANNOTATION,
+                                     ts=start, dur=end - start, pid=rank, tid=0,
+                                     args={"simulated": True}))
+            bundle.add(KinetoTrace(rank=rank, events=events,
+                                   distributed=DistributedInfo(rank=rank,
+                                                               world_size=len(per_rank)),
+                                   metadata={"simulated": True}))
+        return bundle
 
 
 class SimulationSession:

@@ -308,13 +308,6 @@ class ExecutionGraph:
         tasks.sort(key=lambda t: (t.trace_ts, t.task_id))
         return tasks
 
-    def tasks_on_thread(self, rank: int, thread: int) -> list[Task]:
-        """CPU tasks of one thread in trace order."""
-        tasks = [t for t in self.tasks.values()
-                 if t.kind == TaskKind.CPU and t.rank == rank and t.thread == thread]
-        tasks.sort(key=lambda t: (t.trace_ts, t.task_id))
-        return tasks
-
     def dependency_counts(self) -> dict[DependencyType, int]:
         """Number of edges of each dependency class."""
         counts = np.bincount(np.array(self.edge_type, dtype=np.int64),

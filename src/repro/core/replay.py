@@ -3,8 +3,8 @@
 ``replay(bundle)`` builds the execution graph from a profiled trace bundle,
 simulates it with Algorithm 1 and returns a :class:`ReplayResult`, a view
 over the :class:`~repro.core.engine.SessionRun` it produced.  The replayed
-trace (for breakdowns, SM utilisation and timeline export) and the
-dict-based simulation behind it are rendered on first read, then kept.
+trace (for breakdowns, SM utilisation and timeline export) is rendered
+from the run on first read, then kept.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.core.breakdown import ExecutionBreakdown, compute_breakdown
 from repro.core.engine import SessionRun, SimulationSession, compile_graph
 from repro.core.graph import ExecutionGraph
 from repro.core.graph_builder import GraphBuilder, GraphBuilderOptions
-from repro.core.simulator import SimulationResult
 from repro.trace.kineto import KinetoTrace, TraceBundle
 
 
@@ -45,14 +44,9 @@ class ReplayResult:
         return self.iteration_time_us / 1000.0
 
     @cached_property
-    def simulation(self) -> SimulationResult:
-        """The dict-based per-task timings, rendered on first read."""
-        return self.run.to_simulation_result()
-
-    @cached_property
     def replayed_trace(self) -> TraceBundle:
         """The simulated Kineto-style trace bundle, rendered on first read."""
-        return self.simulation.to_trace_bundle()
+        return self.run.to_trace_bundle()
 
     def breakdown(self) -> ExecutionBreakdown:
         """Execution breakdown of the replayed iteration."""

@@ -10,17 +10,18 @@ speed-up because of overlap and critical-path effects).
 
 Scenarios are plain ``(name, predicate, speedup)`` descriptions
 (:class:`Scenario`; :func:`scenario_for` builds the declarative kinds).
-:func:`evaluate_scenarios` is the one entry point: a single scenario is a
-duration-vector swap on a reusable
-:class:`~repro.core.engine.SimulationSession`, and a *batch* builds one
-``(B, n_tasks)`` duration matrix and simulates every scenario in a single
-vectorized sweep through
-:meth:`~repro.core.engine.SimulationSession.run_batch` — with the engine's
-documented fallback to per-scenario sequential runs for graphs whose
-schedule is not provably duration-independent.  Both paths produce
-bit-identical times.  Over a continuous-batching serving episode every
-result also carries the scenario's own per-request serving metrics.
-One scenario against a graph reads::
+:func:`evaluate_scenarios` is the one entry point.  It stacks one
+``(1 + B, n_tasks)`` duration matrix: row 0 is the graph's own durations
+(the configuration every result is measured against) and each scenario
+adds one rescaled row.  A matrix of two rows runs as two sequential
+:meth:`~repro.core.engine.SimulationSession.run` calls; a larger one is
+simulated in a single vectorized sweep through
+:meth:`~repro.core.engine.SimulationSession.run_batch`, with the engine's
+documented fallback to per-row sequential runs for graphs whose schedule
+is not provably duration-independent.  Both paths produce bit-identical
+times.  Over a continuous-batching serving episode every result also
+carries its row's per-request serving metrics.  One scenario against a
+graph reads::
 
     evaluate_scenarios(graph, [scenario_for("kernel_class", op_class="gemm")])[0]
 """
@@ -32,9 +33,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.engine import SessionRun, SimulationSession, compile_graph
+from repro.core.engine import SimulationSession, compile_graph
 from repro.core.graph import ExecutionGraph
-from repro.core.replay import ReplayResult
 from repro.core.serving_metrics import (
     ServingMetrics,
     metrics_from_task_times,
@@ -43,10 +43,6 @@ from repro.core.serving_metrics import (
 from repro.core.tasks import Task, TaskKind
 
 TaskPredicate = Callable[[Task], bool]
-
-#: Anything that can serve as the baseline timing of a scenario: a full
-#: :class:`ReplayResult`, a raw :class:`SessionRun`, or the time itself.
-Baseline = ReplayResult | SessionRun | float
 
 
 @dataclass(frozen=True)
@@ -138,67 +134,68 @@ def scenario_for(kind: str, *, op_class: str | None = None,
     raise ValueError(f"unknown what-if kind '{kind}'")
 
 
-def _baseline_time_us(baseline: Baseline) -> float:
-    if isinstance(baseline, (int, float)):
-        return float(baseline)
-    return baseline.iteration_time_us
-
-
 def evaluate_scenarios(graph: ExecutionGraph,
-                       scenarios: Sequence[Scenario], *,
-                       baseline: Baseline | None = None,
+                       scenarios: Sequence[Scenario | None], *,
                        session: SimulationSession | None = None,
                        deadline_ms: float | None = None) -> list[WhatIfResult]:
-    """Evaluate a batch of scenarios against one graph in a single sweep.
+    """Evaluate a batch of scenarios against one graph in a single call.
 
     The graph is compiled once (or not at all when ``session`` — which
-    must have been compiled from ``graph`` — is supplied), the scenarios'
-    rescaled duration vectors are stacked into one ``(B, n_tasks)``
-    matrix, and the whole batch is simulated by one
-    :meth:`~repro.core.engine.SimulationSession.run_batch` call.  Results
-    are bit-identical to evaluating each scenario on its own.
+    must have been compiled from ``graph`` — is supplied).  Row 0 of the
+    duration matrix is the graph's own durations and every scenario
+    stacks one rescaled row after it; a ``None`` scenario adds no row and
+    reads row 0 (its result is named ``"baseline"``, affects no task and
+    times the configuration itself).  Every result's
+    :attr:`~WhatIfResult.baseline_time_us` is row 0's time.  Two rows run
+    sequentially, three or more in one
+    :meth:`~repro.core.engine.SimulationSession.run_batch` call; results
+    are bit-identical either way.
 
     When ``graph`` carries a continuous-batching stream plan, every
     result's :attr:`~WhatIfResult.serving` holds the per-request metrics
-    of the scenario's own simulation row (no second simulation), scored
-    against the SLO ``deadline_ms`` (default
+    of its own row (no second simulation), scored once per row against
+    the SLO ``deadline_ms`` (default
     :data:`~repro.core.serving_metrics.DEFAULT_SLO_MS`).
     """
     if not scenarios:
         return []
-    if not all(scenario.speedup > 0 for scenario in scenarios):  # NaN fails too
+    if not all(scenario.speedup > 0 for scenario in scenarios
+               if scenario is not None):  # NaN fails too
         raise ValueError("speedup must be positive")
     if session is None:
         session = SimulationSession(compile_graph(graph))
-    baseline_time = (_baseline_time_us(baseline) if baseline is not None
-                     else session.run().iteration_time_us)
 
     compiled = session.compiled
-    matrix = np.empty((len(scenarios), compiled.n_tasks), dtype=np.float64)
-    affected: list[int] = []
-    for row, scenario in enumerate(scenarios):
+    rows: list[int] = []  # each scenario's matrix row
+    matrix_rows = [compiled.durations]
+    affected = [0]
+    for scenario in scenarios:
+        if scenario is None:
+            rows.append(0)
+            continue
         durations, count = compiled.scaled_durations(scenario.predicate,
                                                      scenario.speedup)
-        matrix[row] = durations
+        rows.append(len(matrix_rows))
+        matrix_rows.append(durations)
         affected.append(count)
+    matrix = np.stack(matrix_rows)
 
-    if len(scenarios) == 1:
-        run = session.run(durations=matrix[0])
-        times, starts = [run.iteration_time_us], [run.starts]
+    if len(matrix) <= 2:
+        runs = [session.run(durations=row) for row in matrix]
+        times = [run.iteration_time_us for run in runs]
+        starts = [run.starts for run in runs]
     else:
         batch = session.run_batch(matrix)
         times, starts = batch.iteration_times_us.tolist(), batch.starts
 
     plan = stream_plan_of(graph.metadata)
-    serving = ([None] * len(scenarios) if plan is None else
-               [metrics_from_task_times(compiled.tasks, row_starts, durations, plan,
-                                        deadline_ms=deadline_ms)
-                for row_starts, durations in zip(starts, matrix)])
-    return [WhatIfResult(name=scenario.name,
-                         baseline_time_us=baseline_time,
-                         scenario_time_us=time,
-                         affected_tasks=count,
-                         serving=metrics)
-            for scenario, time, count, metrics in zip(scenarios, times, affected,
-                                                      serving)]
-
+    serving = {} if plan is None else {
+        row: metrics_from_task_times(compiled.tasks, starts[row], matrix[row], plan,
+                                     deadline_ms=deadline_ms)
+        for row in sorted(set(rows))}
+    return [WhatIfResult(name="baseline" if scenario is None else scenario.name,
+                         baseline_time_us=times[0],
+                         scenario_time_us=times[row],
+                         affected_tasks=affected[row],
+                         serving=serving.get(row))
+            for scenario, row in zip(scenarios, rows)]

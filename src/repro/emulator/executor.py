@@ -14,7 +14,7 @@ deterministic list-scheduling pass over it:
   pairs) start together once both sides are ready and take the same time.
 
 This is the emulator's own engine; the Lumos replay simulator in
-:mod:`repro.core.simulator` is an independent implementation that works
+:mod:`repro.core.engine` is an independent implementation that works
 from trace-derived dependencies instead of program intent.
 """
 

@@ -1,9 +1,10 @@
 """Runners for every figure and table of the paper's evaluation.
 
 Each ``run_*`` function emulates the relevant workload on the modelled
-cluster (the substitute for the paper's H100 testbed), applies Lumos and —
-where the paper does — the dPRO baseline, and returns the per-configuration
-comparisons.  Benchmarks print these; tests assert on their shape.
+cluster (the substitute for the paper's H100 testbed), applies Lumos (its
+predictions through a :class:`~repro.api.Study`) and — where the paper
+does — the dPRO baseline, and returns the per-configuration comparisons.
+Benchmarks print these; tests assert on their shape.
 """
 
 from __future__ import annotations
@@ -18,19 +19,13 @@ from repro.analysis.comparison import (
     compare_breakdowns,
     evaluate_replay,
 )
+from repro.api import Study
 from repro.baselines.dpro import dpro_replay
 from repro.core.breakdown import compute_breakdown
-from repro.core.manipulation import (
-    change_architecture,
-    scale_data_parallelism,
-    scale_pipeline_parallelism,
-)
-from repro.core.perf_model import KernelPerfModel
-from repro.core.replay import replay, simulate_graph
+from repro.core.replay import replay
 from repro.core.sm_utilization import sm_utilization_timeline
 from repro.emulator.api import emulate
 from repro.experiments.settings import EvaluationSettings
-from repro.hardware.cluster import ClusterSpec
 from repro.workload.model_config import GPT3_VARIANTS, ModelConfig, gpt3_model
 from repro.workload.parallelism import ParallelismConfig
 
@@ -128,30 +123,21 @@ def run_sm_utilization(settings: EvaluationSettings | None = None,
 def run_parallelism_prediction(target_label: str, base_label: str = FIG7_BASE_CONFIG,
                                model_name: str = "gpt3-15b",
                                settings: EvaluationSettings | None = None) -> BreakdownComparison:
-    """One Figure 7 bar pair: predict a scale-out configuration from the base trace."""
+    """One Figure 7 bar pair: predict a scale-out configuration from the base trace.
+
+    Tensor-parallel changes are refused with the study's
+    :class:`~repro.api.errors.PredictError`.
+    """
     settings = settings or EvaluationSettings.default()
     model = gpt3_model(model_name)
     base_parallel = ParallelismConfig.parse(base_label)
-    target_parallel = ParallelismConfig.parse(target_label)
-    if target_parallel.tp != base_parallel.tp:
-        raise NotImplementedError("tensor-parallel changes are out of scope")
-    training = settings.training()
-
     profiled, _ = _emulate_pair(model, base_parallel, settings)
-    base_replay = replay(profiled)
-    perf_model = KernelPerfModel.calibrate(
-        base_replay.graph, ClusterSpec.for_world_size(base_parallel.world_size))
+    study = Study.from_trace(profiled, model=model, parallelism=base_parallel,
+                             training=settings.training())
+    predicted = study.predict(target_label)
 
-    if target_parallel.pp == base_parallel.pp:
-        predicted_graph = scale_data_parallelism(base_replay.graph, base_parallel,
-                                                 target_parallel.dp, perf_model)
-    else:
-        predicted_graph = scale_pipeline_parallelism(
-            base_replay.graph, model, base_parallel, training,
-            target_parallel.pp, perf_model, new_data_parallel=target_parallel.dp)
-    predicted = simulate_graph(predicted_graph)
-
-    _, measured = _emulate_pair(model, target_parallel, settings, seed_offset=17)
+    _, measured = _emulate_pair(model, ParallelismConfig.parse(target_label), settings,
+                                seed_offset=17)
     return compare_breakdowns(f"{model_name}:{target_label}", compute_breakdown(measured),
                               predicted.breakdown())
 
@@ -165,16 +151,10 @@ def run_architecture_prediction(variant_name: str, base_model_name: str = "gpt3-
     target_model = GPT3_VARIANTS[variant_name] if variant_name in GPT3_VARIANTS \
         else gpt3_model(variant_name)
     parallel = ParallelismConfig.parse(config_label)
-    training = settings.training()
-
     profiled, _ = _emulate_pair(base_model, parallel, settings)
-    base_replay = replay(profiled)
-    cluster = ClusterSpec.for_world_size(parallel.world_size)
-    perf_model = KernelPerfModel.calibrate(base_replay.graph, cluster)
-
-    predicted_graph = change_architecture(base_replay.graph, base_model, parallel, training,
-                                          target_model, perf_model, cluster=cluster)
-    predicted = simulate_graph(predicted_graph)
+    study = Study.from_trace(profiled, model=base_model, parallelism=parallel,
+                             training=settings.training())
+    predicted = study.predict(target_model)
 
     _, measured = _emulate_pair(target_model, parallel, settings, seed_offset=23)
     return compare_breakdowns(f"{variant_name}:{config_label}", compute_breakdown(measured),

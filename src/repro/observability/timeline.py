@@ -22,9 +22,8 @@ Two export families share the format:
 Sections accept anything timeline-shaped: a
 :class:`~repro.trace.kineto.TraceBundle`, a single
 :class:`~repro.trace.kineto.KinetoTrace`, a
-:class:`~repro.core.simulator.SimulationResult`, a
-:class:`~repro.core.engine.SessionRun`, a replay/prediction result — see
-:func:`coerce_bundle`.
+:class:`~repro.core.engine.SessionRun` (which renders its own bundle), a
+replay/prediction result — see :func:`coerce_bundle`.
 
 :func:`validate_chrome_trace` schema-checks a payload (every event a
 complete ``"X"`` event or a ``"M"`` metadata record with the fields the
@@ -53,9 +52,8 @@ _GPU_TID_BASE = 1_000
 def coerce_bundle(source: Any) -> TraceBundle:
     """Coerce anything timeline-shaped into a :class:`TraceBundle`.
 
-    Accepts a bundle, one per-rank trace, a ``SimulationResult`` (or any
-    object with ``to_trace_bundle``), a ``SessionRun`` (or any object with
-    ``to_simulation_result``), a ``ReplayResult`` (``replayed_trace``) or
+    Accepts a bundle, one per-rank trace, a ``SessionRun`` (or any object
+    with ``to_trace_bundle``), a ``ReplayResult`` (``replayed_trace``) or
     a ``Prediction`` (``result``; both render their bundle on first
     read, then keep it).  Raises ``TypeError`` otherwise.
     """
@@ -67,8 +65,6 @@ def coerce_bundle(source: Any) -> TraceBundle:
         return bundle
     if hasattr(source, "to_trace_bundle"):
         return source.to_trace_bundle()
-    if hasattr(source, "to_simulation_result"):
-        return source.to_simulation_result().to_trace_bundle()
     if hasattr(source, "replayed_trace"):
         return coerce_bundle(source.replayed_trace)
     if hasattr(source, "result"):

@@ -129,8 +129,8 @@ class SweepCache:
         """Evict oldest entries (by mtime) until the cache fits the budget.
 
         Tolerates concurrent deletion races (an entry vanishing between
-        listing and unlinking simply counts as already evicted) and
-        removes bucket directories left empty.  Returns a summary dict
+        listing and unlinking counts as evicted: removed, its bytes freed)
+        and removes bucket directories left empty.  Returns a summary dict
         with ``removed`` / ``freed_bytes`` / ``remaining_entries`` /
         ``remaining_bytes``.
         """
@@ -149,10 +149,14 @@ class SweepCache:
         for _, size, entry in listed:
             if total - freed <= max_size_bytes:
                 break
-            with contextlib.suppress(OSError):
+            try:
                 entry.unlink()
-                removed += 1
-                freed += size
+            except FileNotFoundError:
+                pass  # deleted concurrently: already evicted
+            except OSError:
+                continue
+            removed += 1
+            freed += size
         if self.root.is_dir():
             for bucket in self.root.iterdir():
                 if bucket.is_dir():

@@ -3,12 +3,14 @@
 The runner amortises the expensive, shared work of a what-if sweep through
 a :class:`~repro.api.Study`: the base trace is replayed and the kernel
 performance model calibrated exactly once, after which every scenario of
-the expanded grid only needs graph manipulation plus one simulation.
+the expanded grid only needs graph manipulation plus one row of its
+group's simulation call.
 Scenario evaluation is grouped by target configuration — one
 :class:`~repro.api.target.Target` per group, so all what-if variants of
 ``2x2x8`` share one derived graph and one compiled session, both
 memoized on the study — and the groups fan out over a
-``ProcessPoolExecutor`` when ``workers > 1``.
+``ProcessPoolExecutor`` when ``workers > 1``.  A group is one simulation
+call: row 0 times the configuration itself and each what-if adds a row.
 
 Determinism: graph manipulation and simulation are pure functions of the
 base graph, so serial and parallel runs produce identical results — results
@@ -24,7 +26,6 @@ from typing import Any, Iterable, Mapping
 
 from repro.api.study import Study
 from repro.api.target import Target
-from repro.core.serving_metrics import metrics_from_task_times, stream_plan_of
 from repro.core.whatif import evaluate_scenarios, scenario_for
 from repro.observability import tracing as observability
 from repro.sweep.cache import CacheStats, SweepCache
@@ -180,55 +181,37 @@ def _evaluate_group(study: Study, config: Target,
                     slo_ms: float | None = None) -> list[dict[str, Any]]:
     """Evaluate every scenario sharing one target configuration.
 
-    The group's derived graph is compiled into one simulation session,
-    the group's what-if variants are stacked into one duration matrix,
-    and the whole matrix is simulated by a single batched call
-    (:func:`~repro.core.whatif.evaluate_scenarios`, which vectorizes
-    across the batch axis and falls back to per-scenario sequential runs
-    only for graphs without a duration-independent schedule) — no graph
-    clones, no per-run scheduling-state rebuilds, one event-loop pass for
-    the group.  ``retain`` memoizes the per-target state on the study
-    (reusing anything a prior ``predict`` already derived); pass
-    ``False`` for throwaway studies so groups free with the loop.
+    The group's derived graph is compiled into one simulation session and
+    the whole group is one :func:`~repro.core.whatif.evaluate_scenarios`
+    call: row 0 of its duration matrix times the configuration itself
+    (what a no-what-if scenario reads) and each what-if variant adds one
+    row.  Three or more rows run as one batched sweep (falling back to
+    per-row sequential runs only for graphs without a duration-independent
+    schedule) — no graph clones, no separate configuration run.
+    ``retain`` memoizes the per-target state on the study (reusing
+    anything a prior ``predict`` already derived); pass ``False`` for
+    throwaway studies so groups free with the loop.
     """
     with observability.trace_span("sweep.group", kind=config.kind,
                                   target=config.label, scenarios=len(scenarios)):
-        graph, world_size, session, config_run = study.config_state(config,
-                                                                    retain=retain)
-        whatifs = iter(evaluate_scenarios(
-            graph, [scenario_for(s.whatif.kind, op_class=s.whatif.op_class,
+        graph, world_size, session = study.config_state(config, retain=retain)
+        outcomes = evaluate_scenarios(
+            graph, [None if s.whatif is None else
+                    scenario_for(s.whatif.kind, op_class=s.whatif.op_class,
                                  group=s.whatif.group, speedup=s.whatif.speedup)
-                    for s in scenarios if s.whatif is not None],
-            baseline=config_run, session=session, deadline_ms=slo_ms))
-        # Continuous-batching groups score the configuration's own run for
-        # per-request metrics (evaluate_scenarios scores the what-ifs).
-        plan = stream_plan_of(graph.metadata)
-        config_serving = None if plan is None else metrics_from_task_times(
-            session.compiled.tasks, config_run.starts, config_run.durations,
-            plan, deadline_ms=slo_ms)
-    results: list[dict[str, Any]] = []
-    for scenario in scenarios:
-        if scenario.whatif is None:
-            iteration_time = config_run.iteration_time_us
-            affected = 0
-            serving = config_serving
-        else:
-            whatif = next(whatifs)
-            iteration_time = whatif.scenario_time_us
-            affected = whatif.affected_tasks
-            serving = whatif.serving
-        results.append(ScenarioResult(
-            label=scenario.label,
-            kind=scenario.kind,
-            target=scenario.target,
-            whatif=scenario.whatif.describe() if scenario.whatif else None,
-            world_size=world_size,
-            iteration_time_us=iteration_time,
-            base_time_us=study.base_time_us,
-            affected_tasks=affected,
-            serving=None if serving is None else serving.to_json(),
-        ).to_json())
-    return results
+                    for s in scenarios],
+            session=session, deadline_ms=slo_ms)
+    return [ScenarioResult(
+        label=scenario.label,
+        kind=scenario.kind,
+        target=scenario.target,
+        whatif=scenario.whatif.describe() if scenario.whatif else None,
+        world_size=world_size,
+        iteration_time_us=outcome.scenario_time_us,
+        base_time_us=study.base_time_us,
+        affected_tasks=outcome.affected_tasks,
+        serving=None if outcome.serving is None else outcome.serving.to_json(),
+    ).to_json() for scenario, outcome in zip(scenarios, outcomes)]
 
 
 def _study_for(bundle: TraceBundle, spec: SweepSpec) -> Study:

@@ -121,11 +121,6 @@ class InferenceConfig:
         return self.batch_size * self.prompt_length
 
     @property
-    def generated_tokens(self) -> int:
-        """Tokens generated across the batch over the whole episode."""
-        return self.batch_size * self.decode_length
-
-    @property
     def max_context_length(self) -> int:
         """Longest context any decode step attends over."""
         return self.prompt_length + self.decode_length - 1

@@ -13,11 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.engine import SimulationSession, compile_graph
+from repro.core.engine import SessionRun, SimulationSession, compile_graph
 from repro.core.graph import ExecutionGraph
 from repro.core.graph_builder import GraphBuilder
 from repro.core.replay import replay
-from repro.core.simulator import SimulationResult
 from repro.emulator.api import ClusterEmulator, emulate
 from repro.hardware.cluster import ClusterSpec
 from repro.workload.model_config import ModelConfig, gpt3_model
@@ -77,10 +76,15 @@ def golden_check(request: pytest.FixtureRequest):
     return check
 
 
-def simulate(graph: ExecutionGraph, start_time: float = 0.0) -> SimulationResult:
-    """Compile ``graph``, run it once and materialise the per-task result."""
-    session = SimulationSession(compile_graph(graph))
-    return session.run(start_time=start_time).to_simulation_result()
+def simulate(graph: ExecutionGraph, start_time: float = 0.0) -> SessionRun:
+    """Compile ``graph`` and run it once."""
+    return SimulationSession(compile_graph(graph)).run(start_time=start_time)
+
+
+def spans(run: SessionRun) -> dict[int, tuple[float, float]]:
+    """``task_id -> (start, end)`` of every task of ``run``."""
+    ids = [task.task_id for task in run.compiled.tasks]
+    return dict(zip(ids, zip(run.starts.tolist(), run.ends.tolist())))
 
 
 def tiny_model(n_layers: int = 4, d_model: int = 1024, name: str = "tiny-gpt") -> ModelConfig:

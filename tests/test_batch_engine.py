@@ -542,12 +542,16 @@ class TestWhatIfBatching:
             assert result == alone
 
     def test_shared_session_and_baseline(self, small_graph):
+        # Row 0 of the batch is the graph's own durations: every result's
+        # baseline is a sequential run of them, bit for bit.
         session = SimulationSession(compile_graph(small_graph))
         baseline = session.run()
-        batched = evaluate_scenarios(small_graph, list(self.SCENARIOS),
-                                     baseline=baseline, session=session)
+        batched = evaluate_scenarios(small_graph, [None, *self.SCENARIOS],
+                                     session=session)
         assert all(result.baseline_time_us == baseline.iteration_time_us
                    for result in batched)
+        assert batched[0].scenario_time_us == baseline.iteration_time_us
+        assert batched[0].affected_tasks == 0
 
     def test_empty_scenario_list(self, small_graph):
         assert evaluate_scenarios(small_graph, []) == []

@@ -90,8 +90,8 @@ class TestSharedBuilds:
         assert len(result) == 4
         # Two topologies (the base and 2x1x2): the retargets reuse them.
         assert builds["_compile_graph"] == 2
-        prefix, _ = study.config_session("parallelism:2x1x2")
-        composite, _ = study.config_session("parallelism=2x1x2,gpu=H200-SXM")
+        *_, prefix = study.config_state("parallelism:2x1x2")
+        *_, composite = study.config_state("parallelism=2x1x2,gpu=H200-SXM")
         assert composite.compiled._topology is prefix.compiled._topology
         assert composite.compiled.graph is not prefix.compiled.graph
 

@@ -10,10 +10,10 @@ from repro.core.whatif import Scenario, evaluate_scenarios, scenario_for
 from tests.conftest import simulate
 
 
-def evaluate(graph, kind, *, baseline=None, **knobs):
+def evaluate(graph, kind, *, session=None, **knobs):
     """One declarative scenario against ``graph`` (the Study.whatif path)."""
     return evaluate_scenarios(graph, [scenario_for(kind, **knobs)],
-                              baseline=baseline)[0]
+                              session=session)[0]
 
 
 def evaluate_predicate(graph, name, predicate, speedup):
@@ -136,8 +136,9 @@ class TestWhatIf:
 
     def test_comm_speedup_bounded_by_exposed_comm(self, small_graph, small_replay):
         exposed = small_replay.breakdown().exposed_communication
-        result = evaluate(small_graph, "communication", speedup=float("inf"),
-                          baseline=small_replay)
+        result = evaluate(small_replay.graph, "communication", speedup=float("inf"),
+                          session=small_replay.session())
+        assert result.baseline_time_us == small_replay.iteration_time_us
         assert result.saved_us >= -1e-6
         # Removing communication cannot save more than everything that was not
         # pure compute in the baseline.
@@ -163,11 +164,12 @@ class TestWhatIf:
             evaluate_predicate(small_graph, "nan", lambda t: True, float("nan"))
 
     def test_baseline_reuse_matches_fresh_simulation(self, small_graph, small_replay):
-        with_baseline = evaluate(small_graph, "kernel_class", op_class="gemm",
-                                 baseline=small_replay)
+        # The replay's session times the same baseline row as a fresh compile.
+        reused = evaluate(small_replay.graph, "kernel_class", op_class="gemm",
+                          session=small_replay.session())
         fresh = evaluate(small_graph, "kernel_class", op_class="gemm")
-        assert with_baseline.scenario_time_us == pytest.approx(fresh.scenario_time_us)
-        assert with_baseline.baseline_time_us == pytest.approx(fresh.baseline_time_us)
+        assert reused == fresh
+        assert reused.baseline_time_us == small_replay.iteration_time_us
 
     def test_what_if_result_properties(self):
         from repro.core.whatif import WhatIfResult

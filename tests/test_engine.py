@@ -46,13 +46,10 @@ def assert_bit_identical(graph: ExecutionGraph, start_time: float = 0.0) -> None
         index = compiled.index_of[task_id]
         assert run.starts[index] == start
         assert run.durations[index] == duration
-    # Finalize order (which the materialised result exposes as dict
-    # insertion order) must match the seed's scheduling order too.
+    # Finalize order (which orders the rendered trace's same-time events)
+    # must match the seed's scheduling order too.
     engine_order = [compiled.tasks[i].task_id for i in run.finalize_order.tolist()]
     assert engine_order == list(expected)
-    materialised = simulate(graph, start_time=start_time)
-    assert {tid: (t.start, t.duration) for tid, t in materialised.tasks.items()} == expected
-    assert list(materialised.tasks) == list(expected)
 
 
 class TestEdgeCases:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.breakdown import rank_breakdown
+from repro.core.critical_path import critical_path
 from repro.core.engine import SimulationSession, _compile_graph, compile_graph
 from repro.core.graph import ExecutionGraph
 from repro.core.sm_utilization import sm_utilization_timeline
@@ -18,7 +19,7 @@ from repro.kernels.gemm import gemm_time_us
 from repro.trace.events import Category, TraceEvent
 from repro.trace.kineto import KinetoTrace
 from repro.workload.pipeline import one_f_one_b_schedule, stage_layers
-from tests.conftest import hyp_max_examples, simulate
+from tests.conftest import hyp_max_examples, simulate, spans
 
 # --------------------------------------------------------------------------------------
 # Strategies
@@ -197,22 +198,23 @@ class TestSimulatorProperties:
     @given(random_task_graph())
     @settings(max_examples=hyp_max_examples(60), deadline=None)
     def test_all_tasks_scheduled_and_dependencies_respected(self, graph):
-        result = simulate(graph)
-        assert len(result.tasks) == len(graph)
+        span = spans(simulate(graph))
+        assert span.keys() == graph.tasks.keys()
         for dependency in graph.dependencies:
-            assert result.tasks[dependency.dst].start >= result.tasks[dependency.src].end - 1e-6
+            assert span[dependency.dst][0] >= span[dependency.src][1] - 1e-6
 
     @given(random_task_graph())
     @settings(max_examples=hyp_max_examples(60), deadline=None)
     def test_processors_never_oversubscribed(self, graph):
         result = simulate(graph)
         by_processor = {}
-        for simulated in result.tasks.values():
-            by_processor.setdefault(simulated.task.processor, []).append(simulated)
-        for simulated_tasks in by_processor.values():
-            simulated_tasks.sort(key=lambda t: t.start)
-            for previous, current in zip(simulated_tasks, simulated_tasks[1:]):
-                assert current.start >= previous.end - 1e-6
+        for task, start, end in zip(result.compiled.tasks, result.starts.tolist(),
+                                    result.ends.tolist()):
+            by_processor.setdefault(task.processor, []).append((start, end))
+        for intervals in by_processor.values():
+            intervals.sort()
+            for previous, current in zip(intervals, intervals[1:]):
+                assert current[0] >= previous[1] - 1e-6
 
     @given(random_task_graph())
     @settings(max_examples=hyp_max_examples(60), deadline=None)
@@ -223,6 +225,59 @@ class TestSimulatorProperties:
         serial = sum(t.duration for t in graph.tasks.values())
         assert total >= longest_task - 1e-6
         assert total <= serial + 1e-6
+
+
+# --------------------------------------------------------------------------------------
+# Critical path: the array walk matches a walk over per-task records
+# --------------------------------------------------------------------------------------
+
+def _record_walk(graph: ExecutionGraph, run) -> list[tuple[int, float, float]]:
+    """The critical path walked over ``(task, start, duration, end)`` records.
+
+    Records are kept in scheduling order and each processor's in
+    ``(start, task_id)`` order; Python's ``max`` keeps the first maximum.
+    This is the reference for :func:`critical_path`'s array walk.
+    """
+    tasks = run.compiled.tasks
+    records = {}
+    for index in run.finalize_order.tolist():
+        start, duration = float(run.starts[index]), float(run.durations[index])
+        records[tasks[index].task_id] = (tasks[index], start, duration, start + duration)
+    on_processor = {}
+    for record in records.values():
+        on_processor.setdefault(record[0].processor, []).append(record)
+    previous_of = {}
+    for chain in on_processor.values():
+        chain.sort(key=lambda r: (r[1], r[0].task_id))
+        for previous, current in zip(chain, chain[1:]):
+            previous_of[current[0].task_id] = previous[0].task_id
+    current = max(records.values(), key=lambda r: r[3])
+    path, visited = [], set()
+    while current[0].task_id not in visited:
+        visited.add(current[0].task_id)
+        path.append(current)
+        candidates = [records[task_id] for task_id in graph.predecessors(current[0].task_id)]
+        if current[0].task_id in previous_of:
+            candidates.append(records[previous_of[current[0].task_id]])
+        if not candidates:
+            break
+        exact = [r for r in candidates if abs(r[3] - current[1]) < 1e-6]
+        current = max(exact or candidates, key=lambda r: r[3])
+        if current[3] < run.start_time + 1e-9 and current[1] <= run.start_time:
+            path.append(current)
+            break
+    return [(task.task_id, start, duration) for task, start, duration, _ in reversed(path)]
+
+
+class TestCriticalPathProperties:
+    @given(random_task_graph())
+    @settings(max_examples=hyp_max_examples(60), deadline=None)
+    def test_array_walk_matches_the_record_walk(self, graph):
+        run = simulate(graph)
+        path = critical_path(graph, run)
+        assert [(e.task.task_id, e.start, e.duration) for e in path.entries] == \
+            _record_walk(graph, run)
+        assert path.total_time == run.total_time()
 
 
 # --------------------------------------------------------------------------------------

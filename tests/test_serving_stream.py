@@ -168,19 +168,17 @@ class TestBaseServingMetrics:
 
     def test_dense_array_path_is_bit_identical(self, stream_study):
         # Every path scores the run's dense (tasks, starts, durations)
-        # arrays; scoring the rendered SimulationResult instead (its tasks
-        # in dict order) must agree exactly.
-        replay = stream_study.replay()
+        # arrays; scoring them in scheduling order instead must agree
+        # exactly.
+        run = stream_study.replay().run
         plan = stream_study.stream_plan
-        simulated = list(replay.simulation.tasks.values())
-        from_sim = metrics_from_task_times(
-            [entry.task for entry in simulated],
-            [entry.start for entry in simulated],
-            [entry.duration for entry in simulated], plan)
-        run = replay.run
+        order = run.finalize_order.tolist()
+        from_schedule = metrics_from_task_times(
+            [run.compiled.tasks[index] for index in order],
+            run.starts[order].tolist(), run.durations[order].tolist(), plan)
         from_arrays = metrics_from_task_times(
             run.compiled.tasks, run.starts, run.durations, plan)
-        assert from_arrays == from_sim
+        assert from_arrays == from_schedule
 
     def test_training_study_has_no_stream(self):
         study = Study.from_emulation(tiny_model(), "2x1x1", iterations=1, seed=5)
@@ -241,15 +239,15 @@ class TestStreamWhatIf:
 
     def test_evaluate_scenarios_scores_against_the_deadline(self, stream_study):
         # evaluate_scenarios attaches the metrics itself, against deadline_ms.
-        graph, _, session, run = stream_study.config_state(None)
+        graph, _, session = stream_study.config_state(None)
         scenarios = [scenario_for("kernel_class", op_class="gemm", speedup=1.0)] * 2
-        loose, tight = (evaluate_scenarios(graph, scenarios[:1], baseline=run,
-                                           session=session, deadline_ms=deadline)[0]
+        loose, tight = (evaluate_scenarios(graph, scenarios[:1], session=session,
+                                           deadline_ms=deadline)[0]
                         for deadline in (None, 0.001))
         assert loose.serving == stream_study.base_serving_metrics()
         assert tight.serving == stream_study.base_serving_metrics(deadline_ms=0.001)
-        batched = evaluate_scenarios(graph, scenarios, session=session)
-        assert [result.serving for result in batched] == [loose.serving] * 2
+        batched = evaluate_scenarios(graph, [None, *scenarios], session=session)
+        assert [result.serving for result in batched] == [loose.serving] * 3
 
     def test_training_whatif_has_no_serving(self):
         study = Study.from_emulation(tiny_model(), "2x1x1", iterations=1, seed=5)

@@ -21,10 +21,9 @@ from repro.api import (
     Target,
     predict,
 )
-from repro.core.engine import SessionRun
+from repro.core.engine import SessionRun, SimulationSession
 from repro.core.manipulation import dispatch
 from repro.core.replay import replay
-from repro.core.simulator import SimulationResult
 from repro.core.whatif import WhatIfResult, evaluate_scenarios, scenario_for
 from repro.emulator.api import emulate
 from repro.observability import coerce_bundle
@@ -131,14 +130,14 @@ class TestMemoization:
         assert first is second
         graph, _ = study.derived_graph("2x1x4")
         assert graph is first.graph
-        session, run = study.config_session("2x1x4")
-        session2, run2 = study.config_session("parallelism:2x1x4")
-        assert session is session2 and run is run2
+        *_, session = study.config_state("2x1x4")
+        *_, session2 = study.config_state("parallelism:2x1x4")
+        assert session is session2 and session.compiled is first.result.run.compiled
 
     def test_config_state_scratch_does_not_pin(self, study):
         key = Target(KIND_PARALLELISM, "2x2x1")
-        graph, world_size, session, run = study.config_state(key, retain=False)
-        assert world_size == 4 and run.iteration_time_us > 0
+        graph, world_size, session = study.config_state(key, retain=False)
+        assert world_size == 4 and session.compiled.graph is graph
         assert key not in study._graphs
         assert key not in study._sessions
         # The memos are keyed by that Target: retaining pins it.
@@ -146,9 +145,9 @@ class TestMemoization:
         assert key in study._graphs and key in study._sessions
         # ... and cached state from an earlier predict is still reused.
         prediction = study.predict("2x1x4")
-        _, _, _, cached_run = study.config_state("2x1x4", retain=False)
-        assert cached_run.iteration_time_us == \
-            pytest.approx(prediction.iteration_time_us)
+        *_, cached = study.config_state("2x1x4", retain=False)
+        assert cached is study._sessions[Target(KIND_PARALLELISM, "2x1x4")]
+        assert cached.compiled is prediction.result.run.compiled
 
     def test_release_drops_target_caches_keeps_calibration(self, study):
         study.predict("2x1x4")
@@ -160,16 +159,18 @@ class TestMemoization:
         assert study.calibrations == 1
 
     def test_baseline_session_reuses_replay_run(self, study):
-        # The base replay already simulated the base durations; the
-        # baseline config session must not re-run Algorithm 1.
-        _, run = study.config_session(BASE_PARALLELISM)
-        assert run is study.replay().run
+        # The base replay already compiled and simulated the base: its
+        # session reuses the compiled graph, and predicting the base
+        # keeps the replay's run instead of re-running Algorithm 1.
+        *_, session = study.config_state(BASE_PARALLELISM)
+        assert session.compiled is study.replay().run.compiled
+        assert study.predict(BASE_PARALLELISM).result.run is study.replay().run
 
     def test_whatif_reuses_predict_session(self, study):
         study.predict("2x1x4")
-        session_before, _ = study.config_session("2x1x4")
+        *_, session_before = study.config_state("2x1x4")
         study.whatif("kernel_class", target="2x1x4", op_class="gemm")
-        session_after, _ = study.config_session("2x1x4")
+        *_, session_after = study.config_state("2x1x4")
         assert session_before is session_after
 
 
@@ -332,6 +333,39 @@ class TestSweep:
             study.sweep(bad)
 
 
+class TestGroupRuns:
+    """A sweep group is one simulation call whose row 0 is its configuration."""
+
+    @pytest.fixture()
+    def runs(self, study, monkeypatch):
+        study.prepare()
+        graphs = []
+        run = SimulationSession.run
+
+        def counted(session, *args, **kwargs):
+            graphs.append(session.compiled.graph)
+            return run(session, *args, **kwargs)
+
+        monkeypatch.setattr(SimulationSession, "run", counted)
+        return graphs
+
+    def test_batched_groups_make_no_sequential_runs(self, study, runs):
+        result = study.sweep(parallelism=["2x1x4"], hardware=["H200-SXM"],
+                             whatif=["gemm:2", "comm:2"])
+        assert len(result) == 4 * 3
+        assert runs == []
+
+    def test_one_whatif_group_runs_its_two_rows_in_sequence(self, study, runs):
+        result = study.sweep(parallelism=["2x1x4"], whatif=["gemm:2"],
+                             include_baseline=False)
+        assert len(result) == 2
+        graph, _ = study.derived_graph("2x1x4")
+        assert runs == [graph, graph]
+        plain, gemm = result.results
+        assert gemm.base_time_us == plain.base_time_us == study.base_time_us
+        assert plain.iteration_time_us == study.predict("2x1x4").iteration_time_us
+
+
 class TestBaseFold:
     """A target equal to the base is the base, in predict and sweep alike."""
 
@@ -366,8 +400,8 @@ class TestBaseFold:
         assert rows["2x1x1"].iteration_time_us == h100_study.base_time_us
 
     def test_memo_keys_are_folded_targets(self, h100_study):
-        assert h100_study.config_session("parallelism=2x1x1,gpu=H100-SXM") is \
-            h100_study.config_session(None)
+        assert h100_study.config_state("parallelism=2x1x1,gpu=H100-SXM")[2] is \
+            h100_study.config_state(None)[2]
         h100_study.predict("parallelism=2x1x2,gpu=H100-SXM")
         assert list(h100_study._predictions) == [Target(KIND_PARALLELISM, "2x1x2")]
 
@@ -392,8 +426,10 @@ class TestPickling:
         # the spawn start method: the snapshot has no bundle and no
         # replay, only the base graph — sessions must rebuild from it.
         clone = pickle.loads(pickle.dumps(study.prepare()))
-        session, run = clone.config_session(BASE_PARALLELISM)
-        assert run.iteration_time_us == pytest.approx(study.base_time_us)
+        prediction = clone.predict(BASE_PARALLELISM)
+        assert prediction.iteration_time_us == pytest.approx(study.base_time_us)
+        result = clone.whatif("kernel_class", target=BASE_PARALLELISM, op_class="gemm")
+        assert result.baseline_time_us == pytest.approx(study.base_time_us)
 
     def test_custom_model_survives_pickling(self, study):
         import dataclasses
@@ -420,18 +456,14 @@ class TestRenderOnRead:
 
     @pytest.fixture()
     def renders(self, monkeypatch):
-        calls = {"simulation": 0, "bundle": 0}
+        calls = {"bundle": 0}
+        original = SessionRun.to_trace_bundle
 
-        def spy(name, original):
-            def counted(self):
-                calls[name] += 1
-                return original(self)
-            return counted
+        def counted(self):
+            calls["bundle"] += 1
+            return original(self)
 
-        monkeypatch.setattr(SessionRun, "to_simulation_result",
-                            spy("simulation", SessionRun.to_simulation_result))
-        monkeypatch.setattr(SimulationResult, "to_trace_bundle",
-                            spy("bundle", SimulationResult.to_trace_bundle))
+        monkeypatch.setattr(SessionRun, "to_trace_bundle", counted)
         return calls
 
     def test_predictions_render_nothing_unasked(self, renders):
@@ -451,9 +483,9 @@ class TestRenderOnRead:
             prediction.serving_metrics()
             predict_result_payload(prediction)
         assert predictions[1].serving_metrics() is not None
-        assert renders == {"simulation": 0, "bundle": 0}
+        assert renders == {"bundle": 0}
 
         prediction = predictions[0]
         assert prediction.breakdown() == prediction.breakdown()
         assert len(coerce_bundle(prediction)) > 0
-        assert renders == {"simulation": 1, "bundle": 1}
+        assert renders == {"bundle": 1}

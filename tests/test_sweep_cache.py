@@ -3,6 +3,7 @@
 import os
 import shutil
 import threading
+from pathlib import Path
 
 from repro.sweep.cache import CacheStats, SweepCache
 from repro.sweep.hashing import hash_json, hash_trace_bundle
@@ -189,6 +190,34 @@ class TestDiskStatsAndPrune:
         # The oldest entry (stored first, mtime farthest back) is gone;
         # the two younger survive.
         assert cache.lookup(BUNDLE_HASH, "0" * 64) is None
+        assert cache.lookup(BUNDLE_HASH, "1" * 64) is not None
+        assert cache.lookup(BUNDLE_HASH, "2" * 64) is not None
+
+    def test_prune_counts_an_entry_deleted_underneath_as_evicted(self, tmp_path,
+                                                                monkeypatch):
+        cache = SweepCache(tmp_path / "cache")
+        for index, age in enumerate((100, 50, 10)):  # older = smaller mtime
+            cache.store(BUNDLE_HASH, str(index) * 64, _result_payload(float(index)))
+            path = cache._entry_path(BUNDLE_HASH, str(index) * 64)
+            os.utime(path, (1_000_000 - age, 1_000_000 - age))
+        oldest = cache._entry_path(BUNDLE_HASH, "0" * 64)
+        sizes = [cache._entry_path(BUNDLE_HASH, str(index) * 64).stat().st_size
+                 for index in range(3)]
+        unlink = Path.unlink
+
+        def raced(path, *args, **kwargs):
+            if path == oldest:
+                # Another process evicts the oldest entry first.
+                unlink(path)
+                raise FileNotFoundError(str(path))
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", raced)
+        summary = cache.prune(sizes[1] + sizes[2])
+        # The vanished entry freed the budget: nothing younger is evicted.
+        assert summary == {"removed": 1, "freed_bytes": sizes[0],
+                           "remaining_entries": 2,
+                           "remaining_bytes": sizes[1] + sizes[2]}
         assert cache.lookup(BUNDLE_HASH, "1" * 64) is not None
         assert cache.lookup(BUNDLE_HASH, "2" * 64) is not None
 

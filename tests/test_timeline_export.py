@@ -121,7 +121,6 @@ class TestCoercion:
         for source in (training_study.trace,
                        next(iter(training_study.trace)),
                        replay,
-                       replay.simulation,
                        replay.run,
                        prediction):
             bundle = coerce_bundle(source)
