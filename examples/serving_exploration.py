@@ -3,7 +3,7 @@
 One emulated serving episode — a prefill over the prompt batch plus
 autoregressive decode steps under tensor parallelism — is profiled,
 replayed and calibrated once, and then the deployment space is explored
-without running anything: continuous-batching scale-up (``batch=``),
+without running anything: a larger fixed batch (``batch=``),
 longer prompts (``prompt=``), TP resharding (``tp=``), and decode-kernel
 what-ifs.
 

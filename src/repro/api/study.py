@@ -696,26 +696,16 @@ class Study:
         """
         return self._graph(self._key(target))
 
-    def config_state(self, target: TargetLike | None, *, retain: bool = True) \
+    def config_state(self, target: TargetLike | None) \
             -> tuple[ExecutionGraph, int, SimulationSession]:
         """Derived graph, world size and compiled session for one target.
 
         Nothing is simulated: what-if evaluation times the configuration
-        as row 0 of its own call.  With ``retain=False`` the target's
-        graph and session are not pinned in the study's caches (cached
-        state is still reused when present) — the sweep runner uses this
-        for throwaway studies and pool workers, whose groups are each
-        evaluated once, so per-group state should be freed with the group
-        instead of accumulating for the sweep's lifetime.  A composite
-        target's workload prefix is still derived through the memo, so it
-        stays pinned.  The baseline configuration is always served from
-        the memoized replay (one bounded entry).
+        as row 0 of its own call.  Both are memoized on the study, like
+        :meth:`predict`'s; :meth:`release` drops them.
         """
         key = self._key(target)
-        if retain or key.kind == KIND_BASELINE or key in self._sessions:
-            return (*self._graph(key), self._session(key))
-        graph, world_size = self._graphs.get(key) or self._derive(key)
-        return graph, world_size, self._compile(key, graph)
+        return (*self._graph(key), self._session(key))
 
     def release(self) -> None:
         """Drop the memoized per-target graphs, sessions and predictions.

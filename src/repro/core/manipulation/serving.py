@@ -6,15 +6,16 @@ prompt length and tensor-parallel degree: the same kernels run in the same
 order, only their shapes (and the TP communicator) change.  Deriving the
 graph for a serving target is therefore a pure re-timing pass: every GPU
 task is matched back to its operator (the emulator records ``op_name``,
-``phase`` and the decode-step index in the event args), the operator's
-shape is regenerated for the base and the target configuration from the
-same decomposition the emulator used
-(:mod:`repro.workload.inference`), and the observed duration is rescaled
-by the analytical ratio — the paper's §3.4 recipe, where systematic model
-error cancels in the ratio.  The derived graph is a copy-on-write
-:meth:`~repro.core.graph.ExecutionGraph.clone`: it keeps the base's task
-ids and edges, shares every task it does not retime, and so compiles to
-the base's shared structure and batch plan.
+``phase`` and the prefill-chunk or decode-step index in the event args),
+the operator's shape is regenerated for the base and the target
+configuration from the decomposition (:mod:`repro.workload.inference`)
+and the schedule the emulator used (a stream's plan from the graph
+metadata, the one-chunk schedule for a fixed-batch episode), and the
+observed duration is rescaled by the analytical ratio — the paper's §3.4
+recipe, where systematic model error cancels in the ratio.  The derived
+graph is a copy-on-write :meth:`~repro.core.graph.ExecutionGraph.clone`:
+it keeps the base's task ids and edges, shares every task it does not
+retime, and so compiles to the base's shared structure and batch plan.
 
 Knobs that would change the topology are refused up front by the serving
 resolve step (:func:`resolve_serving`), the one copy of the serving
@@ -53,19 +54,15 @@ from repro.workload.inference import (
     prefill_embedding_ops,
     prefill_head_ops,
     prefill_layer_ops,
-    stream_decode_embedding_ops,
-    stream_decode_head_ops,
-    stream_decode_layer_ops,
-    stream_prefill_embedding_ops,
-    stream_prefill_head_ops,
-    stream_prefill_layer_ops,
     validate_tp_for_model,
 )
 from repro.workload.model_config import ModelConfig
 from repro.workload.operators import OpClass, OpSpec
 from repro.workload.parallelism import ParallelismConfig
 
-#: Lookup key of one operator instance: (phase, op_name, decode step).
+#: Lookup key of one operator instance: (phase, op_name, index), where the
+#: index is the prefill chunk or the global decode step — the ``microbatch``
+#: the emulator recorded on the task.
 _OpKey = tuple[str, str, int | None]
 
 #: Machine-readable refusal code: a ``batch=`` target that changes the cap
@@ -75,62 +72,41 @@ REFUSE_STREAM_BATCH = "serving-stream-batch-policy"
 
 
 def _op_table(model: ModelConfig, parallel: ParallelismConfig,
-              config: InferenceConfig) -> dict[_OpKey, OpSpec]:
-    """Regenerate the serving episode's operators, keyed like trace tasks.
+              config: InferenceConfig, plan: StreamPlan | None) -> dict[_OpKey, OpSpec]:
+    """Regenerate a serving episode's operators, keyed like trace tasks.
 
-    Prefill ops key on step ``None``; decode ops key on their step index
-    (shapes depend on the step through the KV-cache context length).
+    ``plan`` is a stream's admission schedule, held fixed so the same
+    chunks and steps are regenerated at the target shapes; a fixed episode
+    (``None``) is the one-chunk schedule of ``config``'s own batch.
+    Prefill ops key on their chunk index, decode ops on their global step
+    index (shapes depend on the step through the KV-cache contexts).
     Layers are architecturally identical, so the layer index is not part
     of the key.
     """
-    table: dict[_OpKey, OpSpec] = {}
-    for op in (prefill_embedding_ops(model, parallel, config)
-               + prefill_layer_ops(model, parallel, config)
-               + prefill_head_ops(model, parallel, config)):
-        table[("prefill", op.name, None)] = op
-    for step in range(config.decode_length):
-        for op in (decode_embedding_ops(model, parallel, config, step)
-                   + decode_layer_ops(model, parallel, config, step)
-                   + decode_head_ops(model, parallel, config, step)):
-            table[("decode", op.name, step)] = op
-    return table
-
-
-def _stream_op_table(model: ModelConfig, parallel: ParallelismConfig,
-                     config: InferenceConfig,
-                     plan: StreamPlan) -> dict[_OpKey, OpSpec]:
-    """Regenerate a continuous-batching episode's operators.
-
-    The admission schedule is held fixed (it lives in the plan), so the
-    same chunks and steps are regenerated at the target shapes: prefill
-    ops key on their chunk index, decode ops on their global step index
-    — matching the ``microbatch`` the stream builder recorded.
-    """
+    if plan is None:
+        plan = StreamPlan.one_chunk(config.batch_size, config.decode_length)
     table: dict[_OpKey, OpSpec] = {}
     for chunk, admitted in enumerate(plan.chunk_requests):
-        batch = len(admitted)
-        for op in (stream_prefill_embedding_ops(model, parallel, config, batch)
-                   + stream_prefill_layer_ops(model, parallel, config, batch)
-                   + stream_prefill_head_ops(model, parallel, config, batch)):
+        chunk_config = config.with_changes(batch_size=len(admitted))
+        for op in (prefill_embedding_ops(model, parallel, chunk_config)
+                   + prefill_layer_ops(model, parallel, chunk_config)
+                   + prefill_head_ops(model, parallel, chunk_config)):
             table[("prefill", op.name, chunk)] = op
     for step in range(plan.num_steps):
         contexts = plan.step_contexts(config.prompt_length, step)
-        for op in (stream_decode_embedding_ops(model, parallel, config, contexts)
-                   + stream_decode_layer_ops(model, parallel, config, contexts)
-                   + stream_decode_head_ops(model, parallel, config, contexts)):
+        for op in (decode_embedding_ops(model, parallel, config, contexts)
+                   + decode_layer_ops(model, parallel, config, contexts)
+                   + decode_head_ops(model, parallel, config, contexts)):
             table[("decode", op.name, step)] = op
     return table
 
 
-def _task_key(task: Task, stream: bool = False) -> _OpKey | None:
+def _task_key(task: Task) -> _OpKey | None:
     phase = task.args.get("phase")
     op_name = task.args.get("op_name")
     if phase not in ("prefill", "decode") or not op_name:
         return None
-    # Fixed episodes have one prefill (step None); stream episodes key
-    # prefill ops on their chunk index, carried in ``microbatch``.
-    step = task.args.get("microbatch") if (phase == "decode" or stream) else None
-    return (str(phase), str(op_name), step)
+    return (str(phase), str(op_name), task.args.get("microbatch"))
 
 
 def resolve_serving(config: Configuration, target: ServingTarget) -> Configuration:
@@ -201,16 +177,10 @@ def rescale_serving_graph(graph: ExecutionGraph,
     scaled_model = KernelPerfModel(cluster=cluster, dtype_bytes=perf_model.dtype_bytes,
                                    calibration=dict(perf_model.calibration))
 
-    if plan is not None:
-        # Stream re-timing holds the admission schedule fixed: the same
-        # chunks and steps run at the target shapes/topology.  (A target
-        # that made the engine schedule differently is exactly the
-        # ``batch=`` refusal of :func:`resolve_serving`.)
-        old_ops = _stream_op_table(base_model, base_parallel, base_inference, plan)
-        new_ops = _stream_op_table(base_model, new_parallel, new_inference, plan)
-    else:
-        old_ops = _op_table(base_model, base_parallel, base_inference)
-        new_ops = _op_table(base_model, new_parallel, new_inference)
+    # A stream's schedule is the same on both sides: a target that would
+    # reschedule it is the ``batch=`` refusal of :func:`resolve_serving`.
+    old_ops = _op_table(base_model, base_parallel, base_inference, plan)
+    new_ops = _op_table(base_model, new_parallel, new_inference, plan)
     new_tp_ranks = new_parallel.groups().tp_group(0).ranks
 
     # Re-timing changes durations and shape args only, so the derived graph
@@ -221,7 +191,7 @@ def rescale_serving_graph(graph: ExecutionGraph,
     for task_id, task in graph.tasks.items():
         if task.kind == TaskKind.GPU:
             gpu_tasks += 1
-            key = _task_key(task, stream=plan is not None)
+            key = _task_key(task)
             old_op = old_ops.get(key) if key is not None else None
             new_op = new_ops.get(key) if key is not None else None
             if old_op is not None and new_op is not None:

@@ -4,15 +4,23 @@ The builder expands a (model, parallelism, inference) configuration into
 the instruction stream of one *serving episode* on one representative rank
 (tensor-parallel peers execute mirrored work whose cost is captured
 through communicator group sizes; data-parallel replicas serve independent
-request batches and never communicate):
+request batches and never communicate).  The episode follows one
+schedule, a :class:`~repro.workload.arrivals.StreamPlan` of items:
 
-* a **prefill** phase runs the whole prompt batch through every layer —
-  the same large compute kernels as a training forward pass — and samples
-  the first token;
-* ``decode_length`` **decode steps** each run one token per request
-  through every layer: skinny GEMMs, a memory-bound KV-cache attention
-  sweep, and (under TP) a per-step all-reduce after the attention and MLP
-  blocks, fenced against compute exactly like training TP collectives.
+* a **prefill** chunk runs its admitted requests' prompts through every
+  layer — the same large compute kernels as a training forward pass — and
+  samples their first tokens;
+* a **decode** step runs one token per in-flight request through every
+  layer: skinny GEMMs, a memory-bound KV-cache attention sweep over each
+  request's context, and (under TP) a per-step all-reduce after the
+  attention and MLP blocks, fenced against compute exactly like training
+  TP collectives;
+* a **wait** idles the host until the next request arrives.
+
+A continuous-batching stream gets its plan from the FCFS
+:class:`ContinuousBatchingPlanner`.  A fixed-batch episode is the
+one-chunk schedule (:meth:`~repro.workload.arrivals.StreamPlan.one_chunk`):
+one prefill chunk of ``batch_size`` requests, then ``decode_length`` steps.
 
 The emulated serving loop launches ahead, async-engine style: sampled
 tokens stay on-device and feed the next step through compute-stream
@@ -51,15 +59,10 @@ from repro.workload.inference import (
     prefill_embedding_ops,
     prefill_head_ops,
     prefill_layer_ops,
-    stream_decode_embedding_ops,
-    stream_decode_head_ops,
-    stream_decode_layer_ops,
-    stream_prefill_embedding_ops,
-    stream_prefill_head_ops,
-    stream_prefill_layer_ops,
     validate_tp_for_model,
 )
 from repro.workload.model_config import ModelConfig
+from repro.workload.operators import OpSpec
 from repro.workload.parallelism import ParallelismConfig
 
 _TOKENIZE_US = 350.0
@@ -112,22 +115,21 @@ class ContinuousBatchingPlanner:
                    for op in ops)
 
     def _prefill_us(self, batch: int) -> float:
+        config = self.config.with_changes(batch_size=batch)
         total = _TOKENIZE_PER_REQUEST_US * batch + _PREFILL_PYTHON_US
-        total += self._ops_us(stream_prefill_embedding_ops(
-            self.model, self.parallel, self.config, batch))
-        total += self.model.n_layers * self._ops_us(stream_prefill_layer_ops(
-            self.model, self.parallel, self.config, batch))
-        total += self._ops_us(stream_prefill_head_ops(
-            self.model, self.parallel, self.config, batch))
+        total += self._ops_us(prefill_embedding_ops(self.model, self.parallel, config))
+        total += self.model.n_layers * self._ops_us(prefill_layer_ops(
+            self.model, self.parallel, config))
+        total += self._ops_us(prefill_head_ops(self.model, self.parallel, config))
         return total
 
     def _decode_us(self, contexts: tuple[int, ...]) -> float:
         total = _DECODE_PYTHON_US
-        total += self._ops_us(stream_decode_embedding_ops(
+        total += self._ops_us(decode_embedding_ops(
             self.model, self.parallel, self.config, contexts))
-        total += self.model.n_layers * self._ops_us(stream_decode_layer_ops(
+        total += self.model.n_layers * self._ops_us(decode_layer_ops(
             self.model, self.parallel, self.config, contexts))
-        total += self._ops_us(stream_decode_head_ops(
+        total += self._ops_us(decode_head_ops(
             self.model, self.parallel, self.config, contexts))
         return total
 
@@ -248,65 +250,17 @@ class InferenceProgramBuilder(ProgramEmitter):
         return {0: self._build_rank(0)}
 
     # -- per-rank construction ------------------------------------------------
+    # Prefill chunks carry their chunk index in ``microbatch`` and decode
+    # steps their global step index (phase disambiguates).  A fixed
+    # episode's prefill is chunk 0.  The structure keeps the batched-kernel
+    # fast path provable: all kernels chain on the compute stream, TP
+    # collectives stay event-fenced, waits are plain host compute, and the
+    # only blocking sync is the final full drain.
 
     def _build_rank(self, rank: int) -> RankProgram:
-        if self.stream_plan is not None:
-            return self._build_stream_rank(rank, self.stream_plan)
-        context = _RankContext(rank=rank, stage=0,
-                               program=RankProgram(rank=rank, stage=0))
-        program = context.program
-        program.append(CpuCompute(thread=Threads.MAIN, name="request_batch_next",
-                                  duration_us=_DATA_LOADER_US, phase="other"))
-        program.append(CpuCompute(thread=Threads.MAIN, name="tokenize_prompts",
-                                  duration_us=_TOKENIZE_US, phase="other"))
-        self._emit_prefill(context)
-        for step in range(self.inference.decode_length):
-            self._emit_decode_step(context, step)
-        program.append(DeviceSync(thread=Threads.MAIN))
-        program.append(CpuCompute(thread=Threads.MAIN, name="detokenize_responses",
-                                  duration_us=_ITERATION_END_US, phase="other"))
-        return program
-
-    def _emit_prefill(self, context: _RankContext) -> None:
-        program = context.program
-        program.append(CpuCompute(thread=Threads.MAIN, name="python_prefill_step",
-                                  duration_us=_PREFILL_PYTHON_US, phase="prefill"))
-        for op in prefill_embedding_ops(self.model, self.parallel, self.inference):
-            self._launch_compute(context, op, layer=None, microbatch=0,
-                                 thread=Threads.MAIN)
-        for layer in range(self.model.n_layers):
-            for op in prefill_layer_ops(self.model, self.parallel, self.inference):
-                self._launch_op(context, op, layer=layer, microbatch=0,
-                                thread=Threads.MAIN)
-        for op in prefill_head_ops(self.model, self.parallel, self.inference):
-            self._launch_op(context, op, layer=None, microbatch=0,
-                            thread=Threads.MAIN)
-
-    def _emit_decode_step(self, context: _RankContext, step: int) -> None:
-        """One autoregressive step; ``microbatch`` carries the step index."""
-        program = context.program
-        program.append(CpuCompute(thread=Threads.MAIN, name="python_decode_step",
-                                  duration_us=_DECODE_PYTHON_US, phase="decode"))
-        for op in decode_embedding_ops(self.model, self.parallel, self.inference, step):
-            self._launch_compute(context, op, layer=None, microbatch=step,
-                                 thread=Threads.MAIN)
-        for layer in range(self.model.n_layers):
-            for op in decode_layer_ops(self.model, self.parallel, self.inference, step):
-                self._launch_op(context, op, layer=layer, microbatch=step,
-                                thread=Threads.MAIN)
-        for op in decode_head_ops(self.model, self.parallel, self.inference, step):
-            self._launch_op(context, op, layer=None, microbatch=step,
-                            thread=Threads.MAIN)
-
-    # -- continuous-batching stream construction -------------------------------
-    # Prefill chunks carry their chunk index in ``microbatch`` and decode
-    # steps their global step index (phase disambiguates, exactly like the
-    # fixed episode).  The structure keeps the batched-kernel fast path
-    # provable: all kernels chain on the compute stream, TP collectives
-    # stay event-fenced, waits are plain host compute, and the only
-    # blocking sync is the final full drain.
-
-    def _build_stream_rank(self, rank: int, plan: StreamPlan) -> RankProgram:
+        inference = self.inference
+        plan = self.stream_plan or StreamPlan.one_chunk(inference.batch_size,
+                                                        inference.decode_length)
         context = _RankContext(rank=rank, stage=0,
                                program=RankProgram(rank=rank, stage=0))
         program = context.program
@@ -318,53 +272,55 @@ class InferenceProgramBuilder(ProgramEmitter):
                                           duration_us=plan.waits_us[index],
                                           phase="other"))
             elif kind == "prefill":
-                self._emit_stream_prefill(context, plan, index)
+                self._emit_prefill(context, index, len(plan.chunk_requests[index]))
             else:
-                self._emit_stream_decode(context, plan, index)
+                self._emit_decode(context, index,
+                                  plan.step_contexts(inference.prompt_length, index))
         program.append(DeviceSync(thread=Threads.MAIN))
         program.append(CpuCompute(thread=Threads.MAIN, name="detokenize_responses",
                                   duration_us=_ITERATION_END_US, phase="other"))
         return program
 
-    def _emit_stream_prefill(self, context: _RankContext, plan: StreamPlan,
-                             chunk: int) -> None:
-        program = context.program
-        batch = len(plan.chunk_requests[chunk])
-        program.append(CpuCompute(thread=Threads.MAIN, name="tokenize_prompts",
-                                  duration_us=_TOKENIZE_PER_REQUEST_US * batch,
-                                  phase="other"))
-        program.append(CpuCompute(thread=Threads.MAIN, name="python_prefill_step",
-                                  duration_us=_PREFILL_PYTHON_US, phase="prefill"))
-        for op in stream_prefill_embedding_ops(self.model, self.parallel,
-                                               self.inference, batch):
-            self._launch_compute(context, op, layer=None, microbatch=chunk,
-                                 thread=Threads.MAIN)
-        for layer in range(self.model.n_layers):
-            for op in stream_prefill_layer_ops(self.model, self.parallel,
-                                               self.inference, batch):
-                self._launch_op(context, op, layer=layer, microbatch=chunk,
-                                thread=Threads.MAIN)
-        for op in stream_prefill_head_ops(self.model, self.parallel,
-                                          self.inference, batch):
-            self._launch_op(context, op, layer=None, microbatch=chunk,
-                            thread=Threads.MAIN)
+    def _emit_prefill(self, context: _RankContext, chunk: int, batch: int) -> None:
+        """One prefill chunk of ``batch`` admitted requests."""
+        # A fixed episode tokenizes its whole batch up front; a stream
+        # tokenizes each chunk's requests as they are admitted.
+        tokenize_us = (_TOKENIZE_PER_REQUEST_US * batch
+                       if self.stream_plan is not None else _TOKENIZE_US)
+        context.program.append(CpuCompute(thread=Threads.MAIN, name="tokenize_prompts",
+                                          duration_us=tokenize_us, phase="other"))
+        context.program.append(CpuCompute(thread=Threads.MAIN, name="python_prefill_step",
+                                          duration_us=_PREFILL_PYTHON_US, phase="prefill"))
+        config = self.inference.with_changes(batch_size=batch)
+        self._emit_pass(context, chunk,
+                        prefill_embedding_ops(self.model, self.parallel, config),
+                        prefill_layer_ops(self.model, self.parallel, config),
+                        prefill_head_ops(self.model, self.parallel, config))
 
-    def _emit_stream_decode(self, context: _RankContext, plan: StreamPlan,
-                            step: int) -> None:
-        program = context.program
-        contexts = plan.step_contexts(self.inference.prompt_length, step)
-        program.append(CpuCompute(thread=Threads.MAIN, name="python_decode_step",
-                                  duration_us=_DECODE_PYTHON_US, phase="decode"))
-        for op in stream_decode_embedding_ops(self.model, self.parallel,
-                                              self.inference, contexts):
-            self._launch_compute(context, op, layer=None, microbatch=step,
-                                 thread=Threads.MAIN)
-        for layer in range(self.model.n_layers):
-            for op in stream_decode_layer_ops(self.model, self.parallel,
-                                              self.inference, contexts):
-                self._launch_op(context, op, layer=layer, microbatch=step,
+    def _emit_decode(self, context: _RankContext, step: int,
+                     contexts: tuple[int, ...]) -> None:
+        """One autoregressive step over the in-flight requests' ``contexts``."""
+        context.program.append(CpuCompute(thread=Threads.MAIN, name="python_decode_step",
+                                          duration_us=_DECODE_PYTHON_US, phase="decode"))
+        self._emit_pass(context, step,
+                        decode_embedding_ops(self.model, self.parallel, self.inference,
+                                             contexts),
+                        decode_layer_ops(self.model, self.parallel, self.inference,
+                                         contexts),
+                        decode_head_ops(self.model, self.parallel, self.inference,
+                                        contexts))
+
+    def _emit_pass(self, context: _RankContext, microbatch: int,
+                   embedding: list[OpSpec], layer: list[OpSpec],
+                   head: list[OpSpec]) -> None:
+        """Launch one pass: the embedding, every layer, then the head."""
+        for op in embedding:
+            self._launch_op(context, op, layer=None, microbatch=microbatch,
+                            thread=Threads.MAIN)
+        for index in range(self.model.n_layers):
+            for op in layer:
+                self._launch_op(context, op, layer=index, microbatch=microbatch,
                                 thread=Threads.MAIN)
-        for op in stream_decode_head_ops(self.model, self.parallel,
-                                         self.inference, contexts):
-            self._launch_op(context, op, layer=None, microbatch=step,
+        for op in head:
+            self._launch_op(context, op, layer=None, microbatch=microbatch,
                             thread=Threads.MAIN)

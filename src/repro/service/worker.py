@@ -207,6 +207,10 @@ class Worker:
         base = record.payload.get("base")
         if base is None:
             base = (record.payload.get("spec") or {}).get("base") or {}
+        # A sweep's base carries its SLO deadline, which scoring reads from
+        # the spec and the study never does: jobs that differ only in
+        # ``slo_ms`` share one study.
+        base = {name: value for name, value in base.items() if name != "slo_ms"}
         key = (record.bundle_hash, hash_json(base)[:16])
         study = self._studies.get(key)
         if study is None:

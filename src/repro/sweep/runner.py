@@ -166,18 +166,15 @@ def _pool_initializer(study: Study) -> None:
 def _pool_evaluate(item: tuple[Target, list[dict[str, Any]], float | None]) -> list[dict[str, Any]]:
     assert _WORKER_STUDY is not None, "worker pool used before initialisation"
     config, scenarios, slo_ms = item
-    # retain=False: each group is evaluated once, so its derived graph and
-    # session are freed with the group instead of pinning in the worker.
     return _evaluate_group(_WORKER_STUDY, config,
                            [ScenarioSpec.from_json(s) for s in scenarios],
-                           retain=False, slo_ms=slo_ms)
+                           slo_ms=slo_ms)
 
 
 # -- evaluation ---------------------------------------------------------------
 
 def _evaluate_group(study: Study, config: Target,
                     scenarios: list[ScenarioSpec], *,
-                    retain: bool = True,
                     slo_ms: float | None = None) -> list[dict[str, Any]]:
     """Evaluate every scenario sharing one target configuration.
 
@@ -187,14 +184,14 @@ def _evaluate_group(study: Study, config: Target,
     (what a no-what-if scenario reads) and each what-if variant adds one
     row.  Three or more rows run as one batched sweep (falling back to
     per-row sequential runs only for graphs without a duration-independent
-    schedule) — no graph clones, no separate configuration run.
-    ``retain`` memoizes the per-target state on the study (reusing
-    anything a prior ``predict`` already derived); pass ``False`` for
-    throwaway studies so groups free with the loop.
+    schedule) — no graph clones, no separate configuration run.  The
+    per-target state is memoized on the study, so a composite
+    ``<workload>+hardware`` group resumes from its workload sibling's
+    derived graph and reuses anything a prior ``predict`` derived.
     """
     with observability.trace_span("sweep.group", kind=config.kind,
                                   target=config.label, scenarios=len(scenarios)):
-        graph, world_size, session = study.config_state(config, retain=retain)
+        graph, world_size, session = study.config_state(config)
         outcomes = evaluate_scenarios(
             graph, [None if s.whatif is None else
                     scenario_for(s.whatif.kind, op_class=s.whatif.op_class,
@@ -309,12 +306,9 @@ def run_sweep(bundle: TraceBundle, spec: SweepSpec, *, workers: int = 1,
                                         initargs=(state,)) as pool:
                 evaluated = list(pool.map(_pool_evaluate, items))
         else:
-            # Memoize per-target state only on a caller-owned study (the
-            # facade contract); a runner-private study is garbage after
-            # this call, so groups should free with the loop.
-            evaluated = [_evaluate_group(state, config, group,
-                                         retain=study is not None,
-                                         slo_ms=spec.slo_ms)
+            # A runner-private study (and its memoized per-target state) is
+            # dropped when this call returns.
+            evaluated = [_evaluate_group(state, config, group, slo_ms=spec.slo_ms)
                          for config, group in groups.items()]
         for (_, group), payloads in zip(groups.items(), evaluated):
             for scenario, payload in zip(group, payloads):

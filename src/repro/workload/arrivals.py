@@ -17,8 +17,9 @@ deterministic input to the emulator:
   batching scheduler (see ``repro.emulator.inference_builder``): which
   requests were admitted in which prefill chunk, which requests
   participate in each decode step, and the exact emission order of
-  prefill/decode/idle-wait program items.  The plan is JSON round-
-  trippable and travels in trace metadata under the
+  prefill/decode/idle-wait program items.  A fixed-batch episode follows
+  the same kind of plan, :meth:`StreamPlan.one_chunk`.  A stream's plan
+  is JSON round-trippable and travels in trace metadata under the
   ``"serving_stream"`` key so that replayed graphs can be scored with
   per-request serving metrics and re-timed by the serving manipulation.
 
@@ -253,6 +254,27 @@ class StreamPlan:
     items: tuple[tuple[str, int], ...]
     waits_us: tuple[float, ...]
     max_queue_depth: int = 0
+
+    @classmethod
+    def one_chunk(cls, batch_size: int, decode_length: int) -> "StreamPlan":
+        """The schedule of a fixed-batch episode.
+
+        All ``batch_size`` requests arrive at offset 0, are admitted as one
+        prefill chunk and decode together for ``decode_length`` steps:
+        what the continuous-batching scheduler plans for a stream whose
+        requests all arrive at once.
+        """
+        everyone = tuple(range(batch_size))
+        return cls(
+            arrival=ArrivalConfig(kind=ARRIVAL_TRACE, times_ms=(0.0,) * batch_size),
+            requests=tuple(RequestSchedule(r, 0.0, 0, 0, decode_length - 1)
+                           for r in everyone),
+            chunk_requests=(everyone,),
+            step_requests=(everyone,) * decode_length,
+            items=(("prefill", 0),) + tuple(("decode", s) for s in range(decode_length)),
+            waits_us=(),
+            max_queue_depth=batch_size,
+        )
 
     @property
     def num_requests(self) -> int:

@@ -2,16 +2,23 @@
 
 The training path expands a (model, parallelism, training) triple into the
 kernels of one 3D-parallel training iteration; this module is its serving
-counterpart.  One *serving episode* processes a batch of requests through
+counterpart.  A *serving episode* runs its requests through
 
-* a **prefill** phase — the full prompt goes through every layer at once,
-  so the kernels are the same large GEMM/attention shapes as a training
-  forward pass; and
-* ``decode_length`` **autoregressive decode steps** — each step processes
-  one new token per request, so GEMMs become skinny (``m = batch``) and
-  attention becomes a memory-bound sweep over the accumulated KV cache,
-  with a per-step tensor-parallel all-reduce after the attention and MLP
-  blocks, exactly as in Megatron-style inference.
+* **prefill** chunks — each admitted request's full prompt goes through
+  every layer at once, so the kernels are the same large GEMM/attention
+  shapes as a training forward pass over the re-batched configuration
+  (``batch_size`` = the chunk's request count); and
+* **autoregressive decode steps** — each step processes one new token per
+  in-flight request, so GEMMs become skinny (``m`` = requests in flight)
+  and attention becomes a memory-bound sweep over every request's own
+  accumulated KV cache (the ``contexts`` tuple), with a per-step
+  tensor-parallel all-reduce after the attention and MLP blocks, exactly
+  as in Megatron-style inference.
+
+A continuous-batching stream admits requests in several chunks and decodes
+a varying batch; a fixed-batch episode is its one-chunk case: one prefill
+chunk of ``batch_size`` requests, then ``decode_length`` steps at
+contexts ``(prompt_length + step,) * batch_size``.
 
 The emulator turns these :class:`~repro.workload.operators.OpSpec` lists
 into launched kernels; the serving graph manipulation
@@ -76,7 +83,8 @@ class InferenceConfig:
         arrive over time, ``batch_size`` caps the concurrent decode
         batch, and each request runs ``decode_length`` decode steps
         after its prefill.  When ``None`` (the default) the episode is
-        the fixed single-batch prefill+decode of PR 5.
+        one fixed batch: all ``batch_size`` requests are prefilled as one
+        chunk and decoded together for ``decode_length`` steps.
     """
 
     batch_size: int = 8
@@ -330,25 +338,29 @@ def _tp_collective(name: str, kind: str, size_bytes: float) -> OpSpec:
 
 
 def _decode_attention(model: ModelConfig, parallel: ParallelismConfig,
-                      config: InferenceConfig, context: int) -> OpSpec:
+                      config: InferenceConfig, contexts: tuple[int, ...]) -> OpSpec:
     """The per-step KV-cache attention kernel (flash-decoding style).
 
-    One query token per request attends over ``context`` cached tokens:
-    the kernel streams the rank-local KV cache once (the dominant cost)
-    and appends the new token's K/V, so it is bandwidth-bound on the KV
-    traffic rather than FLOP-bound like prefill attention.
+    One query token per in-flight request attends over that request's own
+    cached tokens: the kernel streams the rank-local KV cache once (the
+    dominant cost, so the traffic is the *sum* of the per-request context
+    lengths) and appends the new tokens' K/V, so it is bandwidth-bound on
+    the KV traffic rather than FLOP-bound like prefill attention.  The
+    tile shape is reported at the longest context.
     """
-    b = config.batch_size
+    b = len(contexts)
+    total = sum(contexts)
+    longest = max(contexts)
     heads_local = max(1, model.n_heads // parallel.tp)
     a_local = heads_local * model.d_head
-    kv_read = b * context * 2.0 * a_local * config.kv_dtype_bytes
+    kv_read = total * 2.0 * a_local * config.kv_dtype_bytes
     kv_append = b * 2.0 * a_local * config.kv_dtype_bytes
     qo_bytes = 4.0 * b * a_local * config.dtype_bytes
-    flops = 4.0 * b * heads_local * context * model.d_head
+    flops = 4.0 * heads_local * model.d_head * total
     return OpSpec(name="decode_attention", op_class=OpClass.DECODE_ATTENTION,
                   flops=flops, bytes_accessed=kv_read + kv_append + qo_bytes,
-                  m=b * heads_local, n=context, k=model.d_head,
-                  metadata={"context": context})
+                  m=b * heads_local, n=longest, k=model.d_head,
+                  metadata={"context": longest})
 
 
 def _tagged(ops: list[OpSpec], phase: str) -> list[OpSpec]:
@@ -384,30 +396,28 @@ def prefill_layer_ops(model: ModelConfig, parallel: ParallelismConfig,
 
 
 def _head_ops(model: ModelConfig, parallel: ParallelismConfig,
-              config: InferenceConfig, norm_bytes: float, phase: str,
-              batch: int | None = None) -> list[OpSpec]:
+              config: InferenceConfig, batch: int, norm_bytes: float,
+              phase: str) -> list[OpSpec]:
     """Final norm, next-token logits and sampling — shared by both phases.
 
-    Serving only needs logits for each request's *last* position
-    (``m = batch_size``); only the final layer norm's traffic differs
+    Serving only needs logits for each of the ``batch`` requests' *last*
+    position (``m = batch``); only the final layer norm's traffic differs
     (the whole prompt batch after prefill, one token per request in
-    decode).  ``batch`` overrides the config batch size for stream
-    episodes whose per-step batch varies.
+    decode).
     """
-    b = config.batch_size if batch is None else batch
     tp = parallel.tp
     dtype = config.dtype_bytes
     vocab_local = model.vocab_size // tp
 
     ops = [
         _memory_bound("final_layer_norm", OpClass.LAYERNORM, norm_bytes),
-        _gemm("lm_head", m=b, n=vocab_local, k=model.d_model, dtype_bytes=dtype),
+        _gemm("lm_head", m=batch, n=vocab_local, k=model.d_model, dtype_bytes=dtype),
     ]
     if tp > 1:
         ops.append(_tp_collective("tp_all_gather_logits", CollectiveKind.ALL_GATHER,
-                                  float(b * vocab_local * dtype)))
+                                  float(batch * vocab_local * dtype)))
     ops.append(_memory_bound("sample_token", OpClass.ELEMENTWISE,
-                             float(b * model.vocab_size * dtype)))
+                             float(batch * model.vocab_size * dtype)))
     return _tagged(ops, phase=phase)
 
 
@@ -415,38 +425,47 @@ def prefill_head_ops(model: ModelConfig, parallel: ParallelismConfig,
                      config: InferenceConfig) -> list[OpSpec]:
     """Final norm over the prompt batch, first-token logits and sampling."""
     act = _activation_bytes(model, config, config.prefill_tokens)
-    return _head_ops(model, parallel, config, norm_bytes=2 * act, phase="prefill")
+    return _head_ops(model, parallel, config, config.batch_size,
+                     norm_bytes=2 * act, phase="prefill")
+
+
+# A decode step's ``contexts[i]`` is the KV context length of its i-th
+# in-flight request (see :meth:`~repro.workload.arrivals.StreamPlan.step_contexts`);
+# the GEMM batch is ``len(contexts)``.
 
 
 def decode_embedding_ops(model: ModelConfig, parallel: ParallelismConfig,
-                         config: InferenceConfig, step: int) -> list[OpSpec]:
-    """Embedding lookup for the one new token per request."""
-    act = _activation_bytes(model, config, config.batch_size)
+                         config: InferenceConfig,
+                         contexts: tuple[int, ...]) -> list[OpSpec]:
+    """Embedding lookup for the in-flight requests' new tokens."""
+    act = _activation_bytes(model, config, len(contexts))
     return _tagged([_memory_bound("token_embedding", OpClass.EMBEDDING, 2 * act)],
                    phase="decode")
 
 
 def decode_layer_ops(model: ModelConfig, parallel: ParallelismConfig,
-                     config: InferenceConfig, step: int) -> list[OpSpec]:
+                     config: InferenceConfig,
+                     contexts: tuple[int, ...]) -> list[OpSpec]:
     """One transformer layer of one autoregressive decode step.
 
-    The GEMMs are the training forward shapes with ``tokens = batch_size``
-    (skinny ``m``); attention is the memory-bound KV-cache kernel over the
-    ``prompt_length + step`` cached tokens; under TP the attention and MLP
+    The GEMMs are the training forward shapes with one token per in-flight
+    request (skinny ``m``); attention is the memory-bound KV-cache kernel
+    over each request's cached tokens; under TP the attention and MLP
     block outputs are all-reduced every step.
     """
-    b = config.batch_size
+    if not contexts:
+        raise ValueError("a decode step needs at least one in-flight request")
+    b = len(contexts)
     h, f = model.d_model, model.d_ff
     a = model.attention_dim
     tp = parallel.tp
     dtype = config.dtype_bytes
     act = _activation_bytes(model, config, b)
-    context = config.context_length(step)
 
     ops: list[OpSpec] = [
         _memory_bound("layer_norm_in", OpClass.LAYERNORM, 2 * act),
         _gemm("attn_qkv", m=b, n=3 * a // tp, k=h, dtype_bytes=dtype),
-        _decode_attention(model, parallel, config, context),
+        _decode_attention(model, parallel, config, contexts),
         _gemm("attn_proj", m=b, n=h, k=a // tp, dtype_bytes=dtype),
     ]
     if tp > 1:
@@ -467,124 +486,9 @@ def decode_layer_ops(model: ModelConfig, parallel: ParallelismConfig,
 
 
 def decode_head_ops(model: ModelConfig, parallel: ParallelismConfig,
-                    config: InferenceConfig, step: int) -> list[OpSpec]:
+                    config: InferenceConfig,
+                    contexts: tuple[int, ...]) -> list[OpSpec]:
     """Final norm, next-token logits and sampling of one decode step."""
-    act = _activation_bytes(model, config, config.batch_size)
-    return _head_ops(model, parallel, config, norm_bytes=2 * act, phase="decode")
-
-
-# -- continuous-batching stream decomposition ----------------------------------
-# Stream episodes reuse the fixed-episode op shapes but with a *varying*
-# batch: prefill chunks admit however many requests arrived (<= batch_size),
-# decode steps process whichever requests are in flight, each at its own KV
-# context length.  The prefill side simply re-batches the config (the op
-# set is identical); decode gets explicit `contexts` variants.  With a
-# uniform context vector the stream ops equal the fixed decode ops exactly
-# (tested), so the cost accounting has one source of truth.
-
-
-def _with_batch(config: InferenceConfig, batch: int) -> InferenceConfig:
-    return config.with_changes(batch_size=batch)
-
-
-def stream_prefill_embedding_ops(model: ModelConfig, parallel: ParallelismConfig,
-                                 config: InferenceConfig, batch: int) -> list[OpSpec]:
-    """Embedding lookup for a prefill chunk of ``batch`` admitted requests."""
-    return prefill_embedding_ops(model, parallel, _with_batch(config, batch))
-
-
-def stream_prefill_layer_ops(model: ModelConfig, parallel: ParallelismConfig,
-                             config: InferenceConfig, batch: int) -> list[OpSpec]:
-    """One transformer layer of a ``batch``-request prefill chunk."""
-    return prefill_layer_ops(model, parallel, _with_batch(config, batch))
-
-
-def stream_prefill_head_ops(model: ModelConfig, parallel: ParallelismConfig,
-                            config: InferenceConfig, batch: int) -> list[OpSpec]:
-    """Head ops of a prefill chunk: each admitted request's first token."""
-    return prefill_head_ops(model, parallel, _with_batch(config, batch))
-
-
-def _decode_attention_stream(model: ModelConfig, parallel: ParallelismConfig,
-                             config: InferenceConfig,
-                             contexts: tuple[int, ...]) -> OpSpec:
-    """KV-cache attention over a mixed-context decode batch.
-
-    Each in-flight request attends over its own accumulated cache, so the
-    KV traffic (the dominant, bandwidth-bound cost) is the *sum* of the
-    per-request context lengths; the kernel's tile shape is reported at
-    the longest context.
-    """
-    b = len(contexts)
-    total = sum(contexts)
-    longest = max(contexts)
-    heads_local = max(1, model.n_heads // parallel.tp)
-    a_local = heads_local * model.d_head
-    kv_read = total * 2.0 * a_local * config.kv_dtype_bytes
-    kv_append = b * 2.0 * a_local * config.kv_dtype_bytes
-    qo_bytes = 4.0 * b * a_local * config.dtype_bytes
-    flops = 4.0 * heads_local * model.d_head * total
-    return OpSpec(name="decode_attention", op_class=OpClass.DECODE_ATTENTION,
-                  flops=flops, bytes_accessed=kv_read + kv_append + qo_bytes,
-                  m=b * heads_local, n=longest, k=model.d_head,
-                  metadata={"context": longest})
-
-
-def stream_decode_embedding_ops(model: ModelConfig, parallel: ParallelismConfig,
-                                config: InferenceConfig,
-                                contexts: tuple[int, ...]) -> list[OpSpec]:
-    """Embedding lookup for the in-flight requests' new tokens."""
     act = _activation_bytes(model, config, len(contexts))
-    return _tagged([_memory_bound("token_embedding", OpClass.EMBEDDING, 2 * act)],
-                   phase="decode")
-
-
-def stream_decode_layer_ops(model: ModelConfig, parallel: ParallelismConfig,
-                            config: InferenceConfig,
-                            contexts: tuple[int, ...]) -> list[OpSpec]:
-    """One transformer layer of a varying-batch decode step.
-
-    ``contexts[i]`` is the KV context length of the i-th in-flight
-    request (see :meth:`StreamPlan.step_contexts`); the GEMM batch is
-    ``len(contexts)``.
-    """
-    if not contexts:
-        raise ValueError("stream decode step needs at least one in-flight request")
-    b = len(contexts)
-    h, f = model.d_model, model.d_ff
-    a = model.attention_dim
-    tp = parallel.tp
-    dtype = config.dtype_bytes
-    act = _activation_bytes(model, config, b)
-
-    ops: list[OpSpec] = [
-        _memory_bound("layer_norm_in", OpClass.LAYERNORM, 2 * act),
-        _gemm("attn_qkv", m=b, n=3 * a // tp, k=h, dtype_bytes=dtype),
-        _decode_attention_stream(model, parallel, config, contexts),
-        _gemm("attn_proj", m=b, n=h, k=a // tp, dtype_bytes=dtype),
-    ]
-    if tp > 1:
-        ops.append(_tp_collective("tp_all_reduce_attn_decode",
-                                  CollectiveKind.ALL_REDUCE, act))
-    ops.extend([
-        _memory_bound("residual_attn", OpClass.ELEMENTWISE, 3 * act),
-        _memory_bound("layer_norm_post_attn", OpClass.LAYERNORM, 2 * act),
-        _gemm("mlp_fc1", m=b, n=f // tp, k=h, dtype_bytes=dtype),
-        _memory_bound("gelu", OpClass.GELU, 2.0 * b * (f // tp) * dtype),
-        _gemm("mlp_fc2", m=b, n=h, k=f // tp, dtype_bytes=dtype),
-    ])
-    if tp > 1:
-        ops.append(_tp_collective("tp_all_reduce_mlp_decode",
-                                  CollectiveKind.ALL_REDUCE, act))
-    ops.append(_memory_bound("residual_mlp", OpClass.ELEMENTWISE, 3 * act))
-    return _tagged(ops, phase="decode")
-
-
-def stream_decode_head_ops(model: ModelConfig, parallel: ParallelismConfig,
-                           config: InferenceConfig,
-                           contexts: tuple[int, ...]) -> list[OpSpec]:
-    """Final norm, logits and sampling for the in-flight requests."""
-    b = len(contexts)
-    act = _activation_bytes(model, config, b)
-    return _head_ops(model, parallel, config, norm_bytes=2 * act, phase="decode",
-                     batch=b)
+    return _head_ops(model, parallel, config, len(contexts),
+                     norm_bytes=2 * act, phase="decode")

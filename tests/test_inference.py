@@ -37,6 +37,11 @@ TINY_INFERENCE = InferenceConfig(batch_size=8, prompt_length=512, decode_length=
 TP2 = ParallelismConfig(tensor_parallel=2)
 
 
+def fixed_contexts(step: int) -> tuple[int, ...]:
+    """The in-flight KV contexts of decode step ``step`` of the fixed episode."""
+    return (TINY_INFERENCE.context_length(step),) * TINY_INFERENCE.batch_size
+
+
 @pytest.fixture(scope="module")
 def serving_study():
     return Study.from_emulation(tiny_model(), "2x1x1", inference=TINY_INFERENCE,
@@ -131,13 +136,14 @@ class TestServingTarget:
 
 class TestDecodeOps:
     def test_decode_gemms_are_skinny(self):
-        for op in decode_layer_ops(tiny_model(), TP2, TINY_INFERENCE, step=0):
+        for op in decode_layer_ops(tiny_model(), TP2, TINY_INFERENCE, fixed_contexts(0)):
             if op.op_class == OpClass.GEMM:
                 assert op.m == TINY_INFERENCE.batch_size
 
     def test_decode_attention_context_grows_with_step(self):
         def attention(step):
-            ops = decode_layer_ops(tiny_model(), TP2, TINY_INFERENCE, step)
+            ops = decode_layer_ops(tiny_model(), TP2, TINY_INFERENCE,
+                                   fixed_contexts(step))
             return next(op for op in ops
                         if op.op_class == OpClass.DECODE_ATTENTION)
         first, last = attention(0), attention(3)
@@ -147,15 +153,16 @@ class TestDecodeOps:
         assert last.flops > first.flops
 
     def test_tp_emits_per_step_all_reduces(self):
-        ops = decode_layer_ops(tiny_model(), TP2, TINY_INFERENCE, step=0)
+        ops = decode_layer_ops(tiny_model(), TP2, TINY_INFERENCE, fixed_contexts(0))
         collectives = [op for op in ops if op.is_communication]
         assert [op.name for op in collectives] == [
             "tp_all_reduce_attn_decode", "tp_all_reduce_mlp_decode"]
-        solo = decode_layer_ops(tiny_model(), ParallelismConfig(), TINY_INFERENCE, 0)
+        solo = decode_layer_ops(tiny_model(), ParallelismConfig(), TINY_INFERENCE,
+                                fixed_contexts(0))
         assert not any(op.is_communication for op in solo)
 
     def test_head_gathers_logits_under_tp(self):
-        ops = decode_head_ops(tiny_model(), TP2, TINY_INFERENCE, step=0)
+        ops = decode_head_ops(tiny_model(), TP2, TINY_INFERENCE, fixed_contexts(0))
         assert any(op.name == "tp_all_gather_logits" for op in ops)
         assert ops[-1].name == "sample_token"
 
@@ -176,7 +183,8 @@ class TestDecodeAttentionCostModel:
 
     def test_registry_dispatches_decode_attention(self, small_cluster):
         cost = KernelCostModel(small_cluster)
-        op = next(op for op in decode_layer_ops(tiny_model(), TP2, TINY_INFERENCE, 0)
+        op = next(op for op in decode_layer_ops(tiny_model(), TP2, TINY_INFERENCE,
+                                                fixed_contexts(0))
                   if op.op_class == OpClass.DECODE_ATTENTION)
         expected = decode_attention_time_us(op.flops, op.bytes_accessed,
                                             small_cluster.gpu)

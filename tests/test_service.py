@@ -813,6 +813,23 @@ class TestWorkerCacheSharing:
         assert len(worker._studies) == 1
         assert worker.jobs_processed == 2
 
+    def test_sweeps_differing_only_in_slo_share_one_study(self, stream_trace_dir,
+                                                          tmp_path):
+        with ServiceApp(tmp_path / "svc", workers=0,
+                        traces={"stream": stream_trace_dir}) as app:
+            client = ServiceClient(app.url)
+            body = {"kind": "sweep", "trace": "stream", "targets": ["prompt=128"]}
+            tight = client.submit(dict(body, slo_ms=1))["job"]["job_id"]
+            loose = client.submit(dict(body, slo_ms=60_000))["job"]["job_id"]
+            worker = _drain(app, jobs=2)
+            assert len(worker._studies) == 1
+            for job_id, deadline_ms, attainment in ((tight, 1.0, 0.0),
+                                                    (loose, 60_000.0, 1.0)):
+                rows = client.result(job_id)["result"]["scenarios"]
+                assert len(rows) == 2
+                assert {row["serving"]["deadline_ms"] for row in rows} == {deadline_ms}
+                assert {row["serving"]["slo_attainment"] for row in rows} == {attainment}
+
     def test_corrupted_cache_entries_never_fail_a_job(self, manual_app):
         from pathlib import Path
         client = ServiceClient(manual_app.url)

@@ -24,6 +24,7 @@ from repro.core.serving_metrics import (
     stream_plan_of,
 )
 from repro.core.whatif import evaluate_scenarios, scenario_for
+from repro.emulator.inference_builder import InferenceProgramBuilder
 from repro.observability import (
     serving_request_events,
     timeline_json,
@@ -32,6 +33,8 @@ from repro.observability import (
 )
 from repro.workload.arrivals import STREAM_METADATA_KEY, StreamPlan, parse_arrival
 from repro.workload.inference import InferenceConfig
+from repro.workload.model_config import gpt3_model
+from repro.workload.parallelism import ParallelismConfig
 from tests.conftest import tiny_model
 
 ARRIVAL = "poisson:rate=600,n=6,seed=3"
@@ -92,6 +95,52 @@ class TestStreamPlanInTrace:
                                      iterations=1, seed=7)
         assert again.stream_plan == stream_study.stream_plan
         assert again.base_time_us == stream_study.base_time_us
+
+
+class TestFixedEpisodeIsOneChunk:
+    """A fixed-batch episode is the stream whose requests all arrive at once."""
+
+    @pytest.mark.parametrize("model,tp,batch,prompt,decode", [
+        (tiny_model(), 1, 1, 16, 3),
+        (tiny_model(), 2, 8, 512, 4),
+        (stream_model(), 2, 3, 128, 2),
+        (gpt3_model("gpt3-15b"), 4, 8, 256, 3),
+    ], ids=["tiny-tp1-b1", "tiny-tp2-b8", "wide-tp2-b3", "gpt3-15b-tp4-b8"])
+    def test_fixed_episode_equals_all_at_once_stream(self, model, tp, batch,
+                                                     prompt, decode):
+        fixed = InferenceConfig(batch_size=batch, prompt_length=prompt,
+                                decode_length=decode)
+        at_once = InferenceConfig(batch_size=batch, prompt_length=prompt,
+                                  decode_length=decode,
+                                  arrival=parse_arrival("trace:" + ",".join(["0"] * batch)))
+        parallel = ParallelismConfig(tensor_parallel=tp)
+        fixed_builder = InferenceProgramBuilder(model, parallel, fixed)
+        stream_builder = InferenceProgramBuilder(model, parallel, at_once)
+
+        plan = stream_builder.stream_plan
+        assert plan == StreamPlan.one_chunk(batch, decode)
+        assert [len(chunk) for chunk in plan.chunk_requests] == [batch]
+        assert [plan.step_contexts(prompt, step) for step in range(plan.num_steps)] \
+            == [(prompt + step,) * batch for step in range(decode)]
+        assert plan.items == (("prefill", 0),) + tuple(
+            ("decode", step) for step in range(decode))
+
+        # The emitted programs are the same instructions in the same order;
+        # only the tokenization charge differs (whole batch up front vs per
+        # admitted request).
+        def split(builder):
+            instructions = builder.build()[0].instructions
+            tokenize = [i.duration_us for i in instructions
+                        if getattr(i, "name", None) == "tokenize_prompts"]
+            rest = [i for i in instructions
+                    if getattr(i, "name", None) != "tokenize_prompts"]
+            return tokenize, rest
+
+        fixed_tokenize, fixed_rest = split(fixed_builder)
+        stream_tokenize, stream_rest = split(stream_builder)
+        assert fixed_rest == stream_rest
+        assert fixed_tokenize == [350.0]
+        assert stream_tokenize == [45.0 * batch]
 
 
 class TestServingMetricsMath:

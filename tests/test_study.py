@@ -8,12 +8,14 @@ skipping its private state preparation.
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.api import (
     KIND_ARCHITECTURE,
     KIND_BASELINE,
+    KIND_HARDWARE,
     KIND_PARALLELISM,
     PredictError,
     Study,
@@ -133,21 +135,6 @@ class TestMemoization:
         *_, session = study.config_state("2x1x4")
         *_, session2 = study.config_state("parallelism:2x1x4")
         assert session is session2 and session.compiled is first.result.run.compiled
-
-    def test_config_state_scratch_does_not_pin(self, study):
-        key = Target(KIND_PARALLELISM, "2x2x1")
-        graph, world_size, session = study.config_state(key, retain=False)
-        assert world_size == 4 and session.compiled.graph is graph
-        assert key not in study._graphs
-        assert key not in study._sessions
-        # The memos are keyed by that Target: retaining pins it.
-        study.config_state("2x2x1")
-        assert key in study._graphs and key in study._sessions
-        # ... and cached state from an earlier predict is still reused.
-        prediction = study.predict("2x1x4")
-        *_, cached = study.config_state("2x1x4", retain=False)
-        assert cached is study._sessions[Target(KIND_PARALLELISM, "2x1x4")]
-        assert cached.compiled is prediction.result.run.compiled
 
     def test_release_drops_target_caches_keeps_calibration(self, study):
         study.predict("2x1x4")
@@ -309,6 +296,23 @@ class TestSweep:
         # A caller-owned study keeps the sweep's per-target sessions for
         # later predictions (the facade's memoization contract).
         assert Target(KIND_ARCHITECTURE, "gpt3-v1") in study._sessions
+
+    def test_standalone_hardware_sweep_derives_each_workload_target_once(
+            self, bundle, spec, monkeypatch):
+        derived = []
+        original = dispatch.derive
+
+        def recording(graph, kind, label, *args):
+            derived.append((kind, label))
+            return original(graph, kind, label, *args)
+
+        monkeypatch.setattr(dispatch, "derive", recording)
+        run_sweep(bundle, replace(spec, parallelism=("2x1x4", "2x2x2"), models=(),
+                                  hardware=("H200-SXM",)))
+        # Each composite ``<workload>+hardware`` group resumes from its
+        # workload sibling's memoized graph instead of deriving it again.
+        workload = sorted(entry for entry in derived if entry[0] != KIND_HARDWARE)
+        assert workload == [(KIND_PARALLELISM, "2x1x4"), (KIND_PARALLELISM, "2x2x2")]
 
     def test_inline_axes(self, study, spec):
         inline = study.sweep(parallelism=["2x1x4"], models=["gpt3-v1"],
