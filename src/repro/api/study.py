@@ -51,6 +51,7 @@ from repro.core.replay import replay as _replay_trace
 from repro.core.serving_metrics import (
     ServingMetrics,
     metrics_from_task_times,
+    sample_tokens,
     stream_plan_of,
 )
 from repro.observability import tracing as observability
@@ -110,8 +111,8 @@ def _serving_metrics(result: ReplayResult,
     if plan is None:
         return None
     run = result.run
-    return metrics_from_task_times(run.compiled.tasks, run.starts.tolist(),
-                                   run.durations.tolist(), plan, deadline_ms=deadline_ms)
+    return metrics_from_task_times(sample_tokens(run.compiled.tasks), run.starts,
+                                   run.durations, plan, deadline_ms=deadline_ms)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,12 @@ This package implements the paper's contribution:
   structure once, a :class:`~repro.core.engine.SimulationSession` replays
   it, and its :class:`~repro.core.engine.SessionRun` holds every task's
   timing and renders the replayed trace;
-* :mod:`repro.core.batch` — the batched multi-scenario kernel: a
+* :mod:`repro.core.batch` — batched multi-scenario simulation: a
   :class:`~repro.core.batch.BatchSession` simulates a ``(B, n_tasks)``
-  duration matrix in one vectorized sweep (bit-identical to B sequential
-  runs), with a sequential fallback for graphs whose schedule is not
-  provably duration-independent;
+  duration matrix with one straight-line plan per topology, walked per
+  row for narrow batches and per level for wide ones (bit-identical to
+  B sequential runs), with a sequential fallback for graphs whose
+  schedule is not provably duration-independent;
 * :mod:`repro.core.replay` — the high-level replay API;
 * :mod:`repro.core.breakdown` / :mod:`repro.core.sm_utilization` —
   execution-time breakdowns and SM-utilisation timelines (§4.2);

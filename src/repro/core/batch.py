@@ -1,21 +1,17 @@
-"""Batched multi-scenario simulation: B duration vectors in one sweep.
+"""Batched multi-scenario simulation: B duration vectors, one plan.
 
-A what-if sweep group re-simulates one compiled graph with nothing but the
-kernel-duration vector changing, and :class:`~repro.core.engine.
-SimulationSession` already made each of those simulations cheap.  But a
-group of B scenarios still pays B full passes of the Python event loop —
-the dominant cost once everything else is amortised.  This module removes
-that factor: :class:`BatchSession` simulates a ``(B, n_tasks)`` duration
-matrix in **one** sweep over the graph, vectorizing the ready-time /
-processor-availability / stream-drain arithmetic across the batch axis
-with 2-D numpy buffers.
+A what-if sweep group re-simulates one compiled graph with nothing but
+the kernel-duration vector changing.  :class:`BatchSession` simulates a
+``(B, n_tasks)`` duration matrix of such rows against a
+:class:`BatchPlan`: the graph's schedule, proven independent of the
+durations and lowered once per topology to a straight-line program.
 
 Soundness.  The sequential scheduler pops tasks from a heap ordered by
 ready time, so in general the *order* tasks reach a processor depends on
 the durations — two scenarios of one batch could legally serialise the
-same processor differently, and no single vectorized pass could reproduce
-both.  Batching is therefore gated on a compile-time proof that the
-schedule's data flow is the same for every duration vector:
+same processor differently, and no single program could reproduce both.
+Batching is therefore gated on a compile-time proof that the schedule's
+data flow is the same for every duration vector:
 
 * **Processor chains** — for every processor (CPU thread / CUDA stream),
   the tasks it executes must be totally ordered by the fixed dependencies.
@@ -36,9 +32,25 @@ Under these conditions every start time is ``max`` over a fixed set of
 end times (fixed predecessors, the processor-chain predecessor, drained
 stream kernels, the global start time), and float ``max``/``add`` over
 identical operand sets give bit-identical results regardless of
-evaluation order — the batched kernel reproduces the sequential
-scheduler's start times *exactly* (``tests/test_batch_engine.py`` asserts
-float equality, no tolerance).
+evaluation order — the plan reproduces the sequential scheduler's start
+times *exactly* (``tests/test_batch_engine.py`` asserts float equality,
+no tolerance).
+
+The plan.  :func:`compile_batch_plan` lowers the proof to one program: a
+node per task, per collective group and per drained stream, in
+topological order, each listing the earlier nodes whose ends it waits
+for.  The Kahn pass that orders the nodes emits them level by level
+(a level is the nodes at one longest-path distance from a root), so each
+level is a contiguous run of the program.
+
+Two walkers.  :meth:`BatchPlan.execute` picks one by row count alone.
+Up to :data:`ROW_WALK_MAX_ROWS` rows, the **row walk** runs the program
+once per row on plain Python floats; its cost is per row and node.
+Above it, the **level sweep** runs each level as a few numpy calls
+across all rows; its cost is per level and nearly flat in the rows.  The
+graphs are deep and narrow (thousands of levels of 1.6 to 3.2 nodes), so
+a sweep group of a handful of rows takes the row walk and the 64-row
+scenario grids take the level sweep.
 
 Graphs that fail the proof — hand-built graphs with unordered same-
 processor tasks, or unsatisfiable synchronisation patterns that would
@@ -51,6 +63,7 @@ sequential result, including its ``RuntimeError`` on deadlocks).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -96,64 +109,109 @@ class UnbatchableGraphError(RuntimeError):
         self.code = code
 
 
-@dataclass(frozen=True)
-class _Level:
-    """One rank of the augmented DAG: nodes whose inputs are all computed.
-
-    ``pred_columns``/``indptr`` describe, per node, the columns of the
-    end-time matrix feeding its start (CSR layout; every segment contains
-    at least the virtual start-time column).  ``out_tasks`` lists the
-    dense task indices written by this level and ``out_nodes`` the
-    level-local node each one takes its start from (collective groups
-    write several tasks from one node).  ``drain_columns``/``drain_nodes``
-    scatter the level's stream-drain reductions into their end-matrix
-    columns (drains produce no task, only an operand for syncs).
-    """
-
-    pred_columns: np.ndarray
-    indptr: np.ndarray
-    out_tasks: np.ndarray
-    out_nodes: np.ndarray
-    drain_columns: np.ndarray
-    drain_nodes: np.ndarray
+#: Matrices of at most this many rows are walked one row at a time
+#: (:meth:`BatchPlan.execute`); wider ones take the level sweep.  On the
+#: 5.6k-7.3k-task benchmark graphs a row walk costs 1.6-2.6 ms per row
+#: and a level sweep 14-21 ms plus 0.5-0.7 ms per row: the row walk wins
+#: on all of them at 8 rows and the level sweep at 16.
+ROW_WALK_MAX_ROWS = 8
 
 
 @dataclass(frozen=True)
 class BatchPlan:
     """The compiled, duration-independent schedule of one topology.
 
+    Node ``i`` of ``program`` writes column ``i`` of a simulation's end
+    vector: it starts at the max of the start time and the ends its
+    operand tuple lists, and ends its duration later (a group's common
+    start and a stream's drain have no duration).  Task ``t`` is node
+    ``task_nodes[t]``; level ``k`` is nodes ``level_bounds[k]`` up to
+    ``level_bounds[k + 1]``.
+
     It references no graph, so every configuration whose compiled graph
     shares a topology (see :func:`~repro.core.engine.compile_graph`)
     shares one plan.
     """
 
-    levels: tuple[_Level, ...]
-    #: Stream-drain reduction slots (one end-matrix column each).
-    n_drains: int = 0
+    program: tuple[tuple[int, ...], ...]
+    task_nodes: np.ndarray
+    level_bounds: tuple[int, ...]
 
     @property
     def n_levels(self) -> int:
-        return len(self.levels)
+        return len(self.level_bounds) - 1
 
     def execute(self, durations: np.ndarray, start_time: float) -> np.ndarray:
         """Start times (``B × n_tasks``) for a batch of duration vectors."""
-        batch, n = durations.shape
-        starts = np.empty((batch, n), dtype=np.float64)
-        # Column n is the virtual "simulation start" operand present in
-        # every max (ready times, processor slots and stream last-ends all
-        # initialise to it); columns beyond hold the drain reductions.
-        ends = np.empty((batch, n + 1 + self.n_drains), dtype=np.float64)
-        ends[:, n] = start_time
-        for level in self.levels:
-            gathered = ends[:, level.pred_columns]
-            node_starts = np.maximum.reduceat(gathered, level.indptr, axis=1)
-            if len(level.out_tasks):
-                level_starts = node_starts[:, level.out_nodes]
-                starts[:, level.out_tasks] = level_starts
-                ends[:, level.out_tasks] = level_starts + durations[:, level.out_tasks]
-            if len(level.drain_columns):
-                ends[:, level.drain_columns] = node_starts[:, level.drain_nodes]
+        # Node durations: the tasks' in program order, zero elsewhere.
+        node_durations = np.zeros((len(durations), len(self.program)), dtype=np.float64)
+        node_durations[:, self.task_nodes] = durations
+        if len(durations) <= ROW_WALK_MAX_ROWS:
+            observability.count("batch.execute.row_walk")
+            starts = self._walk_rows(node_durations, float(start_time))
+        else:
+            observability.count("batch.execute.level_sweep")
+            starts = self._sweep_levels(node_durations, start_time)
+        return starts[:, self.task_nodes]
+
+    def _walk_rows(self, durations: np.ndarray, start_time: float) -> np.ndarray:
+        """The program evaluated one row at a time on plain Python floats."""
+        starts = np.empty_like(durations)
+        for row, vector in enumerate(durations):
+            duration = vector.tolist()
+            begin = [start_time] * len(duration)
+            end = begin.copy()
+            for node, operands in enumerate(self.program):
+                start = start_time
+                for operand in operands:
+                    if end[operand] > start:
+                        start = end[operand]
+                begin[node] = start
+                end[node] = start + duration[node]
+            starts[row] = begin
         return starts
+
+    def _sweep_levels(self, durations: np.ndarray, start_time: float) -> np.ndarray:
+        """The program evaluated level by level, vectorized across rows."""
+        batch, width = durations.shape
+        columns, segments, column_bounds = self._level_arrays
+        # Column ``width`` is the virtual start-time operand that closes
+        # every node's segment (see ``_level_arrays``).
+        ends = np.empty((batch, width + 1), dtype=np.float64)
+        ends[:, width] = start_time
+        starts = np.empty_like(durations)
+        bounds = self.level_bounds
+        for level in range(self.n_levels):
+            low, high = bounds[level], bounds[level + 1]
+            level_starts = np.maximum.reduceat(
+                ends[:, columns[column_bounds[level]:column_bounds[level + 1]]],
+                segments[low:high], axis=1)
+            starts[:, low:high] = level_starts
+            np.add(level_starts, durations[:, low:high], out=ends[:, low:high])
+        return starts
+
+    @cached_property
+    def _level_arrays(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The program's operands flattened for the level sweep (built once).
+
+        Every node's operand columns, closed by the virtual start-time
+        column (it applies the start time and keeps every segment
+        non-empty, which ``np.maximum.reduceat`` needs); each node's
+        segment offset within its level; and each level's bounds into the
+        operand columns.
+        """
+        start_column = len(self.program)
+        columns: list[int] = []
+        segments: list[int] = []
+        column_bounds = [0]
+        for low, high in zip(self.level_bounds, self.level_bounds[1:]):
+            for operands in self.program[low:high]:
+                segments.append(len(columns) - column_bounds[-1])
+                columns.extend(operands)
+                columns.append(start_column)
+            column_bounds.append(len(columns))
+        return (np.array(columns, dtype=np.int64), np.array(segments, dtype=np.int64),
+                column_bounds)
 
 
 def _edge_sources(compiled: CompiledGraph) -> np.ndarray:
@@ -230,7 +288,7 @@ def _chain_predecessors(compiled: CompiledGraph, topo_pos: np.ndarray,
 
 
 def compile_batch_plan(compiled: CompiledGraph) -> BatchPlan:
-    """Prove the schedule duration-independent and lower it to level sweeps.
+    """Prove the schedule duration-independent and lower it to a program.
 
     Raises :class:`UnbatchableGraphError` when the proof fails: unordered
     same-processor tasks, dependencies between members of one collective
@@ -239,131 +297,88 @@ def compile_batch_plan(compiled: CompiledGraph) -> BatchPlan:
     """
     n = compiled.n_tasks
     if n == 0:
-        return BatchPlan(levels=())
+        return BatchPlan(program=(), task_nodes=np.zeros(0, dtype=np.int64),
+                         level_bounds=(0,))
 
     topo = compiled.topological
     topo_pos = np.empty(n, dtype=np.int64)
     topo_pos[topo] = np.arange(n, dtype=np.int64)
     pred_indptr, preds = _predecessor_csr(compiled)
-    chain_pred = _chain_predecessors(compiled, topo_pos, pred_indptr, preds)
+    chain_pred = _chain_predecessors(compiled, topo_pos, pred_indptr, preds).tolist()
 
-    # Node assignment: collective groups collapse to one node (their
-    # members start together), everything else is its own node, and every
-    # stream a sync drains gets one *drain node* — a single reduction over
-    # the stream's kernel ends that all its syncs read (instead of each
-    # sync inlining every kernel of the stream as an operand).
-    group_id = compiled.group_id
-    singles = np.flatnonzero(group_id < 0)
-    n_groups = len(compiled.group_members)
-    node_of = np.empty(n, dtype=np.int64)
-    node_of[singles] = np.arange(len(singles), dtype=np.int64)
-    grouped = np.flatnonzero(group_id >= 0)
-    node_of[grouped] = len(singles) + group_id[grouped]
-    node_tasks: list[list[int]] = [[int(index)] for index in singles]
-    node_tasks.extend([int(m) for m in members] for members in compiled.group_members)
-
+    # Nodes are numbered tasks first, then groups, then drains, until the
+    # program renumbers them in topological order.  A task's operands are
+    # its predecessors, its chain predecessor and the drains of the
+    # streams it synchronises on.  A collective group's members start
+    # together, so the group's node takes the union of their operands and
+    # each member reads only the group's node.  A drained stream's node
+    # reduces its kernels' ends once for every sync that waits on it.
+    group_id = compiled.group_id.tolist()
+    group_members = compiled.group_members
     drained_slots = sorted({slot for slots in compiled.sync_slots for slot in slots})
-    drain_node_of = {slot: len(node_tasks) + position
-                     for position, slot in enumerate(drained_slots)}
-    #: Drain value of stream ``slot`` lives in end-matrix column
-    #: ``n + 1 + drain_column_of[slot]`` (column ``n`` is the start time).
-    drain_column_of = {slot: position
-                       for position, slot in enumerate(drained_slots)}
-    n_nodes = len(node_tasks) + len(drained_slots)
-
-    node_operands: list[set[int]] = []
-    node_pred_nodes: list[set[int]] = []
-    for node, members in enumerate(node_tasks):
-        operands: set[int] = set()
-        pred_nodes: set[int] = set()
-        for index in members:
-            for pred in preds[pred_indptr[index]:pred_indptr[index + 1]]:
-                operands.add(pred)
-                pred_nodes.add(int(node_of[pred]))
-            if chain_pred[index] >= 0:
-                operands.add(int(chain_pred[index]))
-                pred_nodes.add(int(node_of[chain_pred[index]]))
-            for slot in compiled.sync_slots[index]:
-                operands.add(n + 1 + drain_column_of[slot])
-                pred_nodes.add(drain_node_of[slot])
-        if node in pred_nodes:
-            members_desc = [compiled.tasks[index].name for index in members[:4]]
+    drain_node = {slot: n + len(group_members) + position
+                  for position, slot in enumerate(drained_slots)}
+    operands: list[tuple[int, ...]] = []
+    group_operands: list[set[int]] = [set() for _ in group_members]
+    for index in range(n):
+        columns = set(preds[pred_indptr[index]:pred_indptr[index + 1]])
+        if chain_pred[index] >= 0:
+            columns.add(chain_pred[index])
+        columns.update(drain_node[slot] for slot in compiled.sync_slots[index])
+        group = group_id[index]
+        if group < 0:
+            operands.append(tuple(columns))
+        else:
+            group_operands[group].update(columns)
+            operands.append((n + group,))
+    for group, columns in enumerate(group_operands):
+        if any(column < n and group_id[column] == group for column in columns):
+            members_desc = [compiled.tasks[index].name
+                            for index in group_members[group][:4]]
             raise UnbatchableGraphError(
                 f"self-referential scheduling constraint among tasks "
                 f"{members_desc}: a collective group with internal "
                 f"dependencies deadlocks Algorithm 1",
                 code=FALLBACK_COLLECTIVE_DEPENDENCY)
-        node_operands.append(operands)
-        node_pred_nodes.append(pred_nodes)
+        operands.append(tuple(columns))
     for slot in drained_slots:
-        kernels = np.flatnonzero(compiled.stream_slot == slot)
-        node_operands.append(set(kernels.tolist()))
-        node_pred_nodes.append({int(node_of[kernel]) for kernel in kernels})
+        operands.append(tuple(np.flatnonzero(compiled.stream_slot == slot).tolist()))
 
-    # Level assignment over the augmented node graph (Kahn by longest
-    # path); a leftover node means a scheduling cycle -> deadlock (e.g. a
-    # kernel behind its own stream's synchronisation).
-    node_succ: list[list[int]] = [[] for _ in range(n_nodes)]
-    node_indegree = np.zeros(n_nodes, dtype=np.int64)
-    for node, pred_nodes in enumerate(node_pred_nodes):
-        node_indegree[node] = len(pred_nodes)
-        for pred_node in sorted(pred_nodes):
-            node_succ[pred_node].append(node)
-    level_of = np.zeros(n_nodes, dtype=np.int64)
-    frontier = np.flatnonzero(node_indegree == 0).tolist()
-    visited = 0
-    by_level: dict[int, list[int]] = {}
-    while frontier:
-        next_frontier: list[int] = []
-        for node in frontier:
-            visited += 1
-            by_level.setdefault(int(level_of[node]), []).append(node)
-            for successor in node_succ[node]:
-                if level_of[node] + 1 > level_of[successor]:
-                    level_of[successor] = level_of[node] + 1
-                node_indegree[successor] -= 1
-                if node_indegree[successor] == 0:
-                    next_frontier.append(successor)
-        frontier = next_frontier
-    if visited != n_nodes:
+    # Kahn, one wave at a time: a node joins the wave after its last
+    # operand's, so wave ``k`` is level ``k`` (the longest path from a
+    # root) and the order lists each level as one contiguous run.  A
+    # leftover node means a scheduling cycle -> deadlock (e.g. a kernel
+    # behind its own stream's synchronisation).
+    successors: list[list[int]] = [[] for _ in operands]
+    remaining = [len(columns) for columns in operands]
+    for node, columns in enumerate(operands):
+        for column in columns:
+            successors[column].append(node)
+    order: list[int] = []
+    level_bounds = [0]
+    wave = [node for node, count in enumerate(remaining) if not count]
+    while wave:
+        next_wave: list[int] = []
+        for node in wave:
+            for successor in successors[node]:
+                remaining[successor] -= 1
+                if not remaining[successor]:
+                    next_wave.append(successor)
+        order.extend(wave)
+        level_bounds.append(len(order))
+        wave = next_wave
+    if len(order) != len(operands):
         raise UnbatchableGraphError(
             "synchronisation constraints form a cycle; Algorithm 1 would "
             "deadlock on this graph", code=FALLBACK_SYNC_CYCLE)
-
-    levels: list[_Level] = []
-    for level in sorted(by_level):
-        nodes = by_level[level]
-        pred_columns: list[int] = []
-        indptr: list[int] = []
-        out_tasks: list[int] = []
-        out_nodes: list[int] = []
-        drain_columns: list[int] = []
-        drain_nodes: list[int] = []
-        for position, node in enumerate(nodes):
-            indptr.append(len(pred_columns))
-            pred_columns.extend(sorted(node_operands[node]))
-            # The virtual start-time column keeps every segment non-empty
-            # (np.maximum.reduceat misreads empty segments) and mirrors
-            # the sequential initialisation of the ready / processor /
-            # stream-last-end state.
-            pred_columns.append(n)
-            if node < len(node_tasks):
-                for index in node_tasks[node]:
-                    out_tasks.append(index)
-                    out_nodes.append(position)
-            else:
-                slot = drained_slots[node - len(node_tasks)]
-                drain_columns.append(n + 1 + drain_column_of[slot])
-                drain_nodes.append(position)
-        levels.append(_Level(
-            pred_columns=np.asarray(pred_columns, dtype=np.int64),
-            indptr=np.asarray(indptr, dtype=np.int64),
-            out_tasks=np.asarray(out_tasks, dtype=np.int64),
-            out_nodes=np.asarray(out_nodes, dtype=np.int64),
-            drain_columns=np.asarray(drain_columns, dtype=np.int64),
-            drain_nodes=np.asarray(drain_nodes, dtype=np.int64),
-        ))
-    return BatchPlan(levels=tuple(levels), n_drains=len(drained_slots))
+    position = [0] * len(order)
+    for index, node in enumerate(order):
+        position[node] = index
+    return BatchPlan(
+        program=tuple(tuple(sorted(position[column] for column in operands[node]))
+                      for node in order),
+        task_nodes=np.array(position[:n], dtype=np.int64),
+        level_bounds=tuple(level_bounds))
 
 
 def _topology_plan(compiled: CompiledGraph) -> BatchPlan:
@@ -397,7 +412,7 @@ class BatchRun:
     ``starts``/``durations`` are ``(batch, n_tasks)`` arrays in dense task
     order; every row is bit-identical to the corresponding sequential
     :meth:`~repro.core.engine.SimulationSession.run`.  ``batched`` records
-    whether the vectorized kernel ran or the sequential fallback did;
+    whether the plan ran or the sequential fallback did;
     on the fallback path ``fallback_reason`` carries why the proof failed.
     """
 

@@ -566,9 +566,10 @@ class SimulationSession:
 
         See :mod:`repro.core.batch`: the returned
         :class:`~repro.core.batch.BatchSession` simulates a whole
-        ``(B, n_tasks)`` duration matrix in one vectorized sweep when the
-        graph's schedule is provably duration-independent, and falls back
-        to per-scenario :meth:`run` calls on this session otherwise.
+        ``(B, n_tasks)`` duration matrix with the topology's batch plan
+        when the graph's schedule is provably duration-independent, and
+        falls back to per-scenario :meth:`run` calls on this session
+        otherwise.
         """
         if self._batch is None:
             from repro.core.batch import BatchSession

@@ -220,7 +220,9 @@ def _derive_parallelism(graph: ExecutionGraph, context: DeriveContext) -> Execut
     # groups too, so a down-scaled target cannot shrink the cluster.
     derived_cluster = ClusterSpec.for_world_size(
         max(base_parallel.world_size, parallel.world_size))
-    if parallel.pp == base_parallel.pp:
+    # A DP=1 base traced no gradient all-reduce for the DP path to retime,
+    # so a DP change from it is synthesised like a PP change.
+    if parallel.pp == base_parallel.pp and (base_parallel.dp > 1 or parallel.dp == 1):
         return scale_data_parallelism(graph, base_parallel, parallel.dp,
                                       context.perf_model, cluster=derived_cluster)
     return scale_pipeline_parallelism(graph, context.source.model, base_parallel,

@@ -10,6 +10,9 @@ per-request timings by reading the simulated end of each phase's
   chunk's head (TTFT = that end minus the request's arrival);
 * its **completion** is the sampled token of its last decode step.
 
+:func:`sample_tokens` finds those kernels once per dense task order, so
+scoring a row (:func:`metrics_from_task_times`) reads only its arrays.
+
 Arrival offsets are anchored at the simulation's earliest task start, so
 host-side setup (request batching, tokenisation) counts toward the first
 batch's TTFT — deliberately: that latency is real.
@@ -26,7 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from repro.core.tasks import Task
 from repro.observability import tracing as observability
@@ -37,6 +42,7 @@ __all__ = [
     "RequestMetrics",
     "ServingMetrics",
     "metrics_from_task_times",
+    "sample_tokens",
     "stream_plan_of",
 ]
 
@@ -179,32 +185,45 @@ def stream_plan_of(metadata: Mapping[str, Any]) -> StreamPlan | None:
     return StreamPlan.from_json(payload)
 
 
-def metrics_from_task_times(tasks: Sequence[Task], starts: Iterable[float],
-                            durations: Iterable[float], plan: StreamPlan, *,
-                            deadline_ms: float | None = None) -> ServingMetrics:
-    """Score dense-ordered task timing arrays against a stream plan.
+#: Dense indices of the ``sample_token`` kernels among some tasks, and
+#: the ``(phase, microbatch)`` each one samples for.
+SampleTokens = tuple[np.ndarray, tuple[tuple[str, int], ...]]
 
-    ``tasks`` is ``CompiledGraph.tasks`` and ``starts``/``durations`` one
-    row of a (batched) session run, all in dense task order.
-    """
-    anchor: float | None = None
-    sample_ends: dict[tuple[str, int], float] = {}
-    for task, start, duration in zip(tasks, starts, durations):
-        if anchor is None or start < anchor:
-            anchor = start
+
+def sample_tokens(tasks: Sequence[Task]) -> SampleTokens:
+    """Find the prefill and decode ``sample_token`` kernels among ``tasks``."""
+    indices: list[int] = []
+    keys: list[tuple[str, int]] = []
+    for index, task in enumerate(tasks):
         args = task.args
-        if args.get("op_name") != "sample_token":
-            continue
         phase = args.get("phase")
-        if phase not in ("prefill", "decode"):
-            continue
-        key = (phase, int(args.get("microbatch", 0)))
-        end = start + duration
+        if args.get("op_name") == "sample_token" and phase in ("prefill", "decode"):
+            indices.append(index)
+            keys.append((phase, int(args.get("microbatch", 0))))
+    return np.array(indices, dtype=np.int64), tuple(keys)
+
+
+def metrics_from_task_times(samples: SampleTokens, starts: np.ndarray,
+                            durations: np.ndarray, plan: StreamPlan, *,
+                            deadline_ms: float | None = None) -> ServingMetrics:
+    """Score one row of dense-ordered task times against a stream plan.
+
+    ``samples`` is :func:`sample_tokens` of the tasks the row times
+    (``CompiledGraph.tasks``), and ``starts``/``durations`` one row of a
+    (batched) session run, in the same dense order.  A key's sample ends
+    when its last ``sample_token`` kernel (one per rank) does.
+    """
+    starts = np.asarray(starts, dtype=np.float64)
+    if not len(starts):
+        raise ValueError("serving metrics need a non-empty simulation")
+    anchor = float(starts.min())
+    indices, keys = samples
+    ends = starts[indices] + np.asarray(durations, dtype=np.float64)[indices]
+    sample_ends: dict[tuple[str, int], float] = {}
+    for key, end in zip(keys, ends.tolist()):
         known = sample_ends.get(key)
         if known is None or end > known:
             sample_ends[key] = end
-    if anchor is None:
-        raise ValueError("serving metrics need a non-empty simulation")
 
     requests = []
     for schedule in plan.requests:

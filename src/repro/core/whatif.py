@@ -14,13 +14,17 @@ Scenarios are plain ``(name, predicate, speedup)`` descriptions
 ``(1 + B, n_tasks)`` duration matrix: row 0 is the graph's own durations
 (the configuration every result is measured against) and each scenario
 adds one rescaled row.  A matrix of two rows runs as two sequential
-:meth:`~repro.core.engine.SimulationSession.run` calls; a larger one is
-simulated in a single vectorized sweep through
-:meth:`~repro.core.engine.SimulationSession.run_batch`, with the engine's
-documented fallback to per-row sequential runs for graphs whose schedule
-is not provably duration-independent.  Both paths produce bit-identical
-times.  Over a continuous-batching serving episode every result also
-carries its row's per-request serving metrics.  One scenario against a
+:meth:`~repro.core.engine.SimulationSession.run` calls.  A larger one
+goes to :meth:`~repro.core.engine.SimulationSession.run_batch` as one
+call: the topology's batch plan walks a sweep-sized group one row at a
+time and sweeps a wide one level by level (:mod:`repro.core.batch`),
+with a fallback to per-row sequential runs for graphs whose schedule is
+not provably duration-independent.  Every path produces bit-identical
+times.  Two rows stay sequential because a group on a topology without a
+plan would pay the plan's build for two runs' worth of work.  Over a
+continuous-batching serving episode every result also carries its row's
+per-request serving metrics, read from the row's arrays at the
+``sample_token`` kernels found once per call.  One scenario against a
 graph reads::
 
     evaluate_scenarios(graph, [scenario_for("kernel_class", op_class="gemm")])[0]
@@ -38,6 +42,7 @@ from repro.core.graph import ExecutionGraph
 from repro.core.serving_metrics import (
     ServingMetrics,
     metrics_from_task_times,
+    sample_tokens,
     stream_plan_of,
 )
 from repro.core.tasks import Task, TaskKind
@@ -189,10 +194,12 @@ def evaluate_scenarios(graph: ExecutionGraph,
         times, starts = batch.iteration_times_us.tolist(), batch.starts
 
     plan = stream_plan_of(graph.metadata)
-    serving = {} if plan is None else {
-        row: metrics_from_task_times(compiled.tasks, starts[row], matrix[row], plan,
-                                     deadline_ms=deadline_ms)
-        for row in sorted(set(rows))}
+    serving = {}
+    if plan is not None:
+        samples = sample_tokens(compiled.tasks)
+        serving = {row: metrics_from_task_times(samples, starts[row], matrix[row], plan,
+                                                deadline_ms=deadline_ms)
+                   for row in sorted(set(rows))}
     return [WhatIfResult(name="baseline" if scenario is None else scenario.name,
                          baseline_time_us=times[0],
                          scenario_time_us=times[row],

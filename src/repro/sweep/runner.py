@@ -182,9 +182,10 @@ def _evaluate_group(study: Study, config: Target,
     the whole group is one :func:`~repro.core.whatif.evaluate_scenarios`
     call: row 0 of its duration matrix times the configuration itself
     (what a no-what-if scenario reads) and each what-if variant adds one
-    row.  Three or more rows run as one batched sweep (falling back to
-    per-row sequential runs only for graphs without a duration-independent
-    schedule) — no graph clones, no separate configuration run.  The
+    row.  Three or more rows run as one call of the topology's batch plan
+    (falling back to per-row sequential runs only for graphs without a
+    duration-independent schedule) — no graph clones, no separate
+    configuration run.  The
     per-target state is memoized on the study, so a composite
     ``<workload>+hardware`` group resumes from its workload sibling's
     derived graph and reuses anything a prior ``predict`` derived.

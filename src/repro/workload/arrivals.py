@@ -299,9 +299,9 @@ class StreamPlan:
         """KV context length of every request decoding at ``step``.
 
         A request whose first decode step is ``f`` attends over
-        ``prompt_length + (step - f)`` tokens at global step ``step`` —
-        the same convention as ``InferenceConfig.context_length`` for the
-        fixed episode.
+        ``prompt_length + (step - f)`` tokens at global step ``step``: the
+        prompt plus the tokens it decoded before.  In the fixed episode
+        (:meth:`one_chunk`) every request's ``f`` is 0.
         """
         return tuple(prompt_length + (step - self.requests[r].first_step)
                      for r in self.step_requests[step])

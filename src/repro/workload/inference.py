@@ -128,17 +128,6 @@ class InferenceConfig:
         """Tokens processed by the prefill phase across the batch."""
         return self.batch_size * self.prompt_length
 
-    @property
-    def max_context_length(self) -> int:
-        """Longest context any decode step attends over."""
-        return self.prompt_length + self.decode_length - 1
-
-    def context_length(self, step: int) -> int:
-        """Tokens already in the KV cache when decode step ``step`` runs."""
-        if not 0 <= step < self.decode_length:
-            raise ValueError(f"decode step {step} outside [0, {self.decode_length})")
-        return self.prompt_length + step
-
     # -- KV-cache accounting -------------------------------------------------
 
     def kv_bytes_per_token_layer(self, model: ModelConfig,

@@ -18,7 +18,9 @@ handled the batch.  Every test here asserts that differentially:
   deadlocking graphs raise the sequential scheduler's ``RuntimeError``;
 * the what-if layer: a batched ``evaluate_scenarios`` call must equal
   one single-scenario ``evaluate_scenarios`` call per scenario, result
-  for result.
+  for result;
+* both walkers of a plan, at the row count where ``BatchPlan.execute``
+  switches from the row walk to the level sweep.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.core.batch import (
     FALLBACK_SERVING_STREAM,
     FALLBACK_SYNC_CYCLE,
     FALLBACK_UNORDERED_TASKS,
+    ROW_WALK_MAX_ROWS,
     BatchSession,
     UnbatchableGraphError,
     compile_batch_plan,
@@ -42,6 +45,7 @@ from repro.core.engine import SimulationSession, compile_graph
 from repro.core.graph import ExecutionGraph
 from repro.core.tasks import DependencyType
 from repro.core.whatif import Scenario, evaluate_scenarios, scenario_for
+from repro.observability.tracing import profile
 from tests.conftest import hyp_max_examples
 from tests.test_engine import cpu, gpu, random_graphs
 
@@ -93,6 +97,43 @@ def add_processor_chains(graph: ExecutionGraph) -> ExecutionGraph:
             if (src, dst) not in existing:
                 graph.add_dependency(src, dst, DependencyType.CPU_INTRA_THREAD)
     return graph
+
+
+@pytest.fixture(scope="module")
+def stream_graph():
+    """A continuous-batching episode whose decode batch varies step to step."""
+    from repro.core.graph_builder import GraphBuilder
+    from repro.emulator.api import emulate
+    from repro.workload.arrivals import parse_arrival
+    from repro.workload.inference import InferenceConfig
+    from repro.workload.parallelism import ParallelismConfig
+    from tests.conftest import tiny_model
+
+    inference = InferenceConfig(
+        batch_size=4, prompt_length=128, decode_length=2,
+        arrival=parse_arrival("poisson:rate=600,n=6,seed=3"))
+    result = emulate(tiny_model(), ParallelismConfig(tensor_parallel=2),
+                     inference=inference, iterations=1, seed=13)
+    return GraphBuilder().build(result.profiled)
+
+
+def groups_and_drains_graph() -> ExecutionGraph:
+    """Two chained ranks with an aligned send/recv pair and draining syncs."""
+    graph = ExecutionGraph()
+    for rank in (0, 1):
+        launch = cpu(graph, rank=rank, duration=1.0, name="cudaLaunchKernel")
+        compute = gpu(graph, rank=rank, stream=7, duration=100.0 * (rank + 1))
+        graph.add_dependency(launch.task_id, compute.task_id, DependencyType.CPU_TO_GPU)
+        p2p = gpu(graph, rank=rank, stream=28, duration=20.0, ts=1.0, group="pair-0")
+        graph.add_dependency(compute.task_id, p2p.task_id,
+                             DependencyType.GPU_INTER_STREAM)
+        sync = cpu(graph, rank=rank, duration=2.0, ts=5.0,
+                   name="cudaDeviceSynchronize", sync_streams=(7, 28))
+        graph.add_dependency(launch.task_id, sync.task_id,
+                             DependencyType.CPU_INTRA_THREAD)
+        tail = cpu(graph, rank=rank, duration=3.0, ts=6.0)
+        graph.add_dependency(sync.task_id, tail.task_id, DependencyType.CPU_INTRA_THREAD)
+    return add_processor_chains(graph)
 
 
 class TestBatchedPath:
@@ -468,22 +509,6 @@ class TestStreamGraphBatching:
     the same: bit-identical to sequential replays.
     """
 
-    @pytest.fixture(scope="class")
-    def stream_graph(self):
-        from repro.core.graph_builder import GraphBuilder
-        from repro.emulator.api import emulate
-        from repro.workload.arrivals import parse_arrival
-        from repro.workload.inference import InferenceConfig
-        from repro.workload.parallelism import ParallelismConfig
-        from tests.conftest import tiny_model
-
-        inference = InferenceConfig(
-            batch_size=4, prompt_length=128, decode_length=2,
-            arrival=parse_arrival("poisson:rate=600,n=6,seed=3"))
-        result = emulate(tiny_model(), ParallelismConfig(tensor_parallel=2),
-                         inference=inference, iterations=1, seed=13)
-        return GraphBuilder().build(result.profiled)
-
     def test_stream_has_varying_step_batches(self, stream_graph):
         from repro.core.serving_metrics import stream_plan_of
 
@@ -574,3 +599,45 @@ class TestWhatIfBatching:
                    study.whatif("communication", speedup=2.0),
                    study.whatif("launch_overhead")]
         assert results == singles
+
+
+class TestWalkerThreshold:
+    """Both walkers, at the row count where ``BatchPlan.execute`` switches.
+
+    ``ROW_WALK_MAX_ROWS`` rows take the row walk and one more row the
+    level sweep; either must equal the sequential runs exactly.
+    """
+
+    ROWS = (ROW_WALK_MAX_ROWS, ROW_WALK_MAX_ROWS + 1)
+
+    @pytest.mark.parametrize("start_time", [0.0, 1234.5])
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_groups_and_drains(self, rows, start_time):
+        graph = groups_and_drains_graph()
+        compiled = compile_graph(graph)
+        assert compiled.group_members and any(compiled.sync_slots)
+        batch = assert_batch_identical(graph, scenario_matrix(compiled, rows, seed=rows),
+                                       start_time=start_time)
+        assert batch.batchable
+
+    @pytest.mark.parametrize("start_time", [0.0, 1234.5])
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_stream_graph(self, stream_graph, rows, start_time):
+        compiled = compile_graph(stream_graph)
+        batch = assert_batch_identical(stream_graph,
+                                       scenario_matrix(compiled, rows, seed=rows),
+                                       start_time=start_time)
+        assert batch.batchable
+
+    @pytest.mark.parametrize(("rows", "walker", "other"), [
+        (8, "row_walk", "level_sweep"), (64, "level_sweep", "row_walk")])
+    def test_group_width_picks_the_walker(self, small_graph, rows, walker, other):
+        # Row 0 is the configuration, so a group of ``rows - 1`` scenarios.
+        scenarios = [Scenario(f"all x{1 + k / 64:g}", lambda task: True, 1 + k / 64)
+                     for k in range(1, rows)]
+        with profile() as prof:
+            results = evaluate_scenarios(small_graph, scenarios)
+        counters = prof.metrics.snapshot()["counters"]
+        assert len(results) == rows - 1
+        assert counters[f"batch.execute.{walker}"] == 1.0
+        assert f"batch.execute.{other}" not in counters

@@ -26,6 +26,7 @@ from repro.workload.inference import (
     prefill_layer_ops,
 )
 from repro.sweep import SweepSpecError
+from repro.workload.arrivals import StreamPlan
 from repro.workload.operators import OpClass, layer_forward_ops
 from repro.workload.parallelism import ParallelismConfig
 from tests.conftest import tiny_model
@@ -39,7 +40,8 @@ TP2 = ParallelismConfig(tensor_parallel=2)
 
 def fixed_contexts(step: int) -> tuple[int, ...]:
     """The in-flight KV contexts of decode step ``step`` of the fixed episode."""
-    return (TINY_INFERENCE.context_length(step),) * TINY_INFERENCE.batch_size
+    plan = StreamPlan.one_chunk(TINY_INFERENCE.batch_size, TINY_INFERENCE.decode_length)
+    return plan.step_contexts(TINY_INFERENCE.prompt_length, step)
 
 
 @pytest.fixture(scope="module")
@@ -81,12 +83,13 @@ class TestInferenceConfig:
         assert config.kv_cache_gb(model, TP2) == total / 2**30
 
     def test_context_length_per_step(self):
-        prompt = TINY_INFERENCE.prompt_length
-        assert TINY_INFERENCE.context_length(0) == prompt
-        assert TINY_INFERENCE.context_length(3) == prompt + 3
-        assert TINY_INFERENCE.max_context_length == prompt + 3
-        with pytest.raises(ValueError):
-            TINY_INFERENCE.context_length(TINY_INFERENCE.decode_length)
+        # The fixed episode's requests all decode every step, each over
+        # the prompt plus the tokens decoded before that step.
+        prompt, batch = TINY_INFERENCE.prompt_length, TINY_INFERENCE.batch_size
+        assert fixed_contexts(0) == (prompt,) * batch
+        assert fixed_contexts(3) == (prompt + 3,) * batch
+        assert max(max(fixed_contexts(step))
+                   for step in range(TINY_INFERENCE.decode_length)) == prompt + 3
 
     def test_prefill_training_shim_matches_forward_shapes(self):
         model = tiny_model()

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batch import ROW_WALK_MAX_ROWS
 from repro.core.breakdown import rank_breakdown
 from repro.core.critical_path import critical_path
 from repro.core.engine import SimulationSession, _compile_graph, compile_graph
@@ -20,6 +21,8 @@ from repro.trace.events import Category, TraceEvent
 from repro.trace.kineto import KinetoTrace
 from repro.workload.pipeline import one_f_one_b_schedule, stage_layers
 from tests.conftest import hyp_max_examples, simulate, spans
+from tests.test_batch_engine import add_processor_chains, scenario_matrix
+from tests.test_engine import random_graphs
 
 # --------------------------------------------------------------------------------------
 # Strategies
@@ -278,6 +281,29 @@ class TestCriticalPathProperties:
         assert [(e.task.task_id, e.start, e.duration) for e in path.entries] == \
             _record_walk(graph, run)
         assert path.total_time == run.total_time()
+
+
+# --------------------------------------------------------------------------------------
+# Batch walkers: either side of the row bound equals the sequential runs
+# --------------------------------------------------------------------------------------
+
+
+class TestBatchWalkerProperties:
+    @given(random_graphs(), st.integers(min_value=1, max_value=2 * ROW_WALK_MAX_ROWS),
+           st.sampled_from([0.0, 250.5]), st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=hyp_max_examples(40), deadline=None)
+    def test_rows_across_the_walker_bound_match_sequential_runs(self, graph, rows,
+                                                                start_time, seed):
+        session = SimulationSession(compile_graph(add_processor_chains(graph)))
+        matrix = scenario_matrix(session.compiled, rows, seed=seed)
+        try:
+            expected = [session.run(durations=row, start_time=start_time).starts
+                        for row in matrix]
+        except RuntimeError:
+            return
+        run = session.run_batch(matrix, start_time=start_time)
+        for row, starts in enumerate(expected):
+            assert np.array_equal(run.starts[row], starts)
 
 
 # --------------------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.core.manipulation.serving import REFUSE_STREAM_BATCH
 from repro.core.serving_metrics import (
     RequestMetrics,
     metrics_from_task_times,
+    sample_tokens,
     stream_plan_of,
 )
 from repro.core.whatif import evaluate_scenarios, scenario_for
@@ -223,11 +224,32 @@ class TestBaseServingMetrics:
         plan = stream_study.stream_plan
         order = run.finalize_order.tolist()
         from_schedule = metrics_from_task_times(
-            [run.compiled.tasks[index] for index in order],
-            run.starts[order].tolist(), run.durations[order].tolist(), plan)
+            sample_tokens([run.compiled.tasks[index] for index in order]),
+            run.starts[order], run.durations[order], plan)
         from_arrays = metrics_from_task_times(
-            run.compiled.tasks, run.starts, run.durations, plan)
+            sample_tokens(run.compiled.tasks), run.starts, run.durations, plan)
         assert from_arrays == from_schedule
+
+    def test_sample_index_matches_a_walk_over_every_task(self, stream_study):
+        # The scores read the sample_token kernels found once; a walk over
+        # every task's args, row by row, must give the same requests.
+        run = stream_study.replay().run
+        plan = stream_study.stream_plan
+        anchor, sample_ends = None, {}
+        for task, start, end in zip(run.compiled.tasks, run.starts.tolist(),
+                                    run.ends.tolist()):
+            anchor = start if anchor is None or start < anchor else anchor
+            args = task.args
+            if (args.get("op_name") == "sample_token"
+                    and args.get("phase") in ("prefill", "decode")):
+                key = (args["phase"], int(args.get("microbatch", 0)))
+                sample_ends[key] = max(end, sample_ends.get(key, end))
+        metrics = metrics_from_task_times(sample_tokens(run.compiled.tasks),
+                                          run.starts, run.durations, plan)
+        assert [(r.arrival_us, r.first_token_us, r.completion_us)
+                for r in metrics.requests] == [
+            (anchor + s.arrival_us, sample_ends[("prefill", s.prefill_chunk)],
+             sample_ends[("decode", s.last_step)]) for s in plan.requests]
 
     def test_training_study_has_no_stream(self):
         study = Study.from_emulation(tiny_model(), "2x1x1", iterations=1, seed=5)

@@ -230,6 +230,24 @@ class TestPredict:
             pytest.approx(study.predict("2x1x4").iteration_time_us)
 
 
+class TestDataParallelFromADP1Base:
+    """A DP=1 base traced no gradient all-reduce; a DP target must add it."""
+
+    @pytest.fixture(scope="class")
+    def dp1_study(self):
+        return Study.from_emulation(tiny_model(n_layers=8), "2x1x1", TRAINING,
+                                    iterations=1, seed=1)
+
+    @pytest.mark.parametrize("target", ["parallelism=2x1x2", "parallelism=2x1x4"])
+    def test_dp_target_synthesises_the_gradient_all_reduce(self, dp1_study, target):
+        prediction = dp1_study.predict(target)
+        dp_kernels = [task for task in prediction.graph.gpu_tasks()
+                      if task.args.get("group") == "dp"]
+        assert dp_kernels
+        assert all("AllReduce" in task.name for task in dp_kernels)
+        assert prediction.iteration_time_us > dp1_study.base_time_us
+
+
 class TestWhatIf:
     def test_single_scenario_matches_evaluate_scenarios(self, study):
         result = study.whatif("kernel_class", op_class="gemm", speedup=2.0)
