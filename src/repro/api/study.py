@@ -22,11 +22,16 @@ configuration.  A :class:`Study` owns that state and memoizes it:
 The sweep runner (:mod:`repro.sweep.runner`) and the CLI are thin clients
 of this class, which derives every key's graph one manipulation at a time
 through :func:`repro.core.manipulation.derive`.
+
+Every entry point (this class, the CLI, JSON sweep specs, service
+admission) reads a trace's base by one rule, :func:`resolve_base`, and a
+guessed model or parallelism never feeds a derive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.api.errors import PredictError, StudyError
@@ -80,28 +85,86 @@ if TYPE_CHECKING:
     from repro.sweep.runner import SweepResult
     from repro.sweep.spec import SweepSpec, WhatIfSpec
 
-_DEFAULT_MODEL = "gpt3-15b"
-_DEFAULT_PARALLELISM = "2x2x4"
+#: The one table of base defaults (the values sweep cache keys hash);
+#: ``SweepSpec``'s field defaults and ``emulate``'s flags read it.
+BASE_DEFAULTS: Mapping[str, Any] = MappingProxyType({
+    "model": "gpt3-15b", "parallelism": "2x2x4",
+    "micro_batch_size": 2, "num_microbatches": 4})
+
+#: Why a derive, a JSON sweep spec or a service job refuses a guessed base.
+GUESSED_BASE = ("the trace did not record its base model/parallelism, so graph "
+                "manipulation would run against a guessed base configuration; "
+                "pass model= and parallelism= explicitly when opening the study")
 
 
-def _resolve_model(model: ModelConfig | str,
-                   error: type[StudyError] = StudyError) -> ModelConfig:
+def resolve_base(metadata: Mapping[str, Any],
+                 named: Mapping[str, Any] | None = None) -> tuple[dict[str, Any], bool]:
+    """A trace's base block and whether its model or parallelism was guessed.
+
+    Each key of :data:`BASE_DEFAULTS` is what the caller ``named`` (``None``
+    is not named; typed objects and other keys pass through), else what the
+    trace ``metadata`` records (a model or parallelism only if it
+    resolves), else the default.  A serving episode's ``inference`` is the
+    named one, else the metadata's parsed block; :class:`StudyError` if a
+    serving mark has no block that parses.
+    """
+    base = {key: value for key, value in (named or {}).items() if value is not None}
+    guessed = False
+    for key, default in BASE_DEFAULTS.items():
+        if key not in base:
+            recorded = _recorded(key, metadata.get(key))
+            guessed |= recorded is None and key in ("model", "parallelism")
+            base[key] = default if recorded is None else recorded
+    if "inference" not in base and metadata.get("workload") == WORKLOAD_SERVING:
+        payload = metadata.get("inference")
+        if not isinstance(payload, Mapping):
+            # A training base would report confident wrong predictions.
+            raise StudyError(
+                "the trace metadata marks a serving episode but carries "
+                "no inference configuration; pass inference= explicitly")
+        try:
+            base["inference"] = InferenceConfig.from_json(payload)
+        except (TypeError, ValueError) as exc:
+            raise StudyError(
+                f"trace metadata carries a malformed inference "
+                f"configuration: {exc}") from exc
+    return base, guessed
+
+
+def _recorded(key: str, value: Any) -> Any:
+    """A base key's metadata value, canonical, or ``None`` if absent or
+    unresolvable."""
+    try:
+        if key == "model":
+            return gpt3_model(str(value)).name
+        if key == "parallelism":
+            return ParallelismConfig.parse(str(value)).label()
+        return int(value)
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def _training(base: Mapping[str, Any]) -> TrainingConfig:
+    return TrainingConfig(micro_batch_size=base["micro_batch_size"],
+                          num_microbatches=base["num_microbatches"])
+
+
+def _resolve_model(model: ModelConfig | str) -> ModelConfig:
     if isinstance(model, ModelConfig):
         return model
     try:
         return gpt3_model(model)
     except KeyError as exc:
-        raise error(str(exc.args[0])) from exc
+        raise StudyError(str(exc.args[0])) from exc
 
 
-def _resolve_parallelism(parallelism: ParallelismConfig | str,
-                         error: type[StudyError] = StudyError) -> ParallelismConfig:
+def _resolve_parallelism(parallelism: ParallelismConfig | str) -> ParallelismConfig:
     if isinstance(parallelism, ParallelismConfig):
         return parallelism
     try:
         return ParallelismConfig.parse(parallelism)
     except ValueError as exc:
-        raise error(str(exc)) from exc
+        raise StudyError(str(exc)) from exc
 
 
 def _serving_metrics(result: ReplayResult,
@@ -269,51 +332,16 @@ class Study:
                  cluster: ClusterSpec | None = None,
                  options: "GraphBuilderOptions | None" = None,
                  inference: InferenceConfig | None = None) -> None:
-        metadata = trace.metadata if trace is not None else {}
-        # Explicit base configuration is resolved strictly; metadata is a
-        # hint (trace bundles are general Kineto containers) and falls
-        # back to the defaults when it is absent or unresolvable.  Replay
-        # and breakdowns never consult the base configuration, but graph
-        # manipulation does — so a guessed base marks the study and
-        # :meth:`derived_graph` refuses to manipulate on a guess.
-        self._base_guessed = False
-        if model is not None:
-            self.base_model = _resolve_model(model)
-        else:
-            try:
-                self.base_model = _resolve_model(str(metadata["model"]))
-            except (KeyError, StudyError):
-                self.base_model = _resolve_model(_DEFAULT_MODEL)
-                self._base_guessed = True
-        if parallelism is not None:
-            self.base_parallel = _resolve_parallelism(parallelism)
-        else:
-            try:
-                self.base_parallel = _resolve_parallelism(str(metadata["parallelism"]))
-            except (KeyError, StudyError):
-                self.base_parallel = _resolve_parallelism(_DEFAULT_PARALLELISM)
-                self._base_guessed = True
-        self.training = training or TrainingConfig()
-        # A serving-episode base is recognised from the emulator's trace
-        # metadata unless the caller states it explicitly; inference-invalid
-        # parallelism degrees are rejected here, before any building runs.
-        if inference is None and metadata.get("workload") == WORKLOAD_SERVING:
-            payload = metadata.get("inference")
-            if not isinstance(payload, Mapping):
-                # Falling through to a training study would run training
-                # manipulations over the serving graph and report
-                # confident wrong predictions.
-                raise StudyError(
-                    "the trace metadata marks a serving episode but carries "
-                    "no inference configuration; pass inference= explicitly")
-            try:
-                inference = InferenceConfig.from_json(payload)
-            except (TypeError, ValueError) as exc:
-                raise StudyError(
-                    f"trace metadata carries a malformed inference "
-                    f"configuration: {exc}") from exc
-        self.inference = inference
-        if inference is not None:
+        # What the caller names resolves strictly; replay never consults
+        # the base, but a guessed one makes every derive refuse.
+        base, self._base_guessed = resolve_base(
+            trace.metadata if trace is not None else {},
+            {"model": model, "parallelism": parallelism, "inference": inference})
+        self.base_model = _resolve_model(base["model"])
+        self.base_parallel = _resolve_parallelism(base["parallelism"])
+        self.training = training or _training(base)
+        self.inference = base.get("inference")
+        if self.inference is not None:
             try:
                 self.base_parallel.validate_for_inference()
             except ValueError as exc:
@@ -345,7 +373,7 @@ class Study:
     def from_trace(cls, trace: "TraceBundle | str | Path", *,
                    model: ModelConfig | str | None = None,
                    parallelism: ParallelismConfig | str | None = None,
-                   micro_batch_size: int = 2,
+                   micro_batch_size: int | None = None,
                    num_microbatches: int | None = None,
                    training: TrainingConfig | None = None,
                    cluster: ClusterSpec | None = None,
@@ -353,17 +381,18 @@ class Study:
                    inference: InferenceConfig | None = None) -> "Study":
         """Open a study over a profiled trace (a bundle or its directory).
 
-        The base model and parallelism default to what the bundle's
-        metadata records (the emulator writes both); pass them explicitly
-        for traces from other sources.  Serving-episode traces are
-        recognised from their metadata (``inference=`` overrides it).
+        A ``None`` base argument applies :func:`resolve_base` (the
+        emulator records all but the micro-batch size), so
+        ``Study.from_trace(trace)`` is ``Study(trace)``; a study on a
+        guessed model or parallelism replays but refuses to manipulate.
         """
         bundle = trace if isinstance(trace, TraceBundle) else TraceBundle.load(trace)
         if training is None:
-            if num_microbatches is None:
-                num_microbatches = int(bundle.metadata.get("num_microbatches", 4))
-            training = TrainingConfig(micro_batch_size=micro_batch_size,
-                                      num_microbatches=num_microbatches)
+            # A named inference block spares the trace's own its checks.
+            base, _ = resolve_base(bundle.metadata, {
+                "micro_batch_size": micro_batch_size,
+                "num_microbatches": num_microbatches, "inference": inference})
+            training = _training(base)
         return cls(bundle, model=model, parallelism=parallelism, training=training,
                    cluster=cluster, options=options, inference=inference)
 
@@ -406,9 +435,10 @@ class Study:
             training = training or TrainingConfig()
             emulation = emulate(base_model, base_parallel, training, cluster=cluster,
                                 iterations=iterations, seed=seed, noise=noise)
+        # A serving study names the training its inline specs always hashed.
         study = cls(emulation.profiled, model=base_model, parallelism=base_parallel,
-                    training=training, cluster=emulation.cluster, options=options,
-                    inference=inference)
+                    training=training or TrainingConfig(), cluster=emulation.cluster,
+                    options=options, inference=inference)
         study._emulation = emulation
         return study
 
@@ -550,7 +580,7 @@ class Study:
         workload, gpu = base, None
         for kind, label in resolved.manipulations:
             if kind == KIND_HARDWARE:
-                gpu = (self._register_gpu(resolved.gpu) if resolved.gpu is not None
+                gpu = (self._register(resolved.gpu) if resolved.gpu is not None
                        else label.removeprefix("gpu="))
             elif kind == KIND_SERVING:
                 serving = ServingTarget.parse(label)
@@ -558,7 +588,7 @@ class Study:
                         or not serving.is_noop(self.inference, self.base_parallel)):
                     workload = Target(KIND_SERVING, serving.label())
             elif kind == KIND_ARCHITECTURE:
-                name = (self._register_model(resolved.model)
+                name = (self._register(resolved.model)
                         if resolved.model is not None else label)
                 if name != self.base_model.name:
                     workload = Target(KIND_ARCHITECTURE, name,
@@ -571,66 +601,41 @@ class Study:
             return workload
         return on_gpu(workload, gpu, self._custom_gpus.get(gpu))
 
-    def _register_model(self, model: ModelConfig) -> str:
-        """Record a target ModelConfig under its name, refusing collisions.
+    def _register(self, payload: "ModelConfig | GPUSpec") -> str:
+        """Record a custom target model or GPU spec by name, refusing collisions.
 
-        Predictions are memoized by name, so two different architectures
-        sharing one name would silently serve each other's cached results
-        — reject the ambiguity instead.
+        Predictions are memoized by name, so two different payloads sharing
+        one name would silently serve each other's cached results.
         """
-        name = model.name
-        if name == self.base_model.name and model != self.base_model:
+        name = payload.name
+        if isinstance(payload, ModelConfig):
+            noun, base, memo = "model", self.base_model, self._custom_models
+            try:
+                registered = gpt3_model(name)
+            except KeyError:
+                registered = None
+        else:
+            noun, base, memo = "GPU spec", self.cluster.gpu, self._custom_gpus
+            registered = registry_gpu(name)
+        if name == base.name and payload != base:
             raise PredictError(
-                f"custom model is named like the base model ({name!r}) but "
-                "differs from it; give the variant a distinct name")
-        previous = self._custom_models.get(name)
-        if previous is not None and previous != model:
+                f"custom {noun} is named like the base {noun.removesuffix(' spec')} "
+                f"({name!r}) but differs from it; give the variant a distinct name")
+        previous = memo.get(name)
+        if previous is not None and previous != payload:
             raise PredictError(
-                f"a different model named {name!r} was already predicted by "
+                f"a different {noun} named {name!r} was already predicted by "
                 "this study; give the variant a distinct name")
-        try:
-            registered = gpt3_model(name)
-        except KeyError:
-            registered = None
-        if registered is not None and registered != model:
+        if registered is not None and registered != payload:
             raise PredictError(
-                f"custom model {name!r} shadows the registry model of the "
+                f"custom {noun} {name!r} shadows the registry {noun} of the "
                 "same name; give the variant a distinct name")
-        self._custom_models[name] = model
-        return name
-
-    def _register_gpu(self, gpu: "GPUSpec") -> str:
-        """Record a target GPUSpec under its name, refusing collisions.
-
-        Mirrors :meth:`_register_model`: predictions are memoized by GPU
-        name, so two different specs sharing one name would silently
-        serve each other's cached results — reject the ambiguity.
-        """
-        name = gpu.name
-        base_gpu = self.cluster.gpu
-        if name == base_gpu.name and gpu != base_gpu:
-            raise PredictError(
-                f"custom GPU spec is named like the base GPU ({name!r}) but "
-                "differs from it; give the variant a distinct name")
-        previous = self._custom_gpus.get(name)
-        if previous is not None and previous != gpu:
-            raise PredictError(
-                f"a different GPU spec named {name!r} was already predicted "
-                "by this study; give the variant a distinct name")
-        registered = registry_gpu(name)
-        if registered is not None and registered != gpu:
-            raise PredictError(
-                f"custom GPU spec {name!r} shadows the registry spec of the "
-                "same name; give the variant a distinct name")
-        self._custom_gpus[name] = gpu
+        memo[name] = payload
         return name
 
     def _derive(self, key: Target) -> tuple[ExecutionGraph, int]:
         if self._base_guessed:
-            raise StudyError(
-                "the trace did not record its base model/parallelism, so graph "
-                "manipulation would run against a guessed base configuration; "
-                "pass model= and parallelism= explicitly when opening the study")
+            raise StudyError(GUESSED_BASE)
         # The whole chain is judged before any graph work; the profiled GPU
         # is known here, so a hardware segment also checks memory.
         base = Configuration(self.base_model, self.base_parallel, self.inference,
@@ -790,14 +795,15 @@ class Study:
         """Evaluate a scenario grid, reusing this study's calibrated state.
 
         Pass a full :class:`~repro.sweep.spec.SweepSpec` (object, mapping
-        or spec-file path) whose base must match this study, or just the
-        axes (``parallelism`` / ``models`` / ``serving`` / ``hardware`` /
-        ``whatif`` — what-if entries may be specs, mappings, or compact
-        CLI strings like ``"gemm:2"``; serving entries are
-        ``batch=/prompt=/tp=`` labels and require a serving-episode
-        study; hardware entries are registry GPU names like
-        ``"H200-SXM"`` and cross with every workload configuration) and
-        the spec is built around the study's base configuration.
+        or spec-file path; a mapping or file takes the base keys it omits
+        from the trace, then the defaults) whose base must match this
+        study, or just the axes (``parallelism`` / ``models`` /
+        ``serving`` / ``hardware`` / ``whatif`` — what-if entries may be
+        specs, mappings, or compact CLI strings like ``"gemm:2"``; serving
+        entries are ``batch=/prompt=/tp=`` labels and require a
+        serving-episode study; hardware entries are registry GPU names
+        like ``"H200-SXM"`` and cross with every workload configuration)
+        and the spec is built around the study's base configuration.
         ``slo_ms`` sets the latency deadline of the per-request serving
         metrics attached to continuous-batching scenario results (goodput
         ranking).
@@ -832,8 +838,7 @@ class Study:
             if (parallelism or models or serving or hardware or whatif
                     or slo_ms is not None or not include_baseline):
                 raise StudyError("pass either a full spec or inline axes, not both")
-            spec = _SweepSpec.coerce(spec)
-        self.ensure_matches(spec)
+            spec = _SweepSpec.coerce(spec, self.trace.metadata)
         if cache is None and cache_dir is not None:
             cache = _SweepCache(_Path(cache_dir))
         with observability.trace_span("study.sweep", workers=workers):
@@ -903,7 +908,7 @@ def predict(trace: "TraceBundle | str | Path",
             target: TargetLike | None = None, *,
             base_model: ModelConfig | str | None = None,
             base_parallelism: ParallelismConfig | str | None = None,
-            micro_batch_size: int = 2,
+            micro_batch_size: int | None = None,
             num_microbatches: int | None = None,
             training: TrainingConfig | None = None) -> Prediction:
     """One-call prediction: open a throwaway :class:`Study` and predict.

@@ -48,6 +48,11 @@ Every subcommand accepts ``--profile out.json`` to collect the pipeline's
 own spans and metrics (:mod:`repro.observability`) and write the
 structured run report next to the command's normal output.
 
+``predict``, ``sweep`` and ``export-timeline`` take each base flag left
+out from the trace, then the defaults (:func:`repro.api.study.
+resolve_base`); a ``sweep --spec`` file fills its omitted base keys from
+those flags first.
+
 Every subcommand is a thin presentation layer over :class:`repro.api.Study`
 — the library owns replay, calibration, manipulation and memoization; the
 CLI parses arguments, formats tables and maps typed errors (e.g.
@@ -60,18 +65,20 @@ import argparse
 import json
 import math
 import sys
-
 from dataclasses import replace
+from pathlib import Path
+from typing import Any
 
 from repro.analysis.reporting import breakdown_headers, format_breakdown_row, format_table
 from repro.api import Study, StudyError
+from repro.api.study import BASE_DEFAULTS
 from repro.api.target import sweep_axes
 from repro.baselines.dpro import dpro_replay
 from repro.core.breakdown import compute_breakdown
 from repro.emulator.api import emulate
 from repro.observability import export_timeline
 from repro.observability import tracing as observability
-from repro.sweep import SweepSpec, SweepSpecError, WhatIfSpec
+from repro.sweep import SweepSpec, SweepSpecError, WhatIfSpec, sweep
 from repro.sweep.analysis import format_report
 from repro.trace.kineto import TraceBundle
 from repro.version import __version__
@@ -82,23 +89,24 @@ from repro.workload.parallelism import ParallelismConfig
 from repro.workload.training import TrainingConfig
 
 
-def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", default="gpt3-15b", help="model name (Table 1/2)")
-    parser.add_argument("--parallelism", default="2x2x4", help="TPxPPxDP label")
-    parser.add_argument("--micro-batch-size", type=int, default=2)
-    parser.add_argument("--num-microbatches", type=int, default=4)
+def _add_workload_arguments(parser: argparse.ArgumentParser, *,
+                            from_trace: bool = False) -> None:
+    """The four base flags (left out on a ``from_trace`` command: the
+    trace's value, then the default) and ``--seed``."""
+    for flag, kind, text in (("--model", str, "model name (Table 1/2)"),
+                             ("--parallelism", str, "TPxPPxDP label"),
+                             ("--micro-batch-size", int, "samples per micro-batch"),
+                             ("--num-microbatches", int, "micro-batches per iteration")):
+        default = BASE_DEFAULTS[flag[2:].replace("-", "_")]
+        source = "the trace's, else " if from_trace else ""
+        parser.add_argument(flag, type=kind, default=None if from_trace else default,
+                            help=f"{text} (default: {source}{default})")
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _training_from_args(args: argparse.Namespace) -> TrainingConfig:
-    return TrainingConfig(micro_batch_size=args.micro_batch_size,
-                          num_microbatches=args.num_microbatches)
-
-
-def _study_from_args(args: argparse.Namespace) -> Study:
-    return Study.from_trace(args.trace, model=args.model,
-                            parallelism=args.parallelism,
-                            training=_training_from_args(args))
+def _named_base(args: argparse.Namespace) -> dict[str, Any]:
+    """The base keys a trace command's flags name; ``None`` applies the rule."""
+    return {key: getattr(args, key) for key in BASE_DEFAULTS}
 
 
 def _inference_from_args(args: argparse.Namespace) -> InferenceConfig:
@@ -161,8 +169,10 @@ def _cmd_emulate(args: argparse.Namespace) -> int:
             label = (f"serving episode ({inference.batch_size} requests, "
                      f"{inference.prompt_length}+{inference.decode_length} tokens)")
     else:
-        result = emulate(model, parallel, _training_from_args(args),
-                         iterations=args.iterations, seed=args.seed)
+        training = TrainingConfig(micro_batch_size=args.micro_batch_size,
+                                  num_microbatches=args.num_microbatches)
+        result = emulate(model, parallel, training, iterations=args.iterations,
+                         seed=args.seed)
         label = "training job"
     result.profiled.save(args.output)
     print(f"saved profiled trace of {model.name} {parallel.label()} "
@@ -199,7 +209,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         print("error: slo_ms must be a positive finite number", file=sys.stderr)
         return 2
     try:
-        study = _study_from_args(args)
+        study = Study.from_trace(args.trace, **_named_base(args))
         prediction = study.predict(args.target[0])
         metrics = prediction.serving_metrics(deadline_ms=args.slo_ms)
         base_metrics = (study.base_serving_metrics(deadline_ms=args.slo_ms)
@@ -226,11 +236,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_export_timeline(args: argparse.Namespace) -> int:
     try:
-        bundle = TraceBundle.load(args.trace)
-        study = Study.from_trace(bundle, model=args.model,
-                                 parallelism=args.parallelism,
-                                 training=_training_from_args(args))
-        sections = [("profiled", bundle), ("replayed", study.replay())]
+        study = Study.from_trace(args.trace, **_named_base(args))
+        sections = [("profiled", study.trace), ("replayed", study.replay())]
         serving_tracks = []
         base_metrics = study.base_serving_metrics()
         if base_metrics is not None:
@@ -258,15 +265,12 @@ def _cmd_export_timeline(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         if args.spec:
-            spec = SweepSpec.load(args.spec)
+            bundle = TraceBundle.load(args.trace)
+            spec = SweepSpec.coerce(args.spec, bundle.metadata, _named_base(args))
             if args.slo_ms is not None:
                 spec = replace(spec, slo_ms=args.slo_ms)
-            study = Study.from_trace(args.trace, model=spec.base_model,
-                                     parallelism=spec.base_parallelism,
-                                     training=spec.training(),
-                                     inference=spec.inference)
-            result = study.sweep(spec, workers=args.workers,
-                                 cache_dir=args.cache_dir, force=args.force)
+            result = sweep(bundle, spec, workers=args.workers,
+                           cache_dir=args.cache_dir, force=args.force)
         else:
             # Composite 'tp=8,gpu=B200' targets populate two axes, which
             # the spec re-crosses into the full hardware × workload grid.
@@ -277,9 +281,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 return 2
             # The study recovers a serving base from the trace metadata, so
             # serving targets need no spec-side inference block.
-            study = Study.from_trace(args.trace, model=args.model,
-                                     parallelism=args.parallelism,
-                                     training=_training_from_args(args))
+            study = Study.from_trace(args.trace, **_named_base(args))
             result = study.sweep(
                 **axes,
                 whatif=tuple(WhatIfSpec.parse(w) for w in args.whatif),
@@ -383,12 +385,13 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         body["target"] = args.target[0]
     else:
         if args.spec:
+            # Sent as written: the server fills its omitted base keys.
             try:
-                spec = SweepSpec.load(args.spec)
-            except SweepSpecError as error:
-                print(f"error: {error}", file=sys.stderr)
+                body["spec"] = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+            except (OSError, ValueError) as error:
+                print(f"error: cannot read spec file {args.spec}: {error}",
+                      file=sys.stderr)
                 return 2
-            body["spec"] = spec.to_json()
         if args.target:
             body["targets"] = args.target
         if args.whatif:
@@ -521,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict_parser = subparsers.add_parser(
         "predict", parents=[target_parent],
         help="estimate a new configuration from a base trace")
-    _add_workload_arguments(predict_parser)
+    _add_workload_arguments(predict_parser, from_trace=True)
     predict_parser.add_argument("--trace", required=True, help="base trace bundle directory")
     predict_parser.add_argument("--slo-ms", type=float, default=None,
                                 help="per-request latency deadline for SLO "
@@ -532,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = subparsers.add_parser(
         "sweep", parents=[target_parent],
         help="evaluate a grid of what-if scenarios from a base trace")
-    _add_workload_arguments(sweep_parser)
+    _add_workload_arguments(sweep_parser, from_trace=True)
     sweep_parser.add_argument("--trace", required=True, help="base trace bundle directory")
     sweep_parser.add_argument("--spec", help="sweep spec JSON file (overrides inline axes)")
     sweep_parser.add_argument("--whatif", action="append", default=[],
@@ -553,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     timeline_parser = subparsers.add_parser(
         "export-timeline", parents=[target_parent],
         help="export profiled/replayed/predicted schedules as chrome-trace JSON")
-    _add_workload_arguments(timeline_parser)
+    _add_workload_arguments(timeline_parser, from_trace=True)
     timeline_parser.add_argument("--trace", required=True,
                                  help="trace bundle directory")
     timeline_parser.add_argument("--output", required=True,

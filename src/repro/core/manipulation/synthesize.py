@@ -39,6 +39,7 @@ from repro.workload.model_config import ModelConfig
 from repro.workload.operators import (
     OpClass,
     OpSpec,
+    dp_gradient_buckets,
     embedding_backward_ops,
     embedding_forward_ops,
     head_backward_ops,
@@ -129,7 +130,8 @@ class GraphSynthesizer:
         schedule = one_f_one_b_schedule(self.training.num_microbatches, pp, stage)
         template = self.template
 
-        buckets = self._gradient_buckets(layers, include_embedding=(stage == 0))
+        buckets = dp_gradient_buckets(self.target_model, self.target_parallel, self.training,
+                                      layers, include_embedding=(stage == 0))
         bucket_of_layer: dict[int, int] = {}
         bucket_remaining: list[set[int]] = []
         for index, (bucket_layers, _) in enumerate(buckets):
@@ -403,21 +405,6 @@ class GraphSynthesizer:
                                                   target_op.bytes_accessed)
 
     # -- sizing helpers -------------------------------------------------------------------------
-
-    def _gradient_buckets(self, layers: list[int],
-                          include_embedding: bool) -> list[tuple[list[int], float]]:
-        grad_bytes_per_layer = (self.target_model.layer_parameters / self.target_parallel.tp
-                                * self.training.dtype_bytes)
-        ordered = sorted(layers, reverse=True)
-        buckets: list[tuple[list[int], float]] = []
-        for start in range(0, len(ordered), self.training.gradient_bucket_layers):
-            chunk = ordered[start:start + self.training.gradient_bucket_layers]
-            buckets.append((chunk, grad_bytes_per_layer * len(chunk)))
-        if include_embedding:
-            embedding_bytes = (self.target_model.embedding_parameters / self.target_parallel.tp
-                               * self.training.dtype_bytes)
-            buckets.append(([], embedding_bytes))
-        return buckets
 
     def _optimizer_scale(self, stage: int, n_layers: int) -> float:
         template = self.template

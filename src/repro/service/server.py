@@ -28,6 +28,11 @@ Every refusal is a typed 4xx JSON body with a stable machine-readable
 ``code`` (:mod:`repro.service.protocol`); unexpected exceptions map to
 one 500 ``internal`` body, never a traceback over the wire.
 
+Admission resolves a job's base by the rule every entry point shares
+(:func:`repro.api.study.resolve_base`): the spec's ``base``, the request's
+``base``, the trace metadata, the defaults.  A guessed base is refused
+with a ``study-error`` before anything is queued.
+
 Shutdown is graceful: SIGTERM/SIGINT (or :meth:`ServiceApp.stop`) stops
 accepting connections, signals the workers and joins them — a job mid-run
 finishes and persists before the process exits.
@@ -39,7 +44,6 @@ import json
 import signal
 import threading
 import urllib.parse
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -72,34 +76,9 @@ from repro.service.worker import CACHE_DIRNAME, ServiceMetrics, Worker, deliver_
 from repro.sweep.spec import SweepSpec, WhatIfSpec
 from repro.version import __version__
 
-#: SweepSpec's own defaults, used when neither the trace metadata nor the
-#: request names a base knob.
-_BASE_DEFAULTS = {"model": "gpt3-15b", "parallelism": "2x2x4",
-                  "micro_batch_size": 2, "num_microbatches": 4}
-
 #: Ceiling on one ``GET /v1/jobs/{id}?wait=`` long-poll, so a client
 #: typo cannot park a handler thread for hours.
 MAX_WAIT_SECONDS = 60.0
-
-
-def base_from_metadata(metadata: Mapping[str, Any],
-                       overrides: Mapping[str, Any]) -> dict[str, Any]:
-    """The spec ``base`` block of one trace: metadata + request overrides.
-
-    The emulator records ``model`` / ``parallelism`` (and for serving
-    episodes the ``inference`` block; for training ``num_microbatches``)
-    in the bundle metadata, so most requests need no ``base`` at all.
-    ``micro_batch_size`` is not in trace metadata — training clients
-    whose base differs from the default pass it in ``base``.
-    """
-    base = dict(_BASE_DEFAULTS)
-    for key in ("model", "parallelism", "num_microbatches"):
-        if key in metadata:
-            base[key] = metadata[key]
-    if metadata.get("workload") == "serving" and "inference" in metadata:
-        base["inference"] = metadata["inference"]
-    base.update(overrides)
-    return base
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -316,39 +295,29 @@ class ServiceApp:
         by the manipulation layer's resolve walk, as a study judges them,
         except for memory: admission does not know the profiled GPU.
         """
-        base = base_from_metadata(metadata, request.base)
         if request.kind == "predict":
             # Parsing canonicalises the target (and refuses malformed
             # ones with the PredictError → 4xx mapping); str(Target)
             # round-trips, including composite workload+hardware targets,
             # so every spelling of one configuration hashes to one job.
             target = parse_target(request.target)
-            resolve_target(target, SweepSpec.from_json({"base": base}).base_configuration())
-            payload: dict[str, Any] = {"base": base,
+            spec = SweepSpec.coerce({}, metadata, request.base)
+            resolve_target(target, spec.base_configuration())
+            payload: dict[str, Any] = {"base": spec.base_json(),
                                        "target": str(target)}
             if request.slo_ms is not None:
                 payload["slo_ms"] = request.slo_ms
             return payload
-        if request.spec is not None:
-            spec_json = dict(request.spec)
-            spec_json["base"] = {**base, **dict(spec_json.get("base") or {})}
-            spec = SweepSpec.from_json(spec_json)
-        else:
-            spec = self._spec_from_axes(request, base)
+        spec, named = request.spec, dict(request.base)
+        if spec is None:
+            # Inline axes: compact what-ifs, and the request's SLO deadline.
+            spec = {**sweep_axes(request.targets), "whatif": [
+                WhatIfSpec.parse(text).to_json() for text in request.whatif]}
+            if request.slo_ms is not None:
+                named["slo_ms"] = request.slo_ms
+        spec = SweepSpec.coerce(spec, metadata, named)
         spec.validate()
         return {"base": spec.base_json(), "spec": spec.to_json()}
-
-    def _spec_from_axes(self, request: SubmitRequest,
-                        base: Mapping[str, Any]) -> SweepSpec:
-        payload: dict[str, Any] = {"base": dict(base), "whatif": [],
-                                   **sweep_axes(request.targets)}
-        if request.slo_ms is not None:
-            payload["base"]["slo_ms"] = request.slo_ms
-        spec = SweepSpec.from_json(payload)
-        if request.whatif:
-            spec = replace(spec, whatif=tuple(
-                WhatIfSpec.parse(text) for text in request.whatif))
-        return spec
 
     def job_status(self, job_id: str,
                    wait: str | float | None = None) -> dict[str, Any]:

@@ -5,7 +5,10 @@ claim the oldest queued job, rebuild its :class:`~repro.api.Study`, run
 the sweep (or single prediction) with the *shared* on-disk
 :class:`~repro.sweep.cache.SweepCache`, and write the result payload
 plus the job's own :class:`~repro.sweep.cache.CacheStats` back to the
-job record.  Studies are memoized per (bundle hash, base configuration):
+job record.  Admission resolved the job's whole base, so a worker opens
+its study with :func:`~repro.sweep.runner.open_study` and never reads the
+trace metadata or the defaults.  Studies are memoized per (bundle hash,
+base configuration):
 the first job against a bundle pays for replay, calibration and the
 bundle's content digest, every later job against the same bundle reuses
 them — and because the sweep cache is content-addressed and shared
@@ -81,7 +84,7 @@ from repro.service.protocol import (
 )
 from repro.sweep.cache import SweepCache
 from repro.sweep.hashing import hash_json
-from repro.sweep.runner import run_sweep
+from repro.sweep.runner import open_study, run_sweep
 from repro.sweep.spec import SweepSpec
 
 
@@ -215,12 +218,8 @@ class Worker:
         study = self._studies.get(key)
         if study is None:
             bundle, _ = self.registry.resolve(record.trace)
-            spec = SweepSpec.from_json({"base": base})
-            study = Study.from_trace(bundle, model=spec.base_model,
-                                     parallelism=spec.base_parallelism,
-                                     training=spec.training(),
-                                     inference=spec.inference)
-            self._studies[key] = study
+            study = self._studies[key] = open_study(
+                bundle, SweepSpec.from_json({"base": base}))
         return study
 
     # -- evaluation ----------------------------------------------------------

@@ -75,7 +75,8 @@ def sweep(trace: TraceBundle | str | Path,
         A loaded :class:`TraceBundle` or the directory of a saved bundle.
     spec:
         A :class:`SweepSpec`, a spec-shaped mapping, or the path of a JSON
-        spec file (see ``repro.sweep.spec`` for the format).
+        spec file (see ``repro.sweep.spec`` for the format); a JSON spec
+        takes its omitted base keys from the trace, then the defaults.
     workers:
         Process count for scenario evaluation; ``1`` runs serially.
     cache_dir:
@@ -85,7 +86,7 @@ def sweep(trace: TraceBundle | str | Path,
     """
     bundle = trace if isinstance(trace, TraceBundle) else TraceBundle.load(trace)
     cache = SweepCache(Path(cache_dir)) if cache_dir is not None else None
-    return run_sweep(bundle, SweepSpec.coerce(spec), workers=workers,
+    return run_sweep(bundle, SweepSpec.coerce(spec, bundle.metadata), workers=workers,
                      cache=cache, force=force)
 
 

@@ -15,6 +15,9 @@ call: row 0 times the configuration itself and each what-if adds a row.
 Determinism: graph manipulation and simulation are pure functions of the
 base graph, so serial and parallel runs produce identical results — results
 are collected in expansion order regardless of which worker finished first.
+
+A spec names its whole base, and :func:`open_study` is the one way a
+standalone sweep, a service worker or the CLI opens a study for it.
 """
 
 from __future__ import annotations
@@ -212,12 +215,10 @@ def _evaluate_group(study: Study, config: Target,
     ).to_json() for scenario, outcome in zip(scenarios, outcomes)]
 
 
-def _study_for(bundle: TraceBundle, spec: SweepSpec) -> Study:
-    """Open a study over the base trace — the once-per-sweep shared work."""
-    return Study.from_trace(bundle, model=spec.base_model,
-                            parallelism=spec.base_parallelism,
-                            training=spec.training(),
-                            inference=spec.inference)
+def open_study(bundle: TraceBundle, spec: SweepSpec) -> Study:
+    """Open a study over ``bundle`` for ``spec``'s base, which names every key."""
+    return Study(bundle, model=spec.base_model, parallelism=spec.base_parallelism,
+                 training=spec.training(), inference=spec.inference)
 
 
 def run_sweep(bundle: TraceBundle, spec: SweepSpec, *, workers: int = 1,
@@ -291,7 +292,7 @@ def run_sweep(bundle: TraceBundle, spec: SweepSpec, *, workers: int = 1,
     observability.count("sweep.scenarios.evaluated", len(missing))
     if missing:
         with observability.trace_span("sweep.prepare"):
-            state = (study if study is not None else _study_for(bundle, spec)).prepare()
+            state = (study if study is not None else open_study(bundle, spec)).prepare()
         groups: dict[Target, list[ScenarioSpec]] = {}
         for scenario in missing:
             groups.setdefault(Target(scenario.kind, scenario.target), []).append(scenario)

@@ -45,6 +45,9 @@ An optional ``"hardware": ["H200-SXM", "B200"]`` axis (registry GPU
 names) crosses either grid with roofline hardware retargets: every
 configuration is evaluated on the profiled GPU and once per listed GPU
 (composite ``<kind>+hardware`` scenarios).
+
+Applied to a trace, a JSON spec fills the ``base`` keys it omits by the
+rule every entry point shares (:meth:`SweepSpec.coerce`).
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.api.errors import StudyError
+from repro.api.study import BASE_DEFAULTS, GUESSED_BASE, resolve_base
 from repro.api.target import Target, on_gpu
 
 # The scenario kinds are shared vocabulary defined by the manipulation
@@ -206,10 +211,10 @@ class ScenarioSpec:
 class SweepSpec:
     """A declarative sweep over one base trace."""
 
-    base_model: str = "gpt3-15b"
-    base_parallelism: str = "2x2x4"
-    micro_batch_size: int = 2
-    num_microbatches: int = 4
+    base_model: str = BASE_DEFAULTS["model"]
+    base_parallelism: str = BASE_DEFAULTS["parallelism"]
+    micro_batch_size: int = BASE_DEFAULTS["micro_batch_size"]
+    num_microbatches: int = BASE_DEFAULTS["num_microbatches"]
     #: A serving-episode base; set to sweep ``serving`` targets instead of
     #: training manipulations.
     inference: InferenceConfig | None = None
@@ -270,22 +275,38 @@ class SweepSpec:
     @classmethod
     def load(cls, path: str | Path) -> "SweepSpec":
         """Read a spec from a JSON file."""
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
-            raise SweepSpecError(f"spec file {path} is not valid JSON: {error}") from error
-        return cls.from_json(payload)
+        return cls.coerce(path)
 
     @classmethod
-    def coerce(cls, spec: "SweepSpec | Mapping[str, Any] | str | Path") -> "SweepSpec":
-        """Accept a spec object, a JSON-style mapping, or a spec file path."""
+    def coerce(cls, spec: "SweepSpec | Mapping[str, Any] | str | Path",
+               metadata: Mapping[str, Any] | None = None,
+               named: Mapping[str, Any] | None = None) -> "SweepSpec":
+        """Accept a spec object, a JSON-style mapping, or a spec file path.
+
+        A spec object names its whole base.  A JSON spec applied to a
+        trace's ``metadata`` fills its omitted base keys by
+        :func:`~repro.api.study.resolve_base` (``named``, e.g. a service
+        request's ``base``, ranks below the spec's own) and refuses a
+        guessed base with :class:`~repro.api.StudyError`.
+        """
         if isinstance(spec, cls):
             return spec
-        if isinstance(spec, Mapping):
-            return cls.from_json(spec)
         if isinstance(spec, (str, Path)):
-            return cls.load(spec)
-        raise SweepSpecError(f"cannot build a SweepSpec from {type(spec).__name__}")
+            try:
+                spec = json.loads(Path(spec).read_text(encoding="utf-8"))
+            except json.JSONDecodeError as error:
+                raise SweepSpecError(f"spec file {spec} is not valid JSON: {error}") from error
+        if not isinstance(spec, Mapping):
+            raise SweepSpecError(f"cannot build a SweepSpec from {type(spec).__name__}")
+        if metadata is not None:
+            base = spec.get("base") or {}
+            if not isinstance(base, Mapping):
+                raise SweepSpecError("'base' must be an object")
+            base, guessed = resolve_base(metadata, {**(named or {}), **base})
+            if guessed:
+                raise StudyError(GUESSED_BASE)
+            spec = {**spec, "base": base}
+        return cls.from_json(spec)
 
     # -- serialisation ------------------------------------------------------
 
@@ -325,9 +346,6 @@ class SweepSpec:
         Path(path).write_text(json.dumps(self.to_json(), indent=2), encoding="utf-8")
 
     # -- workload accessors -------------------------------------------------
-
-    def base_parallel(self) -> ParallelismConfig:
-        return ParallelismConfig.parse(self.base_parallelism)
 
     def training(self) -> TrainingConfig:
         return TrainingConfig(micro_batch_size=self.micro_batch_size,

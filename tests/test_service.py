@@ -763,9 +763,10 @@ class TestWorkerFailures:
         return record
 
     def _base(self, app: ServiceApp) -> dict:
-        from repro.service.server import base_from_metadata
+        """The base block admission resolves for the canned trace."""
+        from repro.sweep.spec import SweepSpec
         bundle, _ = app.registry.resolve("canned")
-        return base_from_metadata(bundle.metadata, {})
+        return SweepSpec.coerce({}, bundle.metadata).base_json()
 
     def test_invalid_spec_fails_job_with_typed_code(self, manual_app):
         base = self._base(manual_app)
