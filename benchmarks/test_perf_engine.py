@@ -8,7 +8,7 @@ Three metrics track the two-phase engine's health:
   swapping duration vectors on one session, versus the seed hot path that
   cloned the graph and ran a fresh per-scenario simulation (the acceptance
   floor is 3x);
-* **sweep throughput** — scenarios/sec through ``run_sweep`` end to end.
+* **sweep throughput** — scenarios/sec through ``repro.sweep`` end to end.
 
 Every test appends its metric to a machine-readable JSON file
 (``benchmarks/engine-perf.json`` by default, ``REPRO_PERF_JSON`` to
@@ -31,7 +31,7 @@ from repro.core.graph_builder import GraphBuilder
 from repro.core.replay import simulate_graph
 from repro.emulator.api import emulate
 from repro.experiments.settings import _fast_mode
-from repro.sweep import SweepSpec, WhatIfSpec, run_sweep
+from repro.sweep import SweepSpec, WhatIfSpec, sweep
 from repro.workload.model_config import gpt3_model
 from repro.workload.parallelism import ParallelismConfig
 from repro.workload.training import TrainingConfig
@@ -182,7 +182,7 @@ def test_benchmark_session_reuse_speedup(benchmark, built_graph):
 
 
 def test_benchmark_sweep_scenarios_per_sec(benchmark, base_bundle):
-    result = benchmark.pedantic(run_sweep, args=(base_bundle, SWEEP_SPEC),
+    result = benchmark.pedantic(sweep, args=(base_bundle, SWEEP_SPEC),
                                 rounds=1, iterations=1)
 
     assert len(result) == 9

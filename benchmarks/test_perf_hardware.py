@@ -28,7 +28,7 @@ from benchmarks.test_perf_engine import _under_xdist, record_metric
 from repro.api import Study
 from repro.emulator.api import emulate
 from repro.experiments.settings import _fast_mode
-from repro.sweep import SweepSpec, run_sweep
+from repro.sweep import SweepSpec, sweep
 from repro.workload.model_config import gpt3_model
 from repro.workload.parallelism import ParallelismConfig
 from repro.workload.training import TrainingConfig
@@ -87,7 +87,7 @@ def test_benchmark_hardware_sweep_throughput(benchmark, base_bundle):
                      parallelism=TARGET_LADDER[:3], hardware=("H200-SXM",))
 
     started = time.perf_counter()
-    result = benchmark.pedantic(run_sweep, args=(base_bundle, spec),
+    result = benchmark.pedantic(sweep, args=(base_bundle, spec),
                                 kwargs={"workers": 1}, rounds=1, iterations=1)
     seconds = time.perf_counter() - started
 

@@ -15,7 +15,7 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.emulator.api import emulate
-from repro.sweep import SweepCache, SweepSpec, WhatIfSpec, run_sweep
+from repro.sweep import SweepSpec, WhatIfSpec, sweep
 from repro.sweep.analysis import format_report
 from repro.workload.model_config import gpt3_model
 from repro.workload.parallelism import ParallelismConfig
@@ -45,7 +45,7 @@ def base_bundle():
 
 
 def test_benchmark_sweep_cold_throughput(benchmark, base_bundle):
-    result = run_once(benchmark, run_sweep, base_bundle, SWEEP_SPEC, workers=1)
+    result = run_once(benchmark, sweep, base_bundle, SWEEP_SPEC, workers=1)
 
     assert len(result) == 24
     print(f"\ncold sweep: {len(result)} scenarios in {result.elapsed_seconds:.2f} s "
@@ -59,11 +59,10 @@ def test_benchmark_sweep_cold_throughput(benchmark, base_bundle):
 def test_benchmark_sweep_cache_hit_speedup(benchmark, base_bundle, tmp_path):
     cache_dir = tmp_path / "cache"
     started = time.perf_counter()
-    cold = run_sweep(base_bundle, SWEEP_SPEC, cache=SweepCache(cache_dir))
+    cold = sweep(base_bundle, SWEEP_SPEC, cache_dir=cache_dir)
     cold_seconds = time.perf_counter() - started
 
-    warm = run_once(benchmark, run_sweep, base_bundle, SWEEP_SPEC,
-                    cache=SweepCache(cache_dir))
+    warm = run_once(benchmark, sweep, base_bundle, SWEEP_SPEC, cache_dir=cache_dir)
     warm_seconds = warm.elapsed_seconds
 
     assert all(r.from_cache for r in warm.results)
@@ -80,8 +79,8 @@ def test_benchmark_sweep_cache_hit_speedup(benchmark, base_bundle, tmp_path):
 
 
 def test_benchmark_sweep_parallel_matches_serial(benchmark, base_bundle):
-    serial = run_sweep(base_bundle, SWEEP_SPEC, workers=1)
-    parallel = run_once(benchmark, run_sweep, base_bundle, SWEEP_SPEC, workers=4)
+    serial = sweep(base_bundle, SWEEP_SPEC, workers=1)
+    parallel = run_once(benchmark, sweep, base_bundle, SWEEP_SPEC, workers=4)
 
     print(f"\nserial {serial.elapsed_seconds:.2f} s vs "
           f"parallel (4 workers) {parallel.elapsed_seconds:.2f} s")

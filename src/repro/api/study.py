@@ -21,11 +21,14 @@ configuration.  A :class:`Study` owns that state and memoizes it:
 
 The sweep runner (:mod:`repro.sweep.runner`) and the CLI are thin clients
 of this class, which derives every key's graph one manipulation at a time
-through :func:`repro.core.manipulation.derive`.
+through :func:`repro.core.manipulation.derive`.  Every sweep is a study's
+sweep (:meth:`Study.sweep`): ``repro.sweep``, the CLI and service workers
+open a study for their spec and sweep on it.
 
 Every entry point (this class, the CLI, JSON sweep specs, service
 admission) reads a trace's base by one rule, :func:`resolve_base`, and a
-guessed model or parallelism never feeds a derive.
+guessed model or parallelism never feeds a derive.  A JSON spec run on a
+study takes the base keys it omits from the study's own base.
 """
 
 from __future__ import annotations
@@ -104,17 +107,21 @@ def resolve_base(metadata: Mapping[str, Any],
     Each key of :data:`BASE_DEFAULTS` is what the caller ``named`` (``None``
     is not named; typed objects and other keys pass through), else what the
     trace ``metadata`` records (a model or parallelism only if it
-    resolves), else the default.  A serving episode's ``inference`` is the
-    named one, else the metadata's parsed block; :class:`StudyError` if a
-    serving mark has no block that parses.
+    resolves), else the default.  A named or recorded value that resolves
+    is kept canonical, so one base has one spelling and one cache key.  A
+    serving episode's ``inference`` is the named one, else the metadata's
+    parsed block; :class:`StudyError` if a serving mark has no block that
+    parses.
     """
     base = {key: value for key, value in (named or {}).items() if value is not None}
     guessed = False
     for key, default in BASE_DEFAULTS.items():
+        value = base.get(key, metadata.get(key))
+        canonical = _canonical(key, value)
         if key not in base:
-            recorded = _recorded(key, metadata.get(key))
-            guessed |= recorded is None and key in ("model", "parallelism")
-            base[key] = default if recorded is None else recorded
+            guessed |= canonical is None and key in ("model", "parallelism")
+            value = default
+        base[key] = value if canonical is None else canonical
     if "inference" not in base and metadata.get("workload") == WORKLOAD_SERVING:
         payload = metadata.get("inference")
         if not isinstance(payload, Mapping):
@@ -131,9 +138,8 @@ def resolve_base(metadata: Mapping[str, Any],
     return base, guessed
 
 
-def _recorded(key: str, value: Any) -> Any:
-    """A base key's metadata value, canonical, or ``None`` if absent or
-    unresolvable."""
+def _canonical(key: str, value: Any) -> Any:
+    """A base key's value, canonical, or ``None`` if absent or unresolvable."""
     try:
         if key == "model":
             return gpt3_model(str(value)).name
@@ -382,7 +388,8 @@ class Study:
         """Open a study over a profiled trace (a bundle or its directory).
 
         A ``None`` base argument applies :func:`resolve_base` (the
-        emulator records all but the micro-batch size), so
+        emulator records the whole base; a bundle saved before it recorded
+        the micro-batch size opens at the default unless it is named), so
         ``Study.from_trace(trace)`` is ``Study(trace)``; a study on a
         guessed model or parallelism replays but refuses to manipulate.
         """
@@ -794,56 +801,44 @@ class Study:
               force: bool = False) -> "SweepResult":
         """Evaluate a scenario grid, reusing this study's calibrated state.
 
-        Pass a full :class:`~repro.sweep.spec.SweepSpec` (object, mapping
-        or spec-file path; a mapping or file takes the base keys it omits
-        from the trace, then the defaults) whose base must match this
-        study, or just the axes (``parallelism`` / ``models`` /
+        Pass a full :class:`~repro.sweep.spec.SweepSpec` (an object, which
+        names its whole base, or a JSON mapping or spec-file path, which
+        takes the base keys it omits from this study) whose base must
+        match this study, or just the axes (``parallelism`` / ``models`` /
         ``serving`` / ``hardware`` / ``whatif`` — what-if entries may be
         specs, mappings, or compact CLI strings like ``"gemm:2"``; serving
         entries are ``batch=/prompt=/tp=`` labels and require a
         serving-episode study; hardware entries are registry GPU names
-        like ``"H200-SXM"`` and cross with every workload configuration)
-        and the spec is built around the study's base configuration.
-        ``slo_ms`` sets the latency deadline of the per-request serving
-        metrics attached to continuous-batching scenario results (goodput
-        ranking).
+        like ``"H200-SXM"`` and cross with every workload configuration),
+        which make the JSON spec :func:`~repro.sweep.spec.inline_spec`
+        builds.  ``slo_ms`` sets the latency deadline of the per-request
+        serving metrics attached to continuous-batching scenario results
+        (goodput ranking).
         """
         from pathlib import Path as _Path
 
         from repro.sweep.cache import SweepCache as _SweepCache
         from repro.sweep.runner import run_sweep
         from repro.sweep.spec import SweepSpec as _SweepSpec
-        from repro.sweep.spec import WhatIfSpec as _WhatIfSpec
+        from repro.sweep.spec import inline_spec
 
         if spec is None:
-            def coerce_whatif(entry):
-                if isinstance(entry, _WhatIfSpec):
-                    return entry
-                if isinstance(entry, Mapping):
-                    return _WhatIfSpec.from_json(entry)
-                return _WhatIfSpec.parse(str(entry))
-
-            spec = _SweepSpec(
-                base_model=self.base_model.name,
-                base_parallelism=self.base_parallel.label(),
-                micro_batch_size=self.training.micro_batch_size,
-                num_microbatches=self.training.num_microbatches,
-                inference=self.inference,
-                slo_ms=slo_ms,
-                parallelism=tuple(parallelism), models=tuple(models),
-                serving=tuple(serving), hardware=tuple(hardware),
-                whatif=tuple(coerce_whatif(entry) for entry in whatif),
-                include_baseline=include_baseline)
-        else:
-            if (parallelism or models or serving or hardware or whatif
-                    or slo_ms is not None or not include_baseline):
-                raise StudyError("pass either a full spec or inline axes, not both")
-            spec = _SweepSpec.coerce(spec, self.trace.metadata)
+            spec = inline_spec(whatif=whatif, parallelism=parallelism, models=models,
+                               serving=serving, hardware=hardware,
+                               include_baseline=include_baseline)
+        elif (parallelism or models or serving or hardware or whatif
+                or slo_ms is not None or not include_baseline):
+            raise StudyError("pass either a full spec or inline axes, not both")
+        # A JSON spec takes the base keys it omits from this study, not the trace.
+        spec = _SweepSpec.coerce(spec, {}, {
+            "model": self.base_model.name, "parallelism": self.base_parallel.label(),
+            "micro_batch_size": self.training.micro_batch_size,
+            "num_microbatches": self.training.num_microbatches,
+            "inference": self.inference, "slo_ms": slo_ms})
         if cache is None and cache_dir is not None:
             cache = _SweepCache(_Path(cache_dir))
         with observability.trace_span("study.sweep", workers=workers):
-            return run_sweep(self.trace, spec, workers=workers, cache=cache,
-                             force=force, study=self)
+            return run_sweep(self, spec, workers=workers, cache=cache, force=force)
 
     def report(self) -> dict[str, Any]:
         """The structured run report of the active-or-last pipeline profile.
@@ -860,7 +855,7 @@ class Study:
     def ensure_matches(self, spec: "SweepSpec") -> None:
         """Reject a sweep spec whose base differs from this study's base."""
         problems = []
-        if spec.base_model != self.base_model.name:
+        if (_canonical("model", spec.base_model) or spec.base_model) != self.base_model.name:
             problems.append(f"model {spec.base_model!r} != {self.base_model.name!r}")
         if _resolve_parallelism(spec.base_parallelism).label() != self.base_parallel.label():
             problems.append(f"parallelism {spec.base_parallelism!r} != "

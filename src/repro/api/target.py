@@ -47,18 +47,14 @@ Malformed targets raise :class:`~repro.api.errors.PredictError`.
 
 :func:`resolve_target` judges a target against a base configuration
 through the manipulation layer's one refusal walk, as a study and the
-service's predict admission do.
-
-:func:`sweep_axes` decomposes a list of target strings onto a sweep
-spec's per-kind axes (the CLI's repeatable ``--target`` and the
-service's ``targets`` field).
+service's predict admission do.  A sweep's targets become spec axes in
+the sweep layer (:func:`repro.sweep.spec.inline_spec`).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.api.errors import PredictError
 from repro.core.manipulation import (
@@ -97,10 +93,6 @@ _SINGLE_KINDS = (KIND_BASELINE, KIND_PARALLELISM, KIND_ARCHITECTURE,
 
 #: Workload kinds that may precede ``+hardware`` in a composite.
 _WORKLOAD_KINDS = (KIND_PARALLELISM, KIND_ARCHITECTURE, KIND_SERVING)
-
-#: The sweep-spec axis each workload kind populates (see :func:`sweep_axes`).
-_SWEEP_AXES = {KIND_PARALLELISM: "parallelism", KIND_ARCHITECTURE: "models",
-               KIND_SERVING: "serving"}
 
 
 @dataclass(frozen=True)
@@ -357,27 +349,3 @@ def resolve_target(target: Target, base: Configuration) -> list[Configuration]:
     except ValueError as exc:
         raise PredictError.from_refusal(exc) from exc
 
-
-def sweep_axes(texts: Iterable[str]) -> dict[str, list[str]]:
-    """Decompose sweep targets onto a sweep spec's per-kind axes.
-
-    Returns the ``parallelism`` / ``models`` / ``serving`` / ``hardware``
-    axis lists (named like the :class:`~repro.sweep.spec.SweepSpec`
-    fields), each in input order.  A composite ``"tp=8,gpu=B200"`` fills
-    two axes, which the spec re-crosses into the full hardware ×
-    workload grid (so it also evaluates the reference points ``tp=8``
-    and ``gpu=B200``).  Hardware entries are canonical GPU names without
-    the ``gpu=`` key, kept once each, so every spelling of one part is
-    one axis entry.
-    """
-    axes: dict[str, list[str]] = {"parallelism": [], "models": [],
-                                  "serving": [], "hardware": []}
-    for text in texts:
-        for kind, label in parse_target(text).manipulations:
-            if kind == KIND_HARDWARE:
-                name = label.removeprefix("gpu=")
-                if name not in axes["hardware"]:
-                    axes["hardware"].append(name)
-            else:
-                axes[_SWEEP_AXES[kind]].append(label)
-    return axes

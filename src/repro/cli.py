@@ -50,8 +50,10 @@ structured run report next to the command's normal output.
 
 ``predict``, ``sweep`` and ``export-timeline`` take each base flag left
 out from the trace, then the defaults (:func:`repro.api.study.
-resolve_base`); a ``sweep --spec`` file fills its omitted base keys from
-those flags first.
+resolve_base`).  ``sweep`` has one path: a ``--spec`` file, or the JSON
+spec its ``--target``/``--whatif`` flags make, fills its omitted base
+keys from those flags first, and runs on the study
+:func:`~repro.sweep.runner.open_study` opens for it.
 
 Every subcommand is a thin presentation layer over :class:`repro.api.Study`
 — the library owns replay, calibration, manipulation and memoization; the
@@ -72,14 +74,15 @@ from typing import Any
 from repro.analysis.reporting import breakdown_headers, format_breakdown_row, format_table
 from repro.api import Study, StudyError
 from repro.api.study import BASE_DEFAULTS
-from repro.api.target import sweep_axes
 from repro.baselines.dpro import dpro_replay
 from repro.core.breakdown import compute_breakdown
 from repro.emulator.api import emulate
 from repro.observability import export_timeline
 from repro.observability import tracing as observability
-from repro.sweep import SweepSpec, SweepSpecError, WhatIfSpec, sweep
+from repro.sweep import SweepSpec, SweepSpecError
 from repro.sweep.analysis import format_report
+from repro.sweep.runner import open_study
+from repro.sweep.spec import inline_spec
 from repro.trace.kineto import TraceBundle
 from repro.version import __version__
 from repro.workload.arrivals import parse_arrival
@@ -92,7 +95,7 @@ from repro.workload.training import TrainingConfig
 def _add_workload_arguments(parser: argparse.ArgumentParser, *,
                             from_trace: bool = False) -> None:
     """The four base flags (left out on a ``from_trace`` command: the
-    trace's value, then the default) and ``--seed``."""
+    trace's value, then the default)."""
     for flag, kind, text in (("--model", str, "model name (Table 1/2)"),
                              ("--parallelism", str, "TPxPPxDP label"),
                              ("--micro-batch-size", int, "samples per micro-batch"),
@@ -101,7 +104,6 @@ def _add_workload_arguments(parser: argparse.ArgumentParser, *,
         source = "the trace's, else " if from_trace else ""
         parser.add_argument(flag, type=kind, default=None if from_trace else default,
                             help=f"{text} (default: {source}{default})")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _named_base(args: argparse.Namespace) -> dict[str, Any]:
@@ -263,30 +265,19 @@ def _cmd_export_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if not (args.spec or args.target):
+        print("sweep requires --spec or --target", file=sys.stderr)
+        args.parser.print_usage(sys.stderr)
+        return 2
     try:
-        if args.spec:
-            bundle = TraceBundle.load(args.trace)
-            spec = SweepSpec.coerce(args.spec, bundle.metadata, _named_base(args))
-            if args.slo_ms is not None:
-                spec = replace(spec, slo_ms=args.slo_ms)
-            result = sweep(bundle, spec, workers=args.workers,
-                           cache_dir=args.cache_dir, force=args.force)
-        else:
-            # Composite 'tp=8,gpu=B200' targets populate two axes, which
-            # the spec re-crosses into the full hardware × workload grid.
-            axes = sweep_axes(args.target)
-            if not any(axes.values()):
-                print("sweep requires --spec or --target", file=sys.stderr)
-                args.parser.print_usage(sys.stderr)
-                return 2
-            # The study recovers a serving base from the trace metadata, so
-            # serving targets need no spec-side inference block.
-            study = Study.from_trace(args.trace, **_named_base(args))
-            result = study.sweep(
-                **axes,
-                whatif=tuple(WhatIfSpec.parse(w) for w in args.whatif),
-                slo_ms=args.slo_ms,
-                workers=args.workers, cache_dir=args.cache_dir, force=args.force)
+        bundle = TraceBundle.load(args.trace)
+        spec = SweepSpec.coerce(args.spec or inline_spec(args.target, args.whatif),
+                                bundle.metadata, _named_base(args))
+        if args.slo_ms is not None:
+            spec = replace(spec, slo_ms=args.slo_ms)
+        result = open_study(bundle, spec).sweep(spec, workers=args.workers,
+                                                cache_dir=args.cache_dir,
+                                                force=args.force)
     except (SweepSpecError, StudyError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -485,6 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     emulate_parser = subparsers.add_parser(
         "emulate", help="emulate a training job or serving episode and save traces")
     _add_workload_arguments(emulate_parser)
+    emulate_parser.add_argument("--seed", type=int, default=0,
+                                help="emulator noise seed (default: 0)")
     emulate_parser.add_argument("--iterations", type=int, default=2)
     emulate_parser.add_argument("--output", required=True, help="directory for the trace bundle")
     emulate_parser.add_argument("--workload", choices=["training", "serving"],
@@ -651,7 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help="override the base TPxPPxDP label")
     submit_parser.add_argument("--micro-batch-size", type=int, default=None,
                                help="override the base micro-batch size "
-                                    "(not recorded in trace metadata)")
+                                    "(recorded in traces the emulator saves "
+                                    "now; older ones need it named)")
     submit_parser.add_argument("--num-microbatches", type=int, default=None,
                                help="override the base microbatch count")
     submit_parser.add_argument("--reuse", action="store_true",

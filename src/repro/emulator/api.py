@@ -143,6 +143,7 @@ class ClusterEmulator:
             if stream_plan is not None:
                 metadata[STREAM_METADATA_KEY] = stream_plan.to_json()
         else:
+            metadata["micro_batch_size"] = self.training.micro_batch_size
             metadata["num_microbatches"] = self.training.num_microbatches
         bundle = TraceBundle(metadata=metadata)
         for rank, tasks in executed.items():

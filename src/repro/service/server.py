@@ -30,8 +30,12 @@ one 500 ``internal`` body, never a traceback over the wire.
 
 Admission resolves a job's base by the rule every entry point shares
 (:func:`repro.api.study.resolve_base`): the spec's ``base``, the request's
-``base``, the trace metadata, the defaults.  A guessed base is refused
-with a ``study-error`` before anything is queued.
+``base``, the trace metadata, the defaults.  Inline ``targets`` and
+``whatif`` axes make a JSON spec (:func:`repro.sweep.spec.inline_spec`).
+Admission then opens the study its worker will open
+(:func:`repro.sweep.runner.open_study`), so a guessed base or a model the
+study cannot resolve is refused with a ``study-error`` before anything is
+queued.
 
 Shutdown is graceful: SIGTERM/SIGINT (or :meth:`ServiceApp.stop`) stops
 accepting connections, signals the workers and joins them — a job mid-run
@@ -48,7 +52,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.api.target import parse_target, resolve_target, sweep_axes
+from repro.api.target import parse_target, resolve_target
 from repro.api.errors import StudyError
 from repro.observability import tracing as observability
 from repro.service.jobs import (
@@ -73,7 +77,9 @@ from repro.service.protocol import (
     error_for_exception,
 )
 from repro.service.worker import CACHE_DIRNAME, ServiceMetrics, Worker, deliver_webhook_async
-from repro.sweep.spec import SweepSpec, WhatIfSpec
+from repro.sweep.runner import open_study
+from repro.sweep.spec import SweepSpec, inline_spec
+from repro.trace.kineto import TraceBundle
 from repro.version import __version__
 
 #: Ceiling on one ``GET /v1/jobs/{id}?wait=`` long-poll, so a client
@@ -267,7 +273,7 @@ class ServiceApp:
                 trace_name = request.trace
             bundle, bundle_hash = self.registry.resolve(trace_name)
             try:
-                job_payload = self._job_payload(request, bundle.metadata)
+                job_payload = self._job_payload(request, bundle)
             except (StudyError, ValueError) as error:
                 raise error_for_exception(error) from error
             job_id = job_id_for(bundle_hash, request.kind, job_payload)
@@ -285,7 +291,7 @@ class ServiceApp:
         return {"job": record.public_json(), "deduped": deduped}
 
     def _job_payload(self, request: SubmitRequest,
-                     metadata: Mapping[str, Any]) -> dict[str, Any]:
+                     bundle: TraceBundle) -> dict[str, Any]:
         """Canonicalize and validate the job payload at admission.
 
         Validation runs here so malformed specs and unsupported targets
@@ -293,31 +299,32 @@ class ServiceApp:
         — the job id then hashes a *canonical* payload, which is what
         makes dedupe robust to equivalent spellings.  Targets are judged
         by the manipulation layer's resolve walk, as a study judges them,
-        except for memory: admission does not know the profiled GPU.
+        except for memory: admission does not know the profiled GPU.  The
+        last check opens the job's study, as its worker will.
         """
+        named = dict(request.base)
         if request.kind == "predict":
             # Parsing canonicalises the target (and refuses malformed
             # ones with the PredictError → 4xx mapping); str(Target)
             # round-trips, including composite workload+hardware targets,
             # so every spelling of one configuration hashes to one job.
             target = parse_target(request.target)
-            spec = SweepSpec.coerce({}, metadata, request.base)
+            spec = SweepSpec.coerce({}, bundle.metadata, named)
             resolve_target(target, spec.base_configuration())
             payload: dict[str, Any] = {"base": spec.base_json(),
                                        "target": str(target)}
             if request.slo_ms is not None:
                 payload["slo_ms"] = request.slo_ms
-            return payload
-        spec, named = request.spec, dict(request.base)
-        if spec is None:
-            # Inline axes: compact what-ifs, and the request's SLO deadline.
-            spec = {**sweep_axes(request.targets), "whatif": [
-                WhatIfSpec.parse(text).to_json() for text in request.whatif]}
-            if request.slo_ms is not None:
+        else:
+            source = request.spec
+            if source is None:
+                source = inline_spec(request.targets, request.whatif)
                 named["slo_ms"] = request.slo_ms
-        spec = SweepSpec.coerce(spec, metadata, named)
-        spec.validate()
-        return {"base": spec.base_json(), "spec": spec.to_json()}
+            spec = SweepSpec.coerce(source, bundle.metadata, named)
+            spec.validate()
+            payload = {"base": spec.base_json(), "spec": spec.to_json()}
+        open_study(bundle, spec)
+        return payload
 
     def job_status(self, job_id: str,
                    wait: str | float | None = None) -> dict[str, Any]:

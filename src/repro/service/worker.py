@@ -2,13 +2,15 @@
 
 A :class:`Worker` drains the :class:`~repro.service.jobs.JobStore`:
 claim the oldest queued job, rebuild its :class:`~repro.api.Study`, run
-the sweep (or single prediction) with the *shared* on-disk
+the sweep (:meth:`Study.sweep <repro.api.Study.sweep>`, the one sweep
+path) or single prediction with the *shared* on-disk
 :class:`~repro.sweep.cache.SweepCache`, and write the result payload
 plus the job's own :class:`~repro.sweep.cache.CacheStats` back to the
-job record.  Admission resolved the job's whole base, so a worker opens
-its study with :func:`~repro.sweep.runner.open_study` and never reads the
-trace metadata or the defaults.  Studies are memoized per (bundle hash,
-base configuration):
+job record.  Admission resolved the job's whole base and opened its
+study once already, so a worker opens it with
+:func:`~repro.sweep.runner.open_study` and never reads the trace metadata
+or the defaults.  Studies are memoized per (bundle hash, base
+configuration):
 the first job against a bundle pays for replay, calibration and the
 bundle's content digest, every later job against the same bundle reuses
 them — and because the sweep cache is content-addressed and shared
@@ -84,7 +86,7 @@ from repro.service.protocol import (
 )
 from repro.sweep.cache import SweepCache
 from repro.sweep.hashing import hash_json
-from repro.sweep.runner import open_study, run_sweep
+from repro.sweep.runner import open_study
 from repro.sweep.spec import SweepSpec
 
 
@@ -235,9 +237,7 @@ class Worker:
             result = predict_result_payload(
                 prediction, slo_ms=record.payload.get("slo_ms"))
         else:
-            spec = SweepSpec.from_json(record.payload["spec"])
-            swept = run_sweep(study.trace, spec, workers=1, cache=cache,
-                              study=study)
+            swept = study.sweep(SweepSpec.from_json(record.payload["spec"]), cache=cache)
             result = sweep_result_payload(swept)
         return result, cache_stats_json(cache.stats)
 

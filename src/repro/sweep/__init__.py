@@ -9,8 +9,9 @@ trace:
     Declarative sweep specifications (parallelism / model / what-if axes)
     and their expansion into a scenario grid.
 ``repro.sweep.runner``
-    The sweep executor: replay + calibrate once, then evaluate scenarios
-    serially or across a process pool.
+    The sweep executor, run on a :class:`~repro.api.Study`: replay +
+    calibrate once, then evaluate scenarios serially or across a process
+    pool.
 ``repro.sweep.cache``
     Content-addressed on-disk result cache that makes repeated sweeps
     incremental.
@@ -19,7 +20,9 @@ trace:
 ``repro.sweep.hashing``
     Canonical content hashes for trace bundles and scenario specs.
 
-The one-call entry point is :func:`sweep`.
+The one-call entry point is :func:`sweep`: it opens the spec's study
+(:func:`~repro.sweep.runner.open_study`) and runs
+:meth:`Study.sweep <repro.api.Study.sweep>` on it, the one sweep path.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from repro.sweep.analysis import (
 )
 from repro.sweep.cache import CacheStats, SweepCache
 from repro.sweep.hashing import hash_json, hash_trace_bundle
-from repro.sweep.runner import ScenarioResult, SweepResult, run_sweep
+from repro.sweep.runner import ScenarioResult, SweepResult, open_study, run_sweep
 from repro.sweep.spec import ScenarioSpec, SweepSpec, SweepSpecError, WhatIfSpec
 from repro.trace.kineto import TraceBundle
 
@@ -85,9 +88,9 @@ def sweep(trace: TraceBundle | str | Path,
         Re-evaluate cached scenarios.
     """
     bundle = trace if isinstance(trace, TraceBundle) else TraceBundle.load(trace)
-    cache = SweepCache(Path(cache_dir)) if cache_dir is not None else None
-    return run_sweep(bundle, SweepSpec.coerce(spec, bundle.metadata), workers=workers,
-                     cache=cache, force=force)
+    spec = SweepSpec.coerce(spec, bundle.metadata)
+    return open_study(bundle, spec).sweep(spec, workers=workers, cache_dir=cache_dir,
+                                          force=force)
 
 
 class _CallableSweepModule(ModuleType):

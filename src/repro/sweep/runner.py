@@ -16,8 +16,10 @@ Determinism: graph manipulation and simulation are pure functions of the
 base graph, so serial and parallel runs produce identical results — results
 are collected in expansion order regardless of which worker finished first.
 
-A spec names its whole base, and :func:`open_study` is the one way a
-standalone sweep, a service worker or the CLI opens a study for it.
+A sweep runs only on a study: :func:`run_sweep` takes one first, and
+:meth:`Study.sweep <repro.api.Study.sweep>` is its caller in the
+program.  A spec names its whole base, and :func:`open_study` is the one
+way :func:`repro.sweep`, a service worker or the CLI opens a study for it.
 """
 
 from __future__ import annotations
@@ -32,15 +34,9 @@ from repro.api.target import Target
 from repro.core.whatif import evaluate_scenarios, scenario_for
 from repro.observability import tracing as observability
 from repro.sweep.cache import CacheStats, SweepCache
-from repro.sweep.hashing import hash_json, hash_trace_bundle
-from repro.sweep.spec import (
-    ScenarioSpec,
-    SweepSpec,
-    SweepSpecError,
-    scenario_cache_key,
-)
+from repro.sweep.hashing import hash_json
+from repro.sweep.spec import ScenarioSpec, SweepSpec, scenario_cache_key
 from repro.trace.kineto import TraceBundle
-from repro.workload.model_config import gpt3_model
 
 
 @dataclass(frozen=True)
@@ -221,62 +217,42 @@ def open_study(bundle: TraceBundle, spec: SweepSpec) -> Study:
                  training=spec.training(), inference=spec.inference)
 
 
-def run_sweep(bundle: TraceBundle, spec: SweepSpec, *, workers: int = 1,
-              cache: SweepCache | None = None, force: bool = False,
-              study: Study | None = None) -> SweepResult:
-    """Evaluate every scenario of ``spec`` against one base trace.
+def run_sweep(study: Study, spec: SweepSpec, *, workers: int = 1,
+              cache: SweepCache | None = None, force: bool = False) -> SweepResult:
+    """Evaluate every scenario of ``spec`` against ``study``'s base trace.
 
     Parameters
     ----------
-    bundle:
-        The profiled base trace (what ``repro-lumos emulate`` saved).
+    study:
+        The :class:`~repro.api.Study` over the profiled base trace; its
+        base configuration must match the spec's.  Its memoized replay,
+        calibration, sessions and trace digest are reused.
     spec:
         The declarative sweep specification; it is validated first.
     workers:
         Process count for scenario evaluation.  ``1`` runs serially in
         process; parallel and serial runs produce identical results.
     cache:
-        Optional on-disk result cache.  Cached scenarios skip evaluation,
-        and a fully cached sweep skips base-trace replay and calibration.
+        Optional on-disk result cache, keyed by the study's trace digest.
+        Cached scenarios skip evaluation, and a fully cached sweep skips
+        base-trace replay and calibration.
     force:
         Re-evaluate every scenario even when cached (results are re-stored).
-    study:
-        An already-open :class:`~repro.api.Study` over ``bundle`` (what
-        ``Study.sweep`` passes).  Its memoized replay, calibration,
-        sessions and trace digest are reused instead of re-deriving them;
-        its base configuration must match the spec's.
     """
     started = time.perf_counter()
     spec.validate()
-    if study is not None:
-        study.ensure_matches(spec)
-    elif spec.inference is not None:
-        # A serving base may use a non-registry model when a caller-owned
-        # study supplies the ModelConfig; standalone the runner can only
-        # rebuild registry models, so fail here with the cause instead of
-        # deep inside Study.from_trace.
-        try:
-            gpt3_model(spec.base_model)
-        except KeyError as exc:
-            raise SweepSpecError(
-                f"serving base model '{spec.base_model}' is not in the GPT-3 "
-                "registry; run this spec through Study.sweep on a study "
-                "opened with the custom ModelConfig") from exc
+    study.ensure_matches(spec)
     scenarios = spec.expand()
     observability.count("sweep.scenarios.total", len(scenarios))
 
     # Content hashing walks the full trace bundle, so only pay for it when
-    # there is a cache to key, and at most once per study: the study's own
-    # bundle is keyed by its memoized digest (the same bytes, so the same
-    # key); any other bundle is hashed here.
+    # there is a cache to key; the study memoizes the digest.
     bundle_hash = ""
     scenario_hashes: dict[ScenarioSpec, str] = {}
     collected: dict[ScenarioSpec, ScenarioResult] = {}
     if cache is not None:
         with observability.trace_span("sweep.hash", scenarios=len(scenarios)):
-            bundle_hash = (study.trace_digest
-                           if study is not None and bundle is study.trace
-                           else hash_trace_bundle(bundle))
+            bundle_hash = study.trace_digest
             scenario_hashes = {scenario: hash_json(scenario_cache_key(spec, scenario))
                                for scenario in scenarios}
         if not force:
@@ -292,7 +268,7 @@ def run_sweep(bundle: TraceBundle, spec: SweepSpec, *, workers: int = 1,
     observability.count("sweep.scenarios.evaluated", len(missing))
     if missing:
         with observability.trace_span("sweep.prepare"):
-            state = (study if study is not None else open_study(bundle, spec)).prepare()
+            study.prepare()
         groups: dict[Target, list[ScenarioSpec]] = {}
         for scenario in missing:
             groups.setdefault(Target(scenario.kind, scenario.target), []).append(scenario)
@@ -305,12 +281,10 @@ def run_sweep(bundle: TraceBundle, spec: SweepSpec, *, workers: int = 1,
                                           workers=min(workers, len(items))), \
                     ProcessPoolExecutor(max_workers=min(workers, len(items)),
                                         initializer=_pool_initializer,
-                                        initargs=(state,)) as pool:
+                                        initargs=(study,)) as pool:
                 evaluated = list(pool.map(_pool_evaluate, items))
         else:
-            # A runner-private study (and its memoized per-target state) is
-            # dropped when this call returns.
-            evaluated = [_evaluate_group(state, config, group, slo_ms=spec.slo_ms)
+            evaluated = [_evaluate_group(study, config, group, slo_ms=spec.slo_ms)
                          for config, group in groups.items()]
         for (_, group), payloads in zip(groups.items(), evaluated):
             for scenario, payload in zip(group, payloads):
@@ -318,7 +292,7 @@ def run_sweep(bundle: TraceBundle, spec: SweepSpec, *, workers: int = 1,
                 collected[scenario] = result
                 if cache is not None:
                     cache.store(bundle_hash, scenario_hashes[scenario], payload)
-        base_time_us = state.base_time_us
+        base_time_us = study.base_time_us
     else:
         base_time_us = next(iter(collected.values())).base_time_us
 

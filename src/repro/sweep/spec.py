@@ -46,8 +46,10 @@ names) crosses either grid with roofline hardware retargets: every
 configuration is evaluated on the profiled GPU and once per listed GPU
 (composite ``<kind>+hardware`` scenarios).
 
-Applied to a trace, a JSON spec fills the ``base`` keys it omits by the
-rule every entry point shares (:meth:`SweepSpec.coerce`).
+A JSON spec fills the ``base`` keys it omits by the rule every entry
+point shares (:meth:`SweepSpec.coerce`): from a trace's metadata, or from
+the study's own base in :meth:`Study.sweep <repro.api.Study.sweep>`.
+:func:`inline_spec` is the one builder of a JSON spec from inline axes.
 """
 
 from __future__ import annotations
@@ -56,11 +58,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.api.errors import StudyError
 from repro.api.study import BASE_DEFAULTS, GUESSED_BASE, resolve_base
-from repro.api.target import Target, on_gpu
+from repro.api.target import Target, on_gpu, parse_target
 
 # The scenario kinds are shared vocabulary defined by the manipulation
 # layer (the one place that implements them); re-exported here for spec
@@ -68,6 +70,7 @@ from repro.api.target import Target, on_gpu
 from repro.core.manipulation import (
     KIND_ARCHITECTURE,
     KIND_BASELINE,
+    KIND_HARDWARE,
     KIND_PARALLELISM,
     KIND_SERVING,
     Configuration,
@@ -180,6 +183,15 @@ class WhatIfSpec:
         raise SweepSpecError(
             f"bad what-if '{text}' (expected 'launch', 'comm[:group]:S' or 'CLASS:S')")
 
+    @classmethod
+    def coerce(cls, entry: "WhatIfSpec | Mapping[str, Any] | str") -> "WhatIfSpec":
+        """A what-if from a spec, its JSON mapping or the compact CLI form."""
+        if isinstance(entry, cls):
+            return entry
+        if isinstance(entry, str):
+            return cls.parse(entry)
+        return cls.from_json(entry)
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -285,9 +297,10 @@ class SweepSpec:
 
         A spec object names its whole base.  A JSON spec applied to a
         trace's ``metadata`` fills its omitted base keys by
-        :func:`~repro.api.study.resolve_base` (``named``, e.g. a service
-        request's ``base``, ranks below the spec's own) and refuses a
-        guessed base with :class:`~repro.api.StudyError`.
+        :func:`~repro.api.study.resolve_base` (``named`` — a service
+        request's ``base``, the CLI's flags or a study's own base — ranks
+        below the spec's own) and refuses a guessed base with
+        :class:`~repro.api.StudyError`.
         """
         if isinstance(spec, cls):
             return spec
@@ -426,6 +439,41 @@ class SweepSpec:
         return [ScenarioSpec(kind=config.kind, target=config.label, whatif=variant)
                 for config in self.configurations()
                 for variant in variants]
+
+
+#: The spec axis each target kind fills (see :func:`inline_spec`).
+_AXES = {KIND_PARALLELISM: "parallelism", KIND_ARCHITECTURE: "models",
+         KIND_SERVING: "serving", KIND_HARDWARE: "hardware"}
+
+
+def inline_spec(targets: Iterable[str] = (),
+                whatif: Iterable[WhatIfSpec | Mapping[str, Any] | str] = (), *,
+                parallelism: Iterable[str] = (), models: Iterable[str] = (),
+                serving: Iterable[str] = (), hardware: Iterable[str] = (),
+                include_baseline: bool = True) -> dict[str, Any]:
+    """The JSON spec of inline sweep axes; :meth:`SweepSpec.coerce` fills its base.
+
+    Each target fills the axis of its kind, after the per-kind axes, in
+    input order.  A composite ``"tp=8,gpu=B200"`` fills two axes, which
+    the spec re-crosses into the full hardware × workload grid (so it
+    also evaluates the reference points ``tp=8`` and ``gpu=B200``).  A
+    target's GPU is its canonical name without the ``gpu=`` key, kept
+    once, so every spelling of one part is one axis entry.  What-if
+    entries are specs, JSON mappings or compact CLI strings (``"gemm:2"``).
+    """
+    spec: dict[str, Any] = {"parallelism": list(parallelism), "models": list(models),
+                            "serving": list(serving), "hardware": list(hardware)}
+    for target in targets:
+        for kind, label in parse_target(target).manipulations:
+            axis = spec[_AXES[kind]]
+            if kind == KIND_HARDWARE:
+                label = label.removeprefix("gpu=")
+                if label in axis:
+                    continue
+            axis.append(label)
+    spec["whatif"] = [WhatIfSpec.coerce(entry).to_json() for entry in whatif]
+    spec["include_baseline"] = include_baseline
+    return spec
 
 
 def scenario_cache_key(spec: SweepSpec, scenario: ScenarioSpec) -> dict[str, Any]:

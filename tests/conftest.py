@@ -154,11 +154,10 @@ def bundle_hashes(monkeypatch):
 
     The function is patched at each binding the program calls it through
     (the hashing module itself, which :class:`~repro.api.Study` imports
-    from lazily, the sweep runner and the service job store).
+    from lazily, and the service job store).
     """
     import repro.service.jobs
     import repro.sweep.hashing
-    import repro.sweep.runner
 
     hashed: list = []
     real = repro.sweep.hashing.hash_trace_bundle
@@ -167,7 +166,7 @@ def bundle_hashes(monkeypatch):
         hashed.append(bundle)
         return real(bundle)
 
-    for module in (repro.sweep.hashing, repro.sweep.runner, repro.service.jobs):
+    for module in (repro.sweep.hashing, repro.service.jobs):
         monkeypatch.setattr(module, "hash_trace_bundle", recording)
     return hashed
 

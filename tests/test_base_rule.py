@@ -6,9 +6,11 @@ These tests open one trace through each entry point — ``Study(...)``,
 ``Study.from_trace``, the CLI, ``repro.sweep`` / ``Study.sweep`` and the
 service — and check that they agree.  The training trace is gpt3-15b
 2x2x2 with micro-batch size 1 and 2 microbatches: its metadata records
-the model, the parallelism and the microbatch count, but not the
-micro-batch size, so an entry point that names only ``micro_batch_size=1``
-names the whole profiled base.
+the whole base (model, parallelism, micro-batch size and microbatch
+count), so an entry point that names nothing opens the profiled base.  A
+bundle saved before the emulator recorded the micro-batch size opens at
+the default one unless it is named.  A JSON spec run on a study takes the
+base keys it omits from the study.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.workload.inference import InferenceConfig
 from repro.workload.model_config import gpt3_model
 from repro.workload.parallelism import ParallelismConfig
 from repro.workload.training import TrainingConfig
+from tests.conftest import tiny_model
 
 FLAGS = ["--model", "gpt3-15b", "--parallelism", "2x2x2",
          "--micro-batch-size", "1", "--num-microbatches", "2"]
@@ -74,6 +77,13 @@ class TestResolveBase:
                         "num_microbatches": 2}
         assert not guessed
 
+    def test_a_named_spelling_is_kept_canonical(self):
+        # One base, one cache key: a sweep spec built from the CLI's
+        # ``--model GPT3-15B`` must match the study that flag opens.
+        base, _ = resolve_base({}, {"model": "GPT3-15B", "parallelism": "2x2x2",
+                                    "micro_batch_size": "1"})
+        assert (base["model"], base["micro_batch_size"]) == ("gpt3-15b", 1)
+
     def test_unresolvable_metadata_is_a_guess(self):
         base, guessed = resolve_base({"model": "llama-405b", "parallelism": "weird"})
         assert (base["model"], base["parallelism"]) == ("gpt3-15b", "2x2x4")
@@ -100,9 +110,15 @@ class TestStudyEntryPoints:
         for study in (direct, opened):
             assert study.base_model.name == "gpt3-15b"
             assert study.base_parallel.label() == "2x2x2"
-            assert study.training == TrainingConfig(micro_batch_size=2, num_microbatches=2)
+            assert study.training == TrainingConfig(micro_batch_size=1, num_microbatches=2)
         assert (direct.predict("2x4x2").iteration_time_us
                 == opened.predict("2x4x2").iteration_time_us)
+
+    def test_a_flagless_study_predicts_at_the_profiled_micro_batch_size(self, bundle):
+        assert bundle.metadata["micro_batch_size"] == 1
+        assert (Study.from_trace(bundle).predict("2x4x2").iteration_time_us
+                == Study.from_trace(bundle, micro_batch_size=1)
+                .predict("2x4x2").iteration_time_us)
 
     def test_named_batching_keeps_the_recorded_microbatches(self, bundle):
         study = Study.from_trace(bundle, micro_batch_size=1)
@@ -127,6 +143,49 @@ class TestSweepEntryPoints:
             repro.sweep(unrecorded, SPEC)
 
 
+class TestStudySweep:
+    """A JSON spec run on a study takes the base keys it omits from the study,
+    so it returns what the study's inline axes return."""
+
+    MAPPING = {"parallelism": ["2x2x4"],
+               "whatif": [{"kind": "kernel_class", "op_class": "gemm", "speedup": 2}]}
+
+    @staticmethod
+    def _as_inline(study, mapping, **axes):
+        by_mapping, inline = study.sweep(mapping), study.sweep(**axes)
+        assert (_rows(row.to_json() for row in by_mapping.results)
+                == _rows(row.to_json() for row in inline.results))
+        assert by_mapping.spec.base_json() == inline.spec.base_json()
+        return by_mapping
+
+    def test_an_emulated_training_study(self):
+        study = Study.from_emulation(
+            "gpt3-15b", "2x2x2", TrainingConfig(micro_batch_size=1, num_microbatches=2),
+            iterations=1, seed=1)
+        swept = self._as_inline(study, self.MAPPING, parallelism=["2x2x4"],
+                                whatif=["gemm:2"])
+        assert len(swept) == 4
+
+    def test_a_bundle_that_does_not_record_its_micro_batch_size(self, bundle):
+        older = TraceBundle(metadata={key: value for key, value in bundle.metadata.items()
+                                      if key != "micro_batch_size"})
+        for rank in bundle.ranks():
+            older.add(bundle[rank])
+        study = Study.from_trace(older, micro_batch_size=1)
+        swept = self._as_inline(study, self.MAPPING, parallelism=["2x2x4"],
+                                whatif=["gemm:2"])
+        assert swept.spec.micro_batch_size == 1
+
+    def test_a_custom_model_serving_study(self):
+        study = Study.from_emulation(
+            tiny_model(), "2x1x1",
+            inference=InferenceConfig(batch_size=4, prompt_length=64, decode_length=2),
+            iterations=1, seed=1)
+        swept = self._as_inline(study, {"serving": ["batch=8"]}, serving=["batch=8"])
+        assert len(swept) == 2
+        assert swept.spec.base_model == "tiny-gpt"
+
+
 class TestServiceAdmission:
     def test_a_guessed_base_is_refused_before_anything_is_queued(self, unrecorded,
                                                                  tmp_path):
@@ -143,6 +202,24 @@ class TestServiceAdmission:
             job = app.submit(named)["job"]
             assert job["state"] == "queued"
             assert app.store.queue_depth() == 1
+
+    def test_a_model_the_study_cannot_open_is_refused_before_anything_is_queued(
+            self, tmp_path):
+        serving = emulate(gpt3_model("gpt3-15b"), ParallelismConfig.parse("2x1x1"),
+                          inference=InferenceConfig(batch_size=2, prompt_length=64,
+                                                    decode_length=4),
+                          iterations=1, seed=1).profiled
+        upload = {"version": PROTOCOL_VERSION, "bundle": bundle_to_json(serving),
+                  "base": {"model": "my-custom"}}
+        with ServiceApp(tmp_path / "svc", workers=0) as app:
+            for job in ({"kind": "sweep", "targets": ["batch=4"]},
+                        {"kind": "predict", "target": "batch=4"}):
+                with pytest.raises(ProtocolError) as excinfo:
+                    app.submit({**upload, **job})
+                assert excinfo.value.code == CODE_STUDY_ERROR
+                assert excinfo.value.status == 400
+                assert "unknown model 'my-custom'" in str(excinfo.value)
+            assert app.store.queue_depth() == 0
 
 
 def _cli(argv, capsys) -> str:

@@ -37,6 +37,18 @@ class TestParser:
         assert excinfo.value.code == 0
         assert f"repro-lumos {__version__}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["predict", "sweep", "export-timeline"])
+    def test_seed_is_an_emulate_flag_only(self, trace_directory, tmp_path, command,
+                                          capsys):
+        # Only the emulator reads a seed; the trace commands refuse one.
+        argv = [command, "--trace", str(trace_directory), "--target", "2x2x4"]
+        if command == "export-timeline":
+            argv += ["--output", str(tmp_path / "timeline.json")]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--seed", "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_emulate_writes_bundle(self, trace_directory):

@@ -407,15 +407,15 @@ class TestServingStudy:
             study.sweep(serving=("batch=4",))
 
     def test_standalone_runner_rejects_non_registry_serving_base(self, serving_study):
-        # study.sweep carries the custom ModelConfig; the standalone runner
-        # cannot rebuild it from the spec's model *name* and must say so
-        # up front instead of failing inside Study.from_trace.
+        # study.sweep carries the custom ModelConfig; repro.sweep opens its
+        # study from the spec's model *name*, which the study refuses up
+        # front instead of failing mid-sweep.
+        import repro
         from repro.sweep import SweepSpec
-        from repro.sweep.runner import run_sweep
         spec = SweepSpec(base_model="tiny-gpt", base_parallelism="2x1x1",
                          inference=TINY_INFERENCE, serving=("batch=16",))
-        with pytest.raises(SweepSpecError, match="not in the GPT-3 registry"):
-            run_sweep(serving_study.trace, spec)
+        with pytest.raises(StudyError, match="unknown model 'tiny-gpt'"):
+            repro.sweep(serving_study.trace, spec)
 
     def test_one_call_predict_wrapper_takes_serving_targets(self, serving_study,
                                                             tmp_path):

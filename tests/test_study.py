@@ -31,6 +31,7 @@ from repro.emulator.api import emulate
 from repro.observability import coerce_bundle
 from repro.service.protocol import predict_result_payload
 from repro.sweep import SweepSpec, WhatIfSpec, run_sweep
+from repro.sweep.runner import open_study
 from repro.workload.arrivals import parse_arrival
 from repro.workload.inference import InferenceConfig
 from repro.workload.model_config import gpt3_model
@@ -300,7 +301,7 @@ class TestSweep:
 
     def test_matches_standalone_runner(self, bundle, study, spec):
         via_study = study.sweep(spec)
-        standalone = run_sweep(bundle, spec)
+        standalone = run_sweep(open_study(bundle, spec), spec)
         assert [(r.label, r.iteration_time_us) for r in via_study.results] == \
             [(r.label, r.iteration_time_us) for r in standalone.results]
 
@@ -325,8 +326,9 @@ class TestSweep:
             return original(graph, kind, label, *args)
 
         monkeypatch.setattr(dispatch, "derive", recording)
-        run_sweep(bundle, replace(spec, parallelism=("2x1x4", "2x2x2"), models=(),
-                                  hardware=("H200-SXM",)))
+        crossed = replace(spec, parallelism=("2x1x4", "2x2x2"), models=(),
+                          hardware=("H200-SXM",))
+        run_sweep(open_study(bundle, crossed), crossed)
         # Each composite ``<workload>+hardware`` group resumes from its
         # workload sibling's memoized graph instead of deriving it again.
         workload = sorted(entry for entry in derived if entry[0] != KIND_HARDWARE)
@@ -347,6 +349,11 @@ class TestSweep:
         # must not be dropped silently.
         with pytest.raises(StudyError, match="not both"):
             study.sweep(spec, include_baseline=False)
+
+    def test_any_registry_spelling_of_the_base_model_matches(self, study, spec):
+        upper = replace(spec, base_model="GPT3-15B")
+        assert ([r.iteration_time_us for r in study.sweep(upper).results]
+                == [r.iteration_time_us for r in study.sweep(spec).results])
 
     def test_mismatched_base_is_rejected(self, study):
         bad = SweepSpec(base_model="gpt3-15b", base_parallelism="2x2x4",

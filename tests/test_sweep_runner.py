@@ -21,9 +21,9 @@ from repro.sweep import (
     rank_results,
     run_sweep,
 )
+from repro.sweep.runner import open_study
 from repro.sweep.spec import scenario_cache_key
 from repro.emulator.api import emulate
-from repro.trace.kineto import TraceBundle
 from repro.workload.model_config import gpt3_model
 from repro.workload.parallelism import ParallelismConfig
 from repro.workload.training import TrainingConfig
@@ -55,7 +55,7 @@ def small_spec():
 
 @pytest.fixture(scope="module")
 def serial_result(base_bundle, small_spec):
-    return run_sweep(base_bundle, small_spec, workers=1)
+    return run_sweep(open_study(base_bundle, small_spec), small_spec, workers=1)
 
 
 def _ranked_view(result):
@@ -91,13 +91,13 @@ class TestRunSweep:
             assert result.affected_tasks > 0
 
     def test_parallel_matches_serial(self, base_bundle, small_spec, serial_result):
-        parallel = run_sweep(base_bundle, small_spec, workers=2)
+        parallel = run_sweep(open_study(base_bundle, small_spec), small_spec, workers=2)
         assert _ranked_view(parallel) == _ranked_view(serial_result)
 
     def test_invalid_spec_rejected_before_work(self, base_bundle):
         spec = SweepSpec(base_parallelism=BASE_PARALLELISM, parallelism=("4x1x2",))
         with pytest.raises(ValueError, match="tensor parallelism"):
-            run_sweep(base_bundle, spec)
+            run_sweep(open_study(base_bundle, spec), spec)
 
     def test_scenarios_per_second_positive(self, serial_result):
         assert serial_result.scenarios_per_second > 0
@@ -109,19 +109,19 @@ class TestCacheIntegration:
     def test_second_run_is_fully_cached_and_identical(self, base_bundle, small_spec,
                                                       serial_result, tmp_path):
         cache = SweepCache(tmp_path / "cache")
-        cold = run_sweep(base_bundle, small_spec, cache=cache)
+        cold = run_sweep(open_study(base_bundle, small_spec), small_spec, cache=cache)
         assert cold.cache_stats.misses == len(cold)
         assert not any(r.from_cache for r in cold.results)
 
         warm_cache = SweepCache(tmp_path / "cache")
-        warm = run_sweep(base_bundle, small_spec, cache=warm_cache)
+        warm = run_sweep(open_study(base_bundle, small_spec), small_spec, cache=warm_cache)
         assert warm_cache.stats.hits == len(warm)
         assert all(r.from_cache for r in warm.results)
         assert _ranked_view(warm) == _ranked_view(cold) == _ranked_view(serial_result)
 
     def test_new_scenarios_are_incremental(self, base_bundle, small_spec, tmp_path):
         cache = SweepCache(tmp_path / "cache")
-        run_sweep(base_bundle, small_spec, cache=cache)
+        run_sweep(open_study(base_bundle, small_spec), small_spec, cache=cache)
         extended = SweepSpec(
             base_model=small_spec.base_model,
             base_parallelism=small_spec.base_parallelism,
@@ -132,28 +132,29 @@ class TestCacheIntegration:
             whatif=small_spec.whatif,
         )
         cache_two = SweepCache(tmp_path / "cache")
-        result = run_sweep(base_bundle, extended, cache=cache_two)
+        result = run_sweep(open_study(base_bundle, extended), extended, cache=cache_two)
         # Only the three scenarios of the new 2x1x8 configuration are evaluated.
         assert cache_two.stats.misses == 3
         assert cache_two.stats.hits == len(result) - 3
 
     def test_force_reevaluates(self, base_bundle, small_spec, tmp_path):
         cache = SweepCache(tmp_path / "cache")
-        run_sweep(base_bundle, small_spec, cache=cache)
+        run_sweep(open_study(base_bundle, small_spec), small_spec, cache=cache)
         forced_cache = SweepCache(tmp_path / "cache")
-        forced = run_sweep(base_bundle, small_spec, cache=forced_cache, force=True)
+        forced = run_sweep(open_study(base_bundle, small_spec), small_spec,
+                           cache=forced_cache, force=True)
         assert forced_cache.stats.hits == 0
         assert not any(r.from_cache for r in forced.results)
 
     def test_different_trace_does_not_hit(self, base_bundle, small_spec, tmp_path):
         cache = SweepCache(tmp_path / "cache")
-        run_sweep(base_bundle, small_spec, cache=cache)
+        run_sweep(open_study(base_bundle, small_spec), small_spec, cache=cache)
         other = emulate(gpt3_model("gpt3-15b"),
                         ParallelismConfig.parse(BASE_PARALLELISM),
                         TrainingConfig(micro_batch_size=1, num_microbatches=2),
                         iterations=1, seed=8).profiled
         cache_two = SweepCache(tmp_path / "cache")
-        run_sweep(other, small_spec, cache=cache_two)
+        run_sweep(open_study(other, small_spec), small_spec, cache=cache_two)
         assert cache_two.stats.hits == 0
 
 
@@ -198,17 +199,6 @@ class TestTraceDigest:
         assert warm_cache.stats.hits == len(scenarios)
         assert [r.iteration_time_us for r in warm.results] == \
             [1000.0 + index for index in range(len(scenarios))]
-
-    def test_a_bundle_other_than_the_studys_own_is_hashed(self, base_bundle,
-                                                           small_spec, tmp_path,
-                                                           bundle_hashes):
-        study = self._study(base_bundle)
-        base_bundle.save(tmp_path / "bundle")
-        copy = TraceBundle.load(tmp_path / "bundle")
-        assert copy is not study.trace
-        run_sweep(copy, small_spec, cache=SweepCache(tmp_path / "cache"),
-                  study=study)
-        assert len(bundle_hashes) == 1 and bundle_hashes[0] is copy
 
 
 class TestSweepApi:

@@ -3,7 +3,7 @@
 :func:`repro.parse_target` is the single coercion point every
 ``Study.predict/whatif/sweep`` target routes through; these tests lock
 its auto-detection, prefix handling and canonicalisation, plus
-:func:`~repro.api.target.sweep_axes`, which decomposes target lists
+:func:`~repro.sweep.spec.inline_spec`, which decomposes target lists
 onto a sweep spec's axes for the CLI and the service.
 """
 
@@ -21,8 +21,8 @@ from repro.api import (
     KIND_SERVING,
     PredictError,
 )
-from repro.api.target import sweep_axes
 from repro.hardware.gpu import B200, H200_SXM, GPUSpec, gpu_names
+from repro.sweep.spec import inline_spec
 from repro.workload.inference import InferenceConfig
 from repro.workload.parallelism import ParallelismConfig
 from tests.conftest import hyp_max_examples, tiny_model
@@ -123,21 +123,27 @@ class TestLegacyKeywordParity:
 
 
 class TestSweepAxes:
+    """Target strings onto the JSON spec :func:`inline_spec` builds."""
+
     def test_composite_target_fills_two_axes(self):
-        assert sweep_axes(["batch=8,gpu=H200-SXM"]) == {
+        assert inline_spec(["batch=8,gpu=H200-SXM"]) == {
             "parallelism": [], "models": [], "serving": ["batch=8"],
-            "hardware": ["H200-SXM"]}
+            "hardware": ["H200-SXM"], "whatif": [], "include_baseline": True}
 
     def test_hardware_spellings_give_one_entry(self):
-        axes = sweep_axes(["gpu=H200-SXM", "hardware:h200_sxm", "gpu=h200_sxm"])
-        assert axes["hardware"] == ["H200-SXM"]
+        spec = inline_spec(["gpu=H200-SXM", "hardware:h200_sxm", "gpu=h200_sxm"])
+        assert spec["hardware"] == ["H200-SXM"]
 
     def test_input_order_is_kept(self):
-        axes = sweep_axes(["2x2x8", "gpu=B200", "model:gpt3-v1", "2x1x4",
-                           "gpu=H200-SXM", "model:gpt3-xl"])
-        assert axes == {"parallelism": ["2x2x8", "2x1x4"],
+        spec = inline_spec(["2x2x8", "gpu=B200", "model:gpt3-v1", "2x1x4",
+                            "gpu=H200-SXM", "model:gpt3-xl"], ["gemm:2", "launch"])
+        assert spec == {"parallelism": ["2x2x8", "2x1x4"],
                         "models": ["gpt3-v1", "gpt3-xl"], "serving": [],
-                        "hardware": ["B200", "H200-SXM"]}
+                        "hardware": ["B200", "H200-SXM"],
+                        "whatif": [{"kind": "kernel_class", "op_class": "gemm",
+                                    "speedup": 2.0},
+                                   {"kind": "launch_overhead"}],
+                        "include_baseline": True}
 
 
 class TestHardwareTargets:
