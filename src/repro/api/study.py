@@ -484,7 +484,7 @@ class Study:
 
     @property
     def cluster(self) -> ClusterSpec:
-        """The cluster hosting the base configuration."""
+        """The cluster the base trace was profiled on; every derive re-times on it."""
         if self._cluster is None:
             self._cluster = ClusterSpec.for_world_size(self.base_parallel.world_size)
         return self._cluster
@@ -659,7 +659,7 @@ class Study:
         else:
             graph, world_size = self.base_graph, self.base_parallel.world_size
         context = DeriveContext(source=source, target=target, training=self.training,
-                                perf_model=self.perf_model, cluster=self.cluster)
+                                perf_model=self.perf_model)
         with observability.trace_span("study.derive_graph", kind=kind,
                                       target=label) as span:
             try:

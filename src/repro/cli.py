@@ -66,6 +66,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -683,8 +684,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point for the ``repro-lumos`` console script."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        status = _run(build_parser().parse_args(argv))
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader of stdout went away (``| head``): exit quietly, as in
+        # the Python docs' SIGPIPE recipe, with stdout on devnull so the
+        # interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(args: argparse.Namespace) -> int:
     if not getattr(args, "profile", None):
         return args.func(args)
     with observability.profile(label=args.command) as collecting:

@@ -19,11 +19,12 @@ This module splits Algorithm 1 into two phases:
   ``argsort`` of the sources.  A graph keeps its structure in a compile
   memo that it shares with its clones
   (:meth:`~repro.core.graph.ExecutionGraph.clone`); a clone that only
-  retimes tasks (a serving re-timing, a hardware retarget) compiles to the
-  shared structure plus its own task tuple and duration vector.  The hit is
-  checked against the snapshot taken at compile time: the same task ids,
-  the same edge arrays and, per task, the same processor, collective group
-  and drained streams; anything else gets a full compile.
+  retimes tasks (a data-parallel change, a serving re-timing, a hardware
+  retarget) compiles to the shared structure plus its own task tuple and
+  duration vector.  The hit is checked against the snapshot taken at
+  compile time: the same task ids, the same edge arrays and, per task, the
+  same processor, collective group and drained streams; anything else gets
+  a full compile.
 
 * :class:`SimulationSession` replays the compiled graph.  It keeps no
   per-run buffers: each :meth:`SimulationSession.run` reads the compiled

@@ -4,7 +4,9 @@ This package implements §3.4 of the paper.  From the execution graph built
 out of a profiled trace it derives new graphs for
 
 * different data-parallel degrees (:func:`scale_data_parallelism`) — only
-  the communication tasks change cost, per the paper;
+  the communication tasks change cost, per the paper, so the derived graph
+  is a copy-on-write clone of the base, like the serving and hardware
+  re-timings;
 * different pipeline-parallel degrees
   (:func:`scale_pipeline_parallelism`) — the layers and their tasks are
   re-partitioned into new stages, the 1F1B schedule is regenerated and
@@ -16,6 +18,9 @@ out of a profiled trace it derives new graphs for
   by the roofline ratio of the analytical cost models evaluated on the
   profiled and on a hypothetical :class:`~repro.hardware.gpu.GPUSpec`,
   collectives by the alpha-beta model on the retargeted fabric.
+
+Every manipulation re-times on the calibrated perf model's own cluster,
+the profiled one, grown to hold the source and target configurations.
 
 Each manipulation registers a resolve step and a derive step with the
 dispatch registry (:mod:`repro.core.manipulation.dispatch`).  Its

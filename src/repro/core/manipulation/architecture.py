@@ -27,7 +27,6 @@ from repro.core.manipulation.dispatch import (
 from repro.core.manipulation.synthesize import GraphSynthesizer
 from repro.core.manipulation.templates import extract_iteration_template
 from repro.core.perf_model import KernelPerfModel
-from repro.hardware.cluster import ClusterSpec
 from repro.workload.inference import WORKLOAD_TRAINING
 from repro.workload.model_config import ModelConfig, gpt3_model
 from repro.workload.parallelism import ParallelismConfig
@@ -36,19 +35,18 @@ from repro.workload.training import TrainingConfig
 
 def change_architecture(graph: ExecutionGraph, base_model: ModelConfig,
                         base_parallel: ParallelismConfig, training: TrainingConfig,
-                        target_model: ModelConfig, perf_model: KernelPerfModel,
-                        cluster: ClusterSpec | None = None) -> ExecutionGraph:
+                        target_model: ModelConfig,
+                        perf_model: KernelPerfModel) -> ExecutionGraph:
     """Derive the execution graph for a modified model architecture.
 
     The deployment configuration (TP×PP×DP) is kept; only the model changes,
     matching the paper's §4.3.2 evaluation where all variants train under
-    the base parallelism configuration.
+    the base parallelism configuration.  The synthesizer re-times on
+    ``perf_model``'s profiled cluster.
     """
-    if cluster is None:
-        cluster = ClusterSpec.for_world_size(base_parallel.world_size)
     template = extract_iteration_template(graph, base_model, base_parallel, training)
     synthesizer = GraphSynthesizer(template, target_model, base_parallel, perf_model,
-                                   training=training, cluster=cluster)
+                                   training=training)
     return synthesizer.build()
 
 
@@ -69,4 +67,4 @@ def _derive_architecture(graph: ExecutionGraph, context: DeriveContext) -> Execu
     source = context.source
     return change_architecture(graph, source.model, source.parallel,
                                context.training, context.target.model,
-                               context.perf_model, cluster=context.cluster)
+                               context.perf_model)

@@ -32,7 +32,6 @@ from repro.core.graph import ExecutionGraph
 from repro.core.manipulation.data_parallel import scale_data_parallelism
 from repro.core.manipulation.pipeline_parallel import scale_pipeline_parallelism
 from repro.core.perf_model import KernelPerfModel
-from repro.hardware.cluster import ClusterSpec
 from repro.workload.inference import WORKLOAD_SERVING, WORKLOAD_TRAINING
 from repro.workload.parallelism import ParallelismConfig
 
@@ -94,15 +93,14 @@ class DeriveContext:
 
     ``source`` is the configuration of the graph being manipulated (the
     base, or a composite's workload prefix) and ``target`` the one the
-    segment resolves to, both from :func:`resolve`.  ``cluster`` is the
-    cluster the trace was profiled on.
+    segment resolves to, both from :func:`resolve`.  Every step re-times on
+    ``perf_model``'s cluster, the one the trace was profiled on.
     """
 
     source: Configuration
     target: Configuration
     training: "TrainingConfig"
     perf_model: KernelPerfModel
-    cluster: ClusterSpec
 
 
 #: A resolve step: (configuration, label, payload) -> the configuration
@@ -215,18 +213,12 @@ def _resolve_parallelism(config: Configuration, label: str,
                        workload=WORKLOAD_TRAINING)
 def _derive_parallelism(graph: ExecutionGraph, context: DeriveContext) -> ExecutionGraph:
     base_parallel, parallel = context.source.parallel, context.target.parallel
-    # The cluster must cover the base trace's ranks as well as the
-    # target's: perf-model rescaling evaluates the *old* collective
-    # groups too, so a down-scaled target cannot shrink the cluster.
-    derived_cluster = ClusterSpec.for_world_size(
-        max(base_parallel.world_size, parallel.world_size))
     # A DP=1 base traced no gradient all-reduce for the DP path to retime,
     # so a DP change from it is synthesised like a PP change.
     if parallel.pp == base_parallel.pp and (base_parallel.dp > 1 or parallel.dp == 1):
         return scale_data_parallelism(graph, base_parallel, parallel.dp,
-                                      context.perf_model, cluster=derived_cluster)
+                                      context.perf_model)
     return scale_pipeline_parallelism(graph, context.source.model, base_parallel,
                                       context.training, parallel.pp,
                                       context.perf_model,
-                                      new_data_parallel=parallel.dp,
-                                      cluster=derived_cluster)
+                                      new_data_parallel=parallel.dp)

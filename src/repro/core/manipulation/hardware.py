@@ -122,7 +122,7 @@ def _check_capacity(gpu: GPUSpec, config: Configuration) -> None:
 
 
 def _cluster_pair(graph: ExecutionGraph, gpu: GPUSpec,
-                  base_cluster: ClusterSpec) -> tuple[ClusterSpec, ClusterSpec]:
+                  profiled: ClusterSpec) -> tuple[ClusterSpec, ClusterSpec]:
     """Profiled and target clusters covering every rank the graph touches."""
     needed = 1
     for task in graph.tasks.values():
@@ -130,7 +130,7 @@ def _cluster_pair(graph: ExecutionGraph, gpu: GPUSpec,
         ranks = task.args.get("group_ranks")
         if ranks:
             needed = max(needed, max(ranks) + 1)
-    old_cluster = replace(base_cluster, num_gpus=max(base_cluster.num_gpus, needed))
+    old_cluster = replace(profiled, num_gpus=max(profiled.num_gpus, needed))
     # A GPU swap swaps the NVLink generation with it (the cluster reads it
     # from its GPU); the inter-node fabric (NICs, switches) stays.
     return old_cluster, replace(old_cluster, gpu=gpu)
@@ -268,8 +268,7 @@ def _retime_gpu_task(task: Task, old_gpu: GPUSpec, new_gpu: GPUSpec,
 
 
 def retarget_hardware(graph: ExecutionGraph, gpu: GPUSpec, *,
-                      perf_model: KernelPerfModel,
-                      base_cluster: ClusterSpec) -> ExecutionGraph:
+                      perf_model: KernelPerfModel) -> ExecutionGraph:
     """Derive the execution graph of the same workload on a different GPU.
 
     Parameters
@@ -283,18 +282,16 @@ def retarget_hardware(graph: ExecutionGraph, gpu: GPUSpec, *,
     perf_model:
         Kernel performance model calibrated on the profiled hardware;
         supplies ``dtype_bytes`` (ratios need no calibration factors —
-        they cancel).
-    base_cluster:
-        The cluster the trace was profiled on; its GPU is the ratio
-        denominator and its fabric is carried over (with the NVLink tier
-        swapped for the target part's).
+        they cancel) and its cluster, the one the trace was profiled on:
+        that cluster's GPU is the ratio denominator and its fabric is
+        carried over (with the NVLink tier swapped for the target part's).
 
     Raises :class:`HardwareManipulationError` (:data:`REFUSE_UNCLASSIFIED`)
     when too much GPU time sits in kernels the cost models cannot classify.
     """
-    old_gpu = base_cluster.gpu
+    old_gpu = perf_model.cluster.gpu
     dtype_bytes = perf_model.dtype_bytes
-    old_cluster, new_cluster = _cluster_pair(graph, gpu, base_cluster)
+    old_cluster, new_cluster = _cluster_pair(graph, gpu, perf_model.cluster)
     launch_ratio = (gpu.kernel_launch_overhead_us
                     / old_gpu.kernel_launch_overhead_us
                     if old_gpu.kernel_launch_overhead_us > 0 else 1.0)
@@ -372,5 +369,4 @@ def _resolve_hardware(config: Configuration, label: str,
 
 @register_manipulation(KIND_HARDWARE, _resolve_hardware)
 def _derive_hardware(graph: ExecutionGraph, context: DeriveContext) -> ExecutionGraph:
-    return retarget_hardware(graph, context.target.gpu, perf_model=context.perf_model,
-                             base_cluster=context.cluster)
+    return retarget_hardware(graph, context.target.gpu, perf_model=context.perf_model)

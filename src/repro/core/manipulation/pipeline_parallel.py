@@ -15,7 +15,6 @@ from repro.core.graph import ExecutionGraph
 from repro.core.manipulation.synthesize import GraphSynthesizer
 from repro.core.manipulation.templates import extract_iteration_template
 from repro.core.perf_model import KernelPerfModel
-from repro.hardware.cluster import ClusterSpec
 from repro.workload.model_config import ModelConfig
 from repro.workload.parallelism import ParallelismConfig
 from repro.workload.training import TrainingConfig
@@ -24,12 +23,12 @@ from repro.workload.training import TrainingConfig
 def scale_pipeline_parallelism(graph: ExecutionGraph, base_model: ModelConfig,
                                base_parallel: ParallelismConfig, training: TrainingConfig,
                                new_pipeline_parallel: int, perf_model: KernelPerfModel,
-                               new_data_parallel: int | None = None,
-                               cluster: ClusterSpec | None = None) -> ExecutionGraph:
+                               new_data_parallel: int | None = None) -> ExecutionGraph:
     """Derive the execution graph for a new pipeline-parallel degree.
 
     ``new_data_parallel`` may be given to change both degrees at once (the
-    paper's Figure 7c scenario); tensor parallelism is never changed.
+    paper's Figure 7c scenario); tensor parallelism is never changed.  The
+    synthesizer re-times on ``perf_model``'s profiled cluster.
     """
     if new_pipeline_parallel < 1:
         raise ValueError("pipeline parallel degree must be >= 1")
@@ -37,10 +36,7 @@ def scale_pipeline_parallelism(graph: ExecutionGraph, base_model: ModelConfig,
         pipeline_parallel=new_pipeline_parallel,
         data_parallel=new_data_parallel if new_data_parallel is not None else base_parallel.dp,
     )
-    if cluster is None:
-        cluster = ClusterSpec.for_world_size(target_parallel.world_size)
     template = extract_iteration_template(graph, base_model, base_parallel, training)
-    # The synthesizer retargets ``perf_model`` onto ``cluster`` itself.
     synthesizer = GraphSynthesizer(template, base_model, target_parallel, perf_model,
-                                   training=training, cluster=cluster)
+                                   training=training)
     return synthesizer.build()

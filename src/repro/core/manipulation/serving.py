@@ -42,7 +42,6 @@ from repro.core.manipulation.dispatch import (
 )
 from repro.core.perf_model import KernelPerfModel
 from repro.core.tasks import Task, TaskKind
-from repro.hardware.cluster import ClusterSpec
 from repro.workload.arrivals import STREAM_METADATA_KEY, StreamPlan
 from repro.workload.inference import (
     WORKLOAD_SERVING,
@@ -142,8 +141,7 @@ def rescale_serving_graph(graph: ExecutionGraph,
                           base_model: ModelConfig,
                           base_parallel: ParallelismConfig,
                           base_inference: InferenceConfig,
-                          perf_model: KernelPerfModel,
-                          cluster: ClusterSpec | None = None) -> ExecutionGraph:
+                          perf_model: KernelPerfModel) -> ExecutionGraph:
     """Derive the execution graph for a new serving configuration.
 
     Parameters
@@ -158,12 +156,9 @@ def rescale_serving_graph(graph: ExecutionGraph,
         The configuration the base trace was collected with.
     perf_model:
         Kernel performance model calibrated from the base trace; supplies
-        the analytical ratios (its cluster is replaced by ``cluster`` for
-        re-timing collectives on the target deployment).
-    cluster:
-        Cluster hosting the target; defaults to a cluster sized for the
-        larger of the base and target world sizes (perf-model rescaling
-        evaluates the old collective groups too).
+        the analytical ratios, evaluated on its profiled cluster grown to
+        hold the base and the target (the old collective groups are
+        evaluated too).
     """
     if isinstance(target, ServingTarget):
         target = resolve_serving(
@@ -171,11 +166,7 @@ def rescale_serving_graph(graph: ExecutionGraph,
     new_parallel, new_inference = target.parallel, target.inference
     stream_payload = graph.metadata.get(STREAM_METADATA_KEY)
     plan = None if stream_payload is None else StreamPlan.from_json(stream_payload)
-    if cluster is None:
-        cluster = ClusterSpec.for_world_size(
-            max(base_parallel.world_size, new_parallel.world_size))
-    scaled_model = KernelPerfModel(cluster=cluster, dtype_bytes=perf_model.dtype_bytes,
-                                   calibration=dict(perf_model.calibration))
+    scaled_model = perf_model.covering(base_parallel, new_parallel)
 
     # A stream's schedule is the same on both sides: a target that would
     # reschedule it is the ``batch=`` refusal of :func:`resolve_serving`.

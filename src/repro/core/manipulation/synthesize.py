@@ -33,7 +33,6 @@ from repro.core.graph import ExecutionGraph
 from repro.core.manipulation.templates import IterationTemplate, KernelTemplate
 from repro.core.perf_model import KernelPerfModel, parse_gemm_shape
 from repro.core.tasks import DependencyType, Task, TaskKind
-from repro.hardware.cluster import ClusterSpec
 from repro.trace.events import Category, CudaRuntimeName
 from repro.workload.model_config import ModelConfig
 from repro.workload.operators import (
@@ -78,8 +77,7 @@ class GraphSynthesizer:
     def __init__(self, template: IterationTemplate, target_model: ModelConfig,
                  target_parallel: ParallelismConfig,
                  perf_model: KernelPerfModel,
-                 training: TrainingConfig | None = None,
-                 cluster: ClusterSpec | None = None) -> None:
+                 training: TrainingConfig | None = None) -> None:
         if target_parallel.tp != template.base_parallel.tp:
             raise NotImplementedError(
                 "tensor-parallelism changes are not supported by graph manipulation "
@@ -90,18 +88,9 @@ class GraphSynthesizer:
         self.target_model = target_model
         self.target_parallel = target_parallel
         self.training = training or template.training
-        self.cluster = cluster or ClusterSpec.for_world_size(target_parallel.world_size)
-        if self.cluster.num_gpus < target_parallel.world_size:
-            raise ValueError(
-                f"target configuration {target_parallel.label()} needs "
-                f"{target_parallel.world_size} GPUs but the cluster has {self.cluster.num_gpus}"
-            )
-        # Re-target the calibrated performance model onto the cluster hosting
-        # the new configuration (the calibration factors carry over; the
-        # topology-dependent part comes from the cluster itself).
-        self.perf_model = KernelPerfModel(cluster=self.cluster,
-                                          dtype_bytes=perf_model.dtype_bytes,
-                                          calibration=dict(perf_model.calibration))
+        # Re-time on the profiled cluster, grown to hold the template's
+        # (old) collective groups as well as the target's.
+        self.perf_model = perf_model.covering(template.base_parallel, target_parallel)
         self.groups = target_parallel.groups()
         self._op_tables = _OpTables(template.base_model, template.base_parallel,
                                     target_model, target_parallel, self.training)
@@ -454,8 +443,7 @@ class _OpTables:
 
 def synthesize_graph(template: IterationTemplate, target_model: ModelConfig,
                      target_parallel: ParallelismConfig, perf_model: KernelPerfModel,
-                     training: TrainingConfig | None = None,
-                     cluster: ClusterSpec | None = None) -> ExecutionGraph:
+                     training: TrainingConfig | None = None) -> ExecutionGraph:
     """Convenience wrapper around :class:`GraphSynthesizer`."""
     return GraphSynthesizer(template, target_model, target_parallel, perf_model,
-                            training=training, cluster=cluster).build()
+                            training=training).build()

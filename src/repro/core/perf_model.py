@@ -17,12 +17,14 @@ the profiled trace*, used in two ways:
 * ``predict_*`` — absolute predictions (analytical model times the
   calibration factor learned from observed kernels of the same class), for
   kernels with no counterpart in the original trace.
+
+Both run on the profiled cluster, grown by :meth:`KernelPerfModel.covering`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import median
 
 from repro.core.graph import ExecutionGraph
@@ -34,6 +36,7 @@ from repro.kernels.gemm import gemm_time_us
 from repro.kernels.memory_bound import memory_bound_time_us
 from repro.observability import tracing as observability
 from repro.workload.operators import CollectiveKind, OpClass
+from repro.workload.parallelism import ParallelismConfig
 
 _GEMM_SHAPE_RE = re.compile(r"_m(\d+)_n(\d+)_k(\d+)")
 
@@ -99,6 +102,18 @@ class KernelPerfModel:
                     observability.observe(f"calibration.residual.{key}",
                                           value / factor - 1.0)
         return model
+
+    def covering(self, *parallelisms: ParallelismConfig) -> "KernelPerfModel":
+        """This calibration on its own cluster, grown to hold ``parallelisms``.
+
+        Only the GPU count grows; the part, node size and fabric stay the
+        profiled ones.  Ratio rescaling evaluates the source
+        configuration's groups as well as the target's, so a manipulation
+        passes both.
+        """
+        num_gpus = max([self.cluster.num_gpus,
+                        *(parallel.world_size for parallel in parallelisms)])
+        return replace(self, cluster=replace(self.cluster, num_gpus=num_gpus))
 
     def _analyse_communication(self, args: dict) -> tuple[str, float | None]:
         kind = args.get("collective")

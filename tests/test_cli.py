@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.observability import validate_chrome_trace
 
@@ -63,6 +68,23 @@ class TestCommands:
     def test_replay_with_dpro_baseline(self, trace_directory, capsys):
         assert main(["replay", "--trace", str(trace_directory), "--baseline", "dpro"]) == 0
         assert "replayed iteration time" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_ends_quietly(self, trace_directory, unbuffered):
+        # A reader that goes away (``| head``) must not cost a traceback,
+        # whether the write fails in a print or in the final flush.
+        src = str(Path(repro.__file__).parents[1])
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "replay", "--trace", str(trace_directory)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        process.stdout.close()
+        stderr = process.stderr.read().decode()
+        assert process.wait() == 1
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
 
     def test_breakdown_command(self, trace_directory, capsys):
         assert main(["breakdown", "--trace", str(trace_directory)]) == 0

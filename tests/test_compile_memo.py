@@ -1,10 +1,10 @@
 """The compile memo: one compiled structure and one batch plan per topology.
 
-A derived configuration that only retimes its parent (a serving
-re-timing, a hardware retarget) is a :meth:`ExecutionGraph.clone` sharing
-the parent's compile memo, so :func:`compile_graph` builds only its task
-tuple and duration vector and every batch session reuses the parent's
-plan.  These tests count the full builds, and check that any structural
+A derived configuration that only retimes its parent (a data-parallel
+change, a serving re-timing, a hardware retarget) is a
+:meth:`ExecutionGraph.clone` sharing the parent's compile memo, so
+:func:`compile_graph` builds only its task tuple and duration vector and
+every batch session reuses the parent's plan.  These tests count the full builds, and check that any structural
 difference — an edited scheduling attribute, a new edge, a new task —
 gets a full compile, with the start times of an independent copy.
 """
@@ -94,6 +94,34 @@ class TestSharedBuilds:
         *_, composite = study.config_state("parallelism=2x1x2,gpu=H200-SXM")
         assert composite.compiled._topology is prefix.compiled._topology
         assert composite.compiled.graph is not prefix.compiled.graph
+
+
+    def test_data_parallel_retime_shares_its_base(self, builds):
+        study = Study.from_emulation(
+            "gpt3-15b", "2x1x2", TrainingConfig(micro_batch_size=1, num_microbatches=2),
+            iterations=1, seed=5)
+        base = study.base_graph
+        before = {task_id: (task.duration, dict(task.args))
+                  for task_id, task in base.tasks.items()}
+        derived, _ = study.derived_graph("2x1x4")
+        retimed = {task_id for task_id, task in base.tasks.items()
+                   if task.kind == TaskKind.GPU and task.args.get("group") == "dp"
+                   and task.args.get("collective")}
+        assert retimed
+        # The input is untouched, and only the retimed collectives are copies.
+        assert before == {task_id: (task.duration, task.args)
+                          for task_id, task in base.tasks.items()}
+        assert derived.tasks.keys() == base.tasks.keys()
+        for task_id, task in base.tasks.items():
+            assert (derived.tasks[task_id] is task) == (task_id not in retimed)
+        result = study.sweep(parallelism=["2x1x4"], whatif=["gemm:2", "comm:2"])
+        assert len(result) == 6
+        # One topology: the base compiles at replay and plans once (its
+        # what-if batch); the retime reuses both.
+        assert builds == {"_compile_graph": 1, "compile_batch_plan": 1}
+        *_, base_session = study.config_state(None)
+        *_, derived_session = study.config_state("2x1x4")
+        assert derived_session.compiled._topology is base_session.compiled._topology
 
 
 def _first(graph: ExecutionGraph, predicate) -> Task:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import PredictError, Study
+from repro.core import perf_model as perf_model_module
 from repro.core.graph import ExecutionGraph
 from repro.core.manipulation import registered_kinds, retarget_hardware
 from repro.core.manipulation.hardware import (
@@ -24,7 +25,7 @@ from repro.core.perf_model import KernelPerfModel
 from repro.core.tasks import Task, TaskKind
 from repro.emulator.api import emulate
 from repro.hardware.cluster import ClusterSpec
-from repro.hardware.gpu import B200, H100_SXM, H200_SXM, GPUSpec
+from repro.hardware.gpu import A100_SXM, B200, H100_SXM, H200_SXM, GPUSpec
 from repro.workload.inference import InferenceConfig
 from repro.workload.model_config import gpt3_model
 from repro.workload.parallelism import ParallelismConfig
@@ -125,6 +126,58 @@ class TestEmulatedTruth:
         assert abs(predicted - truth) / truth < 0.001
 
 
+#: The tiny training base of the profiled-part tests.
+TINY_TRAINING = TrainingConfig(micro_batch_size=1, num_microbatches=2,
+                               sequence_length=512)
+
+
+def _on(gpu: GPUSpec, parallelism: str) -> ClusterSpec:
+    return ClusterSpec.for_world_size(ParallelismConfig.parse(parallelism).world_size,
+                                      gpu=gpu)
+
+
+class TestDerivesRunOnTheProfiledPart:
+    """Every derive re-times on the cluster the trace was profiled on."""
+
+    def test_every_cost_model_sees_the_profiled_gpu(self, monkeypatch):
+        training = Study.from_emulation(tiny_model(), "1x2x2", TINY_TRAINING,
+                                        cluster=_on(B200, "1x2x2"),
+                                        iterations=1, seed=1).prepare()
+        serving = Study.from_emulation(
+            tiny_model(), "2x1x1",
+            inference=InferenceConfig(batch_size=4, prompt_length=64, decode_length=2),
+            cluster=_on(B200, "2x1x1"), iterations=1, seed=11).prepare()
+        seen: list[str] = []
+
+        def recording(cost_model):
+            def record(*args, **kwargs):
+                for value in (*args, *kwargs.values()):
+                    if isinstance(value, ClusterSpec):
+                        seen.append(value.gpu.name)
+                    elif isinstance(value, GPUSpec):
+                        seen.append(value.name)
+                return cost_model(*args, **kwargs)
+            return record
+
+        for name, value in vars(perf_model_module).items():
+            if callable(value) and value.__module__.startswith("repro.kernels."):
+                monkeypatch.setattr(perf_model_module, name, recording(value))
+        training.predict("1x2x4")   # a data-parallel retime
+        training.predict("1x1x2")   # a pipeline-parallel synthesis
+        serving.predict("batch=8")  # a serving retime
+        assert seen and set(seen) == {"B200"}
+
+    @pytest.mark.parametrize("gpu", [A100_SXM, B200], ids=lambda gpu: gpu.name)
+    def test_data_parallel_scaling_tracks_an_emulation_on_the_same_part(self, gpu):
+        study = Study.from_emulation(tiny_model(), "1x1x4", TINY_TRAINING,
+                                     cluster=_on(gpu, "1x1x4"), iterations=1, seed=1)
+        predicted = study.predict("1x1x16").iteration_time_us
+        truth = emulate(tiny_model(), ParallelismConfig.parse("1x1x16"), TINY_TRAINING,
+                        cluster=_on(gpu, "1x1x16"), iterations=1,
+                        seed=1).measured_iteration_time()
+        assert abs(predicted - truth) / truth < 0.05
+
+
 class TestCompositeCapacity:
     @pytest.fixture(scope="class")
     def study(self):
@@ -176,10 +229,9 @@ class TestServingRetarget:
 
 class TestUnclassifiedRefusal:
     def _retarget(self, graph):
-        cluster = ClusterSpec(num_gpus=1)
         return retarget_hardware(
-            graph, H200_SXM, perf_model=KernelPerfModel(cluster=cluster),
-            base_cluster=cluster)
+            graph, H200_SXM,
+            perf_model=KernelPerfModel(cluster=ClusterSpec(num_gpus=1)))
 
     def test_opaque_kernels_past_the_budget_refuse(self):
         graph = ExecutionGraph()

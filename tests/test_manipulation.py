@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Study
 from repro.core.graph_builder import GraphBuilder
 from repro.core.manipulation import (
     change_architecture,
@@ -18,6 +19,7 @@ from repro.emulator.api import emulate
 from repro.hardware.cluster import ClusterSpec
 from repro.workload.parallelism import ParallelismConfig
 from repro.workload.pipeline import stage_layers
+from repro.workload.training import TrainingConfig
 from tests.conftest import tiny_model
 
 _PREDICTION_TOLERANCE_PERCENT = 12.0
@@ -197,6 +199,33 @@ class TestPipelineParallelScaling:
         with pytest.raises(ValueError):
             scale_pipeline_parallelism(base_graph, base_model, base_parallel, base_training,
                                        0, perf_model)
+
+
+class TestShrinkingDirectCalls:
+    """A direct call re-times on its perf model's cluster, which holds the base.
+
+    So a call that shrinks the configuration derives the same graph as the
+    study's own derive of that target.
+    """
+
+    @pytest.fixture(scope="class")
+    def study(self):
+        return Study.from_emulation(tiny_model(), "1x2x4",
+                                    TrainingConfig(micro_batch_size=1, num_microbatches=2),
+                                    iterations=1, seed=1)
+
+    def test_fewer_data_parallel_ranks(self, study):
+        graph = scale_data_parallelism(study.base_graph, study.base_parallel, 2,
+                                       study.perf_model)
+        assert (simulate_graph(graph).iteration_time_us
+                == study.predict("1x2x2").iteration_time_us)
+
+    def test_fewer_pipeline_and_data_parallel_ranks(self, study):
+        graph = scale_pipeline_parallelism(study.base_graph, study.base_model,
+                                           study.base_parallel, study.training, 1,
+                                           study.perf_model, new_data_parallel=2)
+        assert (simulate_graph(graph).iteration_time_us
+                == study.predict("1x1x2").iteration_time_us)
 
 
 class TestArchitectureChange:
