@@ -452,15 +452,16 @@ class BatchSession:
     Takes the :class:`BatchPlan` of the graph's topology, built by the
     first session over it; when the graph is unbatchable the
     session transparently falls back to per-scenario sequential runs on a
-    :class:`~repro.core.engine.SimulationSession` (:attr:`batchable`,
-    :attr:`fallback_reason` and :attr:`fallback_code` report which path is
-    live and why).
+    :class:`~repro.core.engine.SimulationSession` of its own, built on the
+    first fallback run (:attr:`batchable`, :attr:`fallback_reason` and
+    :attr:`fallback_code` report which path is live and why).  It holds
+    no reference to the session that opened it, so the two form no
+    reference cycle and a released session is freed at once.
     """
 
-    def __init__(self, compiled: CompiledGraph,
-                 fallback: "SimulationSession | None" = None) -> None:
+    def __init__(self, compiled: CompiledGraph) -> None:
         self.compiled = compiled
-        self._fallback = fallback
+        self._fallback: SimulationSession | None = None
         self.plan: BatchPlan | None = None
         self.fallback_reason: str | None = None
         self.fallback_code: str | None = None

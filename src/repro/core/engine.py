@@ -26,6 +26,14 @@ This module splits Algorithm 1 into two phases:
   same processor, collective group and drained streams; anything else gets
   a full compile.
 
+  A declarative what-if's predicate reads only a task's class (kind,
+  name, op class, collective and group), so :meth:`CompiledGraph.mask`
+  calls it once per class and broadcasts the answers through a class
+  column built on the first such mask, not in the compile pass; any
+  other predicate is called on every task.  The column is kept per
+  compiled graph, not in the shared structure, whose bind checks
+  neither names nor ``args``.
+
 * :class:`SimulationSession` replays the compiled graph.  It keeps no
   per-run buffers: each :meth:`SimulationSession.run` reads the compiled
   arrays its event loop indexes as Python lists and keeps its state in
@@ -49,6 +57,7 @@ import heapq
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, repeat
 from operator import attrgetter
 from typing import Any, Callable, Sequence
@@ -60,6 +69,13 @@ from repro.core.tasks import Task, TaskKind
 from repro.observability import tracing as observability
 from repro.trace.events import Category, TraceEvent
 from repro.trace.kineto import DistributedInfo, KinetoTrace, TraceBundle
+
+
+class _ClassPredicate:
+    """A task predicate that reads only ``(kind, name, op_class, collective,
+    group)``, the last three from ``args``: a task's class."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -112,10 +128,38 @@ class CompiledGraph:
     def __len__(self) -> int:
         return len(self.tasks)
 
+    @cached_property
+    def _classes(self) -> tuple[np.ndarray, tuple[Task, ...]]:
+        """A class code per task (smallest unsigned dtype), one task per class."""
+        codes: dict[tuple, int] = {}
+        representatives: list[Task] = []
+        column = []
+        for task in self.tasks:
+            args = task.args
+            key = (task.kind, task.name, args.get("op_class"), args.get("collective"),
+                   args.get("group"))
+            code = codes.get(key)
+            if code is None:
+                code = codes[key] = len(representatives)
+                representatives.append(task)
+            column.append(code)
+        dtype = np.min_scalar_type(len(representatives))
+        return np.array(column, dtype=dtype), tuple(representatives)
+
     def mask(self, predicate: Callable[[Task], bool]) -> np.ndarray:
-        """Boolean dense-indexed mask of the tasks matching ``predicate``."""
-        return np.fromiter((predicate(task) for task in self.tasks),
-                           dtype=bool, count=len(self.tasks))
+        """Boolean dense-indexed mask of the tasks matching ``predicate``.
+
+        A :class:`_ClassPredicate` is called once per task class; any other
+        callable on every task.
+        """
+        if isinstance(predicate, _ClassPredicate):
+            observability.count("whatif.mask.by_class")
+            column, representatives = self._classes
+            return np.fromiter(map(predicate, representatives), dtype=bool,
+                               count=len(representatives))[column]
+        observability.count("whatif.mask.by_task")
+        return np.fromiter(map(predicate, self.tasks), dtype=bool,
+                           count=len(self.tasks))
 
     def scaled_durations(self, predicate: Callable[[Task], bool],
                          speedup: float) -> tuple[np.ndarray, int]:
@@ -569,13 +613,12 @@ class SimulationSession:
         :class:`~repro.core.batch.BatchSession` simulates a whole
         ``(B, n_tasks)`` duration matrix with the topology's batch plan
         when the graph's schedule is provably duration-independent, and
-        falls back to per-scenario :meth:`run` calls on this session
-        otherwise.
+        falls back to per-scenario sequential runs otherwise.
         """
         if self._batch is None:
             from repro.core.batch import BatchSession
 
-            self._batch = BatchSession(self.compiled, fallback=self)
+            self._batch = BatchSession(self.compiled)
         return self._batch
 
     def run_batch(self, durations: "Sequence[Sequence[float]] | np.ndarray",

@@ -63,9 +63,9 @@ def scale_data_parallelism(graph: ExecutionGraph, base_parallel: ParallelismConf
             task.duration = 0.0
         else:
             task.duration = perf_model.scale_collective(
-                task.duration, kind=str(task.args["collective"]),
+                kind=str(task.args["collective"]),
                 old_size=size_bytes, old_ranks=old_ranks,
-                new_size=size_bytes, new_ranks=new_ranks)
+                new_size=size_bytes, new_ranks=new_ranks)(task.duration)
         task.args["group_ranks"] = list(new_ranks)
         task.args["group_size"] = len(new_ranks)
     return graph.clone(metadata={**graph.metadata, "manipulated": "data_parallel",

@@ -12,8 +12,11 @@ configuration from the decomposition (:mod:`repro.workload.inference`)
 and the schedule the emulator used (a stream's plan from the graph
 metadata, the one-chunk schedule for a fixed-batch episode), and the
 observed duration is rescaled by the analytical ratio — the paper's §3.4
-recipe, where systematic model error cancels in the ratio.  The derived
-graph is a copy-on-write :meth:`~repro.core.graph.ExecutionGraph.clone`:
+recipe, where systematic model error cancels in the ratio.  An operator
+instance repeats on every layer and rank, so its rescale is evaluated
+once per derive and recorded group, then applied to each of its tasks
+(bit-identical to evaluating it per task).  The derived graph is a
+copy-on-write :meth:`~repro.core.graph.ExecutionGraph.clone`:
 it keeps the base's task ids and edges, shares every task it does not
 retime, and so compiles to the base's shared structure and batch plan.
 
@@ -30,7 +33,7 @@ schedule.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.graph import ExecutionGraph
 from repro.core.manipulation.dispatch import (
@@ -176,7 +179,9 @@ def rescale_serving_graph(graph: ExecutionGraph,
 
     # Re-timing changes durations and shape args only, so the derived graph
     # is a copy-on-write clone: it keeps the base's task ids and edges and
-    # copies just the GPU tasks it retimes.
+    # copies just the GPU tasks it retimes.  An operator instance's rescale
+    # is evaluated once per recorded group.
+    rescales: dict[tuple, Callable[[float], float] | None] = {}
     new_tasks: dict[int, Task] = {}
     gpu_tasks = matched = 0
     for task_id, task in graph.tasks.items():
@@ -187,10 +192,14 @@ def rescale_serving_graph(graph: ExecutionGraph,
             new_op = new_ops.get(key) if key is not None else None
             if old_op is not None and new_op is not None:
                 matched += 1
-                duration = _rescale(task, old_op, new_op, scaled_model,
-                                    new_tp_ranks)
+                group = (key, tuple(task.args.get("group_ranks", ())))
+                if group not in rescales:
+                    rescales[group] = _rescale(old_op, new_op, group[1], scaled_model,
+                                               new_tp_ranks)
+                rescale = rescales[group]
                 task = task.copy()
-                task.duration = duration
+                if rescale is not None:
+                    task.duration = rescale(task.duration)
                 _update_args(task, new_op, new_tp_ranks)
             elif (old_op is not None and old_op.is_communication
                     and new_parallel.tp == 1):
@@ -230,33 +239,35 @@ def _derive_serving(graph: ExecutionGraph, context: DeriveContext) -> ExecutionG
         perf_model=context.perf_model)
 
 
-def _rescale(task: Task, old_op: OpSpec, new_op: OpSpec,
-             perf_model: KernelPerfModel, new_tp_ranks: tuple[int, ...]) -> float:
-    """Observed duration × analytical(new) / analytical(old) per op class."""
-    observed = task.duration
+def _rescale(old_op: OpSpec, new_op: OpSpec, old_ranks: tuple[int, ...],
+             perf_model: KernelPerfModel,
+             new_tp_ranks: tuple[int, ...]) -> Callable[[float], float] | None:
+    """Observed duration × analytical(new) / analytical(old) per op class.
+
+    ``None`` keeps the observed duration.
+    """
     if old_op == new_op:
         # Unchanged shape — keep the observed duration bit-exact instead
         # of multiplying by a ratio that is 1.0 only up to rounding.
-        return observed
+        return None
     if old_op.is_communication:
         assert new_op.collective is not None and old_op.collective is not None
-        old_ranks = tuple(task.args.get("group_ranks", ()))
         if not old_ranks:
-            return observed
+            return None
         return perf_model.scale_collective(
-            observed, kind=old_op.collective.kind,
+            kind=old_op.collective.kind,
             old_size=old_op.collective.size_bytes, old_ranks=old_ranks,
             new_size=new_op.collective.size_bytes, new_ranks=new_tp_ranks)
     if old_op.op_class == OpClass.GEMM:
-        return perf_model.scale_gemm(observed, (old_op.m, old_op.n, old_op.k),
+        return perf_model.scale_gemm((old_op.m, old_op.n, old_op.k),
                                      (new_op.m, new_op.n, new_op.k))
     if old_op.op_class == OpClass.DECODE_ATTENTION:
         return perf_model.scale_decode_attention(
-            observed, old_op.flops, old_op.bytes_accessed,
+            old_op.flops, old_op.bytes_accessed,
             new_op.flops, new_op.bytes_accessed)
     if old_op.op_class == OpClass.ATTENTION:
-        return perf_model.scale_flops_bound(observed, old_op.flops, new_op.flops)
-    return perf_model.scale_memory_bound(observed, old_op.bytes_accessed,
+        return perf_model.scale_flops_bound(old_op.flops, new_op.flops)
+    return perf_model.scale_memory_bound(old_op.bytes_accessed,
                                          new_op.bytes_accessed)
 
 

@@ -317,10 +317,10 @@ class GraphSynthesizer:
 
         if template is not None:
             duration = self.perf_model.scale_collective(
-                template.duration, kind=template.args.get("collective", direction),
+                kind=template.args.get("collective", direction),
                 old_size=float(template.args.get("size_bytes", size_bytes)),
                 old_ranks=tuple(template.args.get("group_ranks", pair)) or pair,
-                new_size=size_bytes, new_ranks=pair)
+                new_size=size_bytes, new_ranks=pair)(template.duration)
             base = template
         else:
             duration = self.perf_model.predict_collective_us(direction, size_bytes, pair,
@@ -345,10 +345,10 @@ class GraphSynthesizer:
         sample = self.template.dp_bucket_sample
         if sample is not None:
             duration = self.perf_model.scale_collective(
-                sample.duration, kind="all_reduce",
+                kind="all_reduce",
                 old_size=float(sample.args.get("size_bytes", size_bytes)),
                 old_ranks=tuple(sample.args.get("group_ranks", new_ranks)) or new_ranks,
-                new_size=size_bytes, new_ranks=new_ranks)
+                new_size=size_bytes, new_ranks=new_ranks)(sample.duration)
             base = sample
         else:
             duration = self.perf_model.predict_collective_us("all_reduce", size_bytes,
@@ -380,18 +380,18 @@ class GraphSynthesizer:
             old_ranks = tuple(kernel.args.get("group_ranks", ())) or \
                 self.groups.tp_group(0).ranks
             return self.perf_model.scale_collective(
-                kernel.duration, kind=base_op.collective.kind,
+                kind=base_op.collective.kind,
                 old_size=base_op.collective.size_bytes, old_ranks=old_ranks,
-                new_size=target_op.collective.size_bytes, new_ranks=old_ranks)
+                new_size=target_op.collective.size_bytes, new_ranks=old_ranks)(kernel.duration)
         if base_op.op_class == OpClass.GEMM:
             old_shape = parse_gemm_shape(kernel.name) or (base_op.m, base_op.n, base_op.k)
-            return self.perf_model.scale_gemm(kernel.duration, old_shape,
-                                              (target_op.m, target_op.n, target_op.k))
+            return self.perf_model.scale_gemm(
+                old_shape, (target_op.m, target_op.n, target_op.k))(kernel.duration)
         if base_op.op_class == OpClass.ATTENTION:
-            return self.perf_model.scale_flops_bound(kernel.duration, base_op.flops,
-                                                     target_op.flops)
-        return self.perf_model.scale_memory_bound(kernel.duration, base_op.bytes_accessed,
-                                                  target_op.bytes_accessed)
+            return self.perf_model.scale_flops_bound(base_op.flops,
+                                                     target_op.flops)(kernel.duration)
+        return self.perf_model.scale_memory_bound(base_op.bytes_accessed,
+                                                  target_op.bytes_accessed)(kernel.duration)
 
     # -- sizing helpers -------------------------------------------------------------------------
 

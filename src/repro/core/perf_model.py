@@ -9,11 +9,13 @@ fleet-trace performance model for these; this module provides the
 equivalent: an analytical model *calibrated against the kernels observed in
 the profiled trace*, used in two ways:
 
-* ``scale_*`` — rescale an observed kernel's duration by the ratio of the
-  analytical prediction for the new configuration to the prediction for the
-  old one.  Systematic model error cancels in the ratio, which is why the
-  paper only needs to update "a few key kernels, such as GEMM and
-  communication-related ones".
+* ``scale_*`` — the rescale of an observed kernel's duration by the ratio
+  of the analytical prediction for the new configuration to the prediction
+  for the old one.  Systematic model error cancels in the ratio, which is
+  why the paper only needs to update "a few key kernels, such as GEMM and
+  communication-related ones".  Each returns the rescale as a function of
+  the observed duration, so a retime that meets one shape on many kernels
+  (every layer, step and rank) evaluates the analytical models once.
 * ``predict_*`` — absolute predictions (analytical model times the
   calibration factor learned from observed kernels of the same class), for
   kernels with no counterpart in the original trace.
@@ -26,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from statistics import median
+from typing import NamedTuple
 
 from repro.core.graph import ExecutionGraph
 from repro.core.tasks import TaskKind
@@ -175,51 +178,72 @@ class KernelPerfModel:
 
     # -- ratio-based rescaling ---------------------------------------------------------
 
-    def scale_gemm(self, observed_us: float, old_shape: tuple[int, int, int],
-                   new_shape: tuple[int, int, int]) -> float:
-        """Rescale an observed GEMM duration from ``old_shape`` to ``new_shape``."""
+    def scale_gemm(self, old_shape: tuple[int, int, int],
+                   new_shape: tuple[int, int, int]) -> _Rescale:
+        """Rescale of an observed GEMM duration from ``old_shape`` to ``new_shape``."""
         old = gemm_time_us(*old_shape, dtype_bytes=self.dtype_bytes, gpu=self.cluster.gpu)
         new = gemm_time_us(*new_shape, dtype_bytes=self.dtype_bytes, gpu=self.cluster.gpu)
-        return observed_us * new / old
+        return _Rescale(new, old)
 
-    def scale_collective(self, observed_us: float, kind: str,
-                         old_size: float, old_ranks: tuple[int, ...],
-                         new_size: float, new_ranks: tuple[int, ...]) -> float:
-        """Rescale an observed collective duration to a new size and group."""
+    def scale_collective(self, kind: str, old_size: float, old_ranks: tuple[int, ...],
+                         new_size: float, new_ranks: tuple[int, ...]) -> _Rescale:
+        """Rescale of an observed collective duration to a new size and group."""
         if kind in CollectiveKind.POINT_TO_POINT:
             old = point_to_point_time_us(old_size, old_ranks[0], old_ranks[-1], self.cluster)
             new = point_to_point_time_us(new_size, new_ranks[0], new_ranks[-1], self.cluster)
         else:
             old = collective_time_us(kind, old_size, old_ranks, self.cluster)
             new = collective_time_us(kind, new_size, new_ranks, self.cluster)
-        return observed_us * new / old
+        return _Rescale(new, old)
 
-    def scale_memory_bound(self, observed_us: float, old_bytes: float, new_bytes: float,
-                           fixed_overhead_us: float | None = None) -> float:
-        """Rescale an observed bandwidth-bound kernel duration to new traffic."""
+    def scale_memory_bound(self, old_bytes: float, new_bytes: float,
+                           fixed_overhead_us: float | None = None) -> _Rescale:
+        """Rescale of an observed bandwidth-bound kernel duration to new traffic."""
         if old_bytes <= 0:
-            return observed_us
+            return _KEEP
         overhead = (self.cluster.gpu.kernel_fixed_overhead_us
                     if fixed_overhead_us is None else fixed_overhead_us)
-        variable = max(observed_us - overhead, 0.0)
-        return overhead + variable * (new_bytes / old_bytes)
+        return _Rescale(new_bytes, old_bytes, overhead)
 
-    def scale_decode_attention(self, observed_us: float,
-                               old_flops: float, old_bytes: float,
-                               new_flops: float, new_bytes: float) -> float:
-        """Rescale an observed decode-attention duration to a new KV sweep."""
+    def scale_decode_attention(self, old_flops: float, old_bytes: float,
+                               new_flops: float, new_bytes: float) -> _Rescale:
+        """Rescale of an observed decode-attention duration to a new KV sweep."""
         old = decode_attention_time_us(old_flops, old_bytes, self.cluster.gpu)
         new = decode_attention_time_us(new_flops, new_bytes, self.cluster.gpu)
         if old <= 0:
-            return observed_us
-        return observed_us * new / old
+            return _KEEP
+        return _Rescale(new, old)
 
-    def scale_flops_bound(self, observed_us: float, old_flops: float, new_flops: float,
-                          fixed_overhead_us: float | None = None) -> float:
-        """Rescale an observed compute-bound kernel (e.g. attention) by FLOP ratio."""
+    def scale_flops_bound(self, old_flops: float, new_flops: float,
+                          fixed_overhead_us: float | None = None) -> _Rescale:
+        """Rescale of an observed compute-bound kernel (e.g. attention) by FLOP ratio."""
         if old_flops <= 0:
-            return observed_us
+            return _KEEP
         overhead = (self.cluster.gpu.kernel_fixed_overhead_us
                     if fixed_overhead_us is None else fixed_overhead_us)
-        variable = max(observed_us - overhead, 0.0)
-        return overhead + variable * (new_flops / old_flops)
+        return _Rescale(new_flops, old_flops, overhead)
+
+
+class _Rescale(NamedTuple):
+    """An observed duration's rescale: call it with the observed microseconds.
+
+    Without an ``overhead`` the whole duration scales, ``observed * new /
+    old``; with one, the fixed kernel overhead stays and only the part
+    above it scales by ``new / old``.  The analytical pair is kept rather
+    than its quotient, so applying one rescale to many kernels is
+    bit-identical to evaluating it for each.
+    """
+
+    new: float
+    old: float
+    overhead: float | None = None
+
+    def __call__(self, observed_us: float) -> float:
+        if self.overhead is None:
+            return observed_us * self.new / self.old
+        variable = max(observed_us - self.overhead, 0.0)
+        return self.overhead + variable * (self.new / self.old)
+
+
+#: The rescale that keeps an observed duration (``x * 1.0 / 1.0 == x``).
+_KEEP = _Rescale(1.0, 1.0)

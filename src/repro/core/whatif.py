@@ -10,6 +10,11 @@ speed-up because of overlap and critical-path effects).
 
 Scenarios are plain ``(name, predicate, speedup)`` descriptions
 (:class:`Scenario`; :func:`scenario_for` builds the declarative kinds).
+A declarative kind's predicate tests only a task's class (its kind, name,
+op class, collective and group), so its row costs one test per task
+class: :meth:`~repro.core.engine.CompiledGraph.scaled_durations`
+broadcasts the answers through the compiled graph's class column.  A
+custom predicate is called on every task.
 :func:`evaluate_scenarios` is the one entry point.  It stacks one
 ``(1 + B, n_tasks)`` duration matrix: row 0 is the graph's own durations
 (the configuration every result is measured against) and each scenario
@@ -37,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.engine import SimulationSession, compile_graph
+from repro.core.engine import SimulationSession, _ClassPredicate, compile_graph
 from repro.core.graph import ExecutionGraph
 from repro.core.serving_metrics import (
     ServingMetrics,
@@ -92,24 +97,27 @@ class Scenario:
     speedup: float = 2.0
 
 
-def _communication_predicate(group: str | None) -> TaskPredicate:
-    def predicate(task: Task) -> bool:
-        if task.kind != TaskKind.GPU or not task.is_communication:
-            return False
-        return group is None or task.args.get("group") == group
-    return predicate
+@dataclass(frozen=True)
+class _KindPredicate(_ClassPredicate):
+    """The task test of one declarative what-if kind.
 
+    It reads only a task's class, so a compiled graph calls it once per
+    class (:meth:`~repro.core.engine.CompiledGraph.mask`).
+    """
 
-def _kernel_class_predicate(op_class: str) -> TaskPredicate:
-    def predicate(task: Task) -> bool:
-        return task.kind == TaskKind.GPU and task.op_class == op_class
-    return predicate
+    kind: str
+    #: The op class a ``kernel_class`` what-if selects, or the group a
+    #: ``communication`` one selects (``None``: every group).
+    selects: str | None = None
 
-
-def _launch_overhead_predicate() -> TaskPredicate:
-    def predicate(task: Task) -> bool:
+    def __call__(self, task: Task) -> bool:
+        if self.kind == "kernel_class":
+            return task.kind == TaskKind.GPU and task.op_class == self.selects
+        if self.kind == "communication":
+            if task.kind != TaskKind.GPU or not task.is_communication:
+                return False
+            return self.selects is None or task.args.get("group") == self.selects
         return task.kind == TaskKind.CPU and task.name == "cudaLaunchKernel"
-    return predicate
 
 
 def scenario_for(kind: str, *, op_class: str | None = None,
@@ -126,16 +134,13 @@ def scenario_for(kind: str, *, op_class: str | None = None,
         if not op_class:
             raise ValueError("what-if kind 'kernel_class' requires op_class")
         return Scenario(name=f"{op_class} x{speedup:g}",
-                        predicate=_kernel_class_predicate(op_class),
-                        speedup=speedup)
+                        predicate=_KindPredicate(kind, op_class), speedup=speedup)
     if kind == "communication":
         return Scenario(name=f"{group or 'all'}-communication x{speedup:g}",
-                        predicate=_communication_predicate(group),
-                        speedup=speedup)
+                        predicate=_KindPredicate(kind, group), speedup=speedup)
     if kind == "launch_overhead":
         return Scenario(name="zero launch overhead",
-                        predicate=_launch_overhead_predicate(),
-                        speedup=float("inf"))
+                        predicate=_KindPredicate(kind), speedup=float("inf"))
     raise ValueError(f"unknown what-if kind '{kind}'")
 
 

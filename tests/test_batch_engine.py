@@ -25,6 +25,9 @@ handled the batch.  Every test here asserts that differentially:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,10 +274,20 @@ class TestFallbackPath:
         run = batch.run(matrix)
         assert not run.batched
 
-    def test_fallback_reuses_the_sequential_session(self):
-        graph = self.unordered_graph()
-        session = SimulationSession(compile_graph(graph))
-        assert session.batch_session()._fallback is session
+    def test_fallback_runs_on_a_session_of_its_own(self):
+        # The batched runner keeps no reference to the session that opened
+        # it, so the session is freed by its reference count alone.
+        session = SimulationSession(compile_graph(self.unordered_graph()))
+        batch = session.batch_session()
+        assert not batch.run(np.zeros((3, len(session.compiled)))).batched
+        freed = weakref.ref(session)
+        gc.disable()
+        try:
+            del session
+            assert freed() is None
+        finally:
+            gc.enable()
+        assert batch._fallback is not None
 
     def test_deadlock_raises_like_sequential(self):
         # A kernel behind its own stream's synchronisation: Algorithm 1

@@ -68,34 +68,34 @@ class TestPredictions:
 
 class TestRatioScaling:
     def test_scale_gemm_identity(self, calibrated):
-        assert calibrated.scale_gemm(100.0, (512, 512, 512), (512, 512, 512)) == \
+        assert calibrated.scale_gemm((512, 512, 512), (512, 512, 512))(100.0) == \
             pytest.approx(100.0)
 
     def test_scale_gemm_larger_shape_takes_longer(self, calibrated):
-        assert calibrated.scale_gemm(100.0, (1024, 1024, 1024), (1024, 2048, 1024)) > 150.0
+        assert calibrated.scale_gemm((1024, 1024, 1024), (1024, 2048, 1024))(100.0) > 150.0
 
     def test_scale_collective_identity(self, calibrated):
-        assert calibrated.scale_collective(50.0, "all_reduce", 1e8, (0, 1), 1e8, (0, 1)) == \
+        assert calibrated.scale_collective("all_reduce", 1e8, (0, 1), 1e8, (0, 1))(50.0) == \
             pytest.approx(50.0)
 
     def test_scale_collective_to_inter_node_group_costs_more(self, calibrated_large_cluster):
-        scaled = calibrated_large_cluster.scale_collective(50.0, "all_reduce", 1e8, (0, 2, 4, 6),
-                                                           1e8, (0, 2, 8, 10))
+        scaled = calibrated_large_cluster.scale_collective("all_reduce", 1e8, (0, 2, 4, 6),
+                                                           1e8, (0, 2, 8, 10))(50.0)
         assert scaled > 50.0
 
     def test_scale_collective_point_to_point(self, calibrated):
-        scaled = calibrated.scale_collective(20.0, "send", 1e7, (0, 1), 2e7, (0, 1))
+        scaled = calibrated.scale_collective("send", 1e7, (0, 1), 2e7, (0, 1))(20.0)
         assert scaled > 20.0
 
     def test_scale_memory_bound_preserves_overhead(self, calibrated):
         overhead = calibrated.cluster.gpu.kernel_fixed_overhead_us
-        scaled = calibrated.scale_memory_bound(overhead + 10.0, 1e6, 2e6)
+        scaled = calibrated.scale_memory_bound(1e6, 2e6)(overhead + 10.0)
         assert scaled == pytest.approx(overhead + 20.0)
 
     def test_scale_memory_bound_zero_old_bytes_is_identity(self, calibrated):
-        assert calibrated.scale_memory_bound(42.0, 0.0, 1e6) == 42.0
+        assert calibrated.scale_memory_bound(0.0, 1e6)(42.0) == 42.0
 
     def test_scale_flops_bound(self, calibrated):
         overhead = calibrated.cluster.gpu.kernel_fixed_overhead_us
-        scaled = calibrated.scale_flops_bound(overhead + 100.0, 1e12, 2.5e12)
+        scaled = calibrated.scale_flops_bound(1e12, 2.5e12)(overhead + 100.0)
         assert scaled == pytest.approx(overhead + 250.0)

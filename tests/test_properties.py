@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Study
 from repro.core.batch import ROW_WALK_MAX_ROWS
 from repro.core.breakdown import rank_breakdown
 from repro.core.critical_path import critical_path
@@ -13,12 +15,15 @@ from repro.core.engine import SimulationSession, _compile_graph, compile_graph
 from repro.core.graph import ExecutionGraph
 from repro.core.sm_utilization import sm_utilization_timeline
 from repro.core.tasks import DependencyType, Task, TaskKind
+from repro.core.whatif import evaluate_scenarios, scenario_for
 from repro.hardware.cluster import ClusterSpec, CommunicatorGroups
 from repro.hardware.gpu import H100_SXM
 from repro.kernels.collectives import collective_time_us
 from repro.kernels.gemm import gemm_time_us
 from repro.trace.events import Category, TraceEvent
 from repro.trace.kineto import KinetoTrace
+from repro.workload.arrivals import parse_arrival
+from repro.workload.inference import InferenceConfig
 from repro.workload.pipeline import one_f_one_b_schedule, stage_layers
 from tests.conftest import hyp_max_examples, simulate, spans
 from tests.test_batch_engine import add_processor_chains, scenario_matrix
@@ -338,3 +343,96 @@ class TestCompileMemoProperties:
         matrix = shared.durations * rng.choice(_RETIME_FACTORS, size=(3, len(shared)))
         assert np.array_equal(shared_session.run_batch(matrix).starts,
                               fresh_session.run_batch(matrix).starts)
+
+
+# --------------------------------------------------------------------------------------
+# What-if masks: a declarative what-if evaluated per task class equals one per task
+# --------------------------------------------------------------------------------------
+
+#: Every ``scenario_for`` kind, over values the drawn task args take and miss.
+_DECLARATIVE_WHATIFS = (
+    [scenario_for("kernel_class", op_class=op_class, speedup=2.0)
+     for op_class in ("gemm", "attention", "decode_attention")]
+    + [scenario_for("communication", group=group, speedup=1.5)
+       for group in (None, "tp", "dp")]
+    + [scenario_for("launch_overhead")])
+
+
+@st.composite
+def classified_graphs(draw):
+    """:func:`random_graphs` with drawn names and class args on every task."""
+    graph = draw(random_graphs())
+    for task in graph.tasks.values():
+        task.name = draw(st.sampled_from(["kernel", "op", "cudaLaunchKernel",
+                                          "ncclDevKernel_AllReduce", "gemm_m8_n8_k8"]))
+        for key, values in (("op_class", ["gemm", "attention"]),
+                            ("collective", ["all_reduce", ""]),
+                            ("group", ["tp", "dp"])):
+            value = draw(st.sampled_from([None, *values]))
+            if value is not None:
+                task.args[key] = value
+    return graph
+
+
+def assert_class_masks_match_task_masks(compiled) -> None:
+    for scenario in _DECLARATIVE_WHATIFS:
+        by_class, affected = compiled.scaled_durations(scenario.predicate,
+                                                       scenario.speedup)
+        by_task, expected = compiled.scaled_durations(
+            lambda task: scenario.predicate(task), scenario.speedup)
+        assert np.array_equal(by_class, by_task)
+        assert affected == expected
+    assert "_classes" in vars(compiled)
+
+
+@pytest.fixture(scope="module")
+def stream_study():
+    """The benchmark's stream base: gpt3-15b at 2x1x1, four Poisson requests."""
+    inference = InferenceConfig(batch_size=4, prompt_length=512, decode_length=2,
+                                arrival=parse_arrival("poisson:rate=400,n=4,seed=1"))
+    return Study.from_emulation("gpt3-15b", "2x1x1", inference=inference,
+                                iterations=1, seed=1)
+
+
+class TestWhatIfClassMasks:
+    @given(classified_graphs())
+    @settings(max_examples=hyp_max_examples(80), deadline=None)
+    def test_random_graphs(self, graph):
+        assert_class_masks_match_task_masks(compile_graph(graph))
+
+    def test_serving_retime(self, stream_study):
+        *_, session = stream_study.config_state("prompt=1024")
+        assert session.compiled._topology is compile_graph(stream_study.base_graph)._topology
+        assert_class_masks_match_task_masks(session.compiled)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=hyp_max_examples(15), deadline=None)
+    def test_a_clone_reclassified_after_its_base_compiled(self, small_graph, seed):
+        base = compile_graph(small_graph)
+        assert_class_masks_match_task_masks(base)
+        clone = small_graph.clone()
+        rng = np.random.default_rng(seed)
+        for task_id in rng.choice(sorted(clone.tasks), size=8, replace=False).tolist():
+            task = clone.tasks[task_id]
+            if rng.random() < 0.5:
+                task.args["op_class"] = str(rng.choice(["gemm", "attention", "elementwise"]))
+            else:
+                task.name = str(rng.choice(["cudaLaunchKernel", "ncclKernel", "renamed"]))
+        compiled = compile_graph(clone)
+        assert compiled._topology is base._topology
+        assert_class_masks_match_task_masks(compiled)
+
+    def test_declarative_whatifs_read_op_class_once_per_class(self, stream_study,
+                                                               monkeypatch):
+        graph = stream_study.base_graph
+        session = SimulationSession(compile_graph(graph))
+        classes = {(task.kind, task.name, task.args.get("op_class"),
+                    task.args.get("collective"), task.args.get("group"))
+                   for task in graph.tasks.values()}
+        reads = []
+        monkeypatch.setattr(Task, "op_class", property(
+            lambda task: reads.append(task) or task.args.get("op_class")))
+        evaluate_scenarios(graph, [scenario_for("kernel_class", op_class="gemm"),
+                                   scenario_for("communication"),
+                                   scenario_for("launch_overhead")], session=session)
+        assert 0 < len(reads) <= len(classes)

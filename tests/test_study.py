@@ -7,7 +7,9 @@ compiled session, the TP-mismatch rule is a typed library error, and
 skipping its private state preparation.
 """
 
+import gc
 import pickle
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -145,6 +147,21 @@ class TestMemoization:
         assert study.calibrations == 1
         assert study.predict("2x1x4").iteration_time_us > 0
         assert study.calibrations == 1
+
+    def test_release_frees_graphs_and_sessions_without_a_collection(self, study):
+        # A session that ran a batch must not keep itself alive through its
+        # batched runner: released graphs and sessions go with their last
+        # reference, not at some later gen-2 collection.
+        study.sweep(parallelism=["2x1x4", "2x2x1"], whatif=["gemm:2", "comm:2"])
+        held = [weakref.ref(graph) for graph, _ in study._graphs.values()]
+        held += [weakref.ref(session) for session in study._sessions.values()]
+        assert any(session._batch is not None for session in study._sessions.values())
+        gc.disable()
+        try:
+            study.release()
+            assert [ref for ref in held if ref() is not None] == []
+        finally:
+            gc.enable()
 
     def test_baseline_session_reuses_replay_run(self, study):
         # The base replay already compiled and simulated the base: its
