@@ -11,11 +11,12 @@ configuration.  A :class:`Study` owns that state and memoizes it:
   needs it (:attr:`Study.perf_model`);
 * every target is folded onto one :class:`~repro.api.target.Target` key
   (segments equal to the base configuration fold away, so a target equal
-  to the base *is* the base), and derived graphs, their compiled sessions
-  and predictions are cached per key: a repeated :meth:`Study.predict`
-  of the same configuration is a lookup, and a batch of
-  :meth:`Study.whatif` scenarios against one target is one simulation
-  call on a single session, whose row 0 is the target itself;
+  to the base *is* the base), and each key's compiled graph (a retime's
+  is a view of its source's, whose tasks are built only when read) with
+  its session, and its prediction, are cached per key: a repeated
+  :meth:`Study.predict` of the same configuration is a lookup, and a
+  batch of :meth:`Study.whatif` scenarios against one target is one
+  simulation call on a single session, whose row 0 is the target itself;
 * the base trace's content digest — the sweep cache's key — is hashed
   once (:attr:`Study.trace_digest`).
 
@@ -41,7 +42,7 @@ from repro.api.errors import PredictError, StudyError
 from repro.api.target import Target, TargetLike, on_gpu, parse_target, resolve_target
 from repro.core import whatif as whatif_mod
 from repro.core.breakdown import ExecutionBreakdown
-from repro.core.engine import SimulationSession, compile_graph
+from repro.core.engine import CompiledGraph, SimulationSession, compile_graph
 from repro.core.graph import ExecutionGraph
 from repro.core.manipulation import (
     KIND_ARCHITECTURE,
@@ -59,13 +60,12 @@ from repro.core.replay import replay as _replay_trace
 from repro.core.serving_metrics import (
     ServingMetrics,
     metrics_from_task_times,
-    sample_tokens,
     stream_plan_of,
 )
 from repro.observability import tracing as observability
 from repro.core.tasks import Task
 from repro.hardware.cluster import ClusterSpec
-from repro.hardware.gpu import GPUSpec, registry_gpu
+from repro.hardware.gpu import H100_SXM, GPUSpec, registry_gpu
 from repro.trace.kineto import TraceBundle
 from repro.workload.inference import (
     WORKLOAD_SERVING,
@@ -176,11 +176,11 @@ def _resolve_parallelism(parallelism: ParallelismConfig | str) -> ParallelismCon
 def _serving_metrics(result: ReplayResult,
                      deadline_ms: float | None) -> ServingMetrics | None:
     """Score a result's run against its graph's stream plan, if it has one."""
-    plan = stream_plan_of(result.graph.metadata)
+    run = result.run
+    plan = stream_plan_of(run.compiled.metadata)
     if plan is None:
         return None
-    run = result.run
-    return metrics_from_task_times(sample_tokens(run.compiled.tasks), run.starts,
+    return metrics_from_task_times(run.compiled.sample_tokens, run.starts,
                                    run.durations, plan, deadline_ms=deadline_ms)
 
 
@@ -214,6 +214,7 @@ class Prediction:
 
     @property
     def graph(self) -> ExecutionGraph:
+        """The predicted graph; a retimed target's is built on first read."""
         return self.result.graph
 
     def breakdown(self) -> ExecutionBreakdown:
@@ -222,7 +223,7 @@ class Prediction:
     @property
     def is_stream(self) -> bool:
         """Whether the predicted graph is a continuous-batching episode."""
-        return stream_plan_of(self.result.graph.metadata) is not None
+        return stream_plan_of(self.result.run.compiled.metadata) is not None
 
     def serving_metrics(self, deadline_ms: float | None = None) -> ServingMetrics | None:
         """Per-request serving metrics of the predicted episode.
@@ -306,8 +307,8 @@ class WhatIfBuilder:
         with observability.trace_span("study.whatif", kind=self._key.kind,
                                       target=self._key.label,
                                       scenarios=len(self._scenarios)):
-            graph, _, session = self._study.config_state(self._key)
-            results = whatif_mod.evaluate_scenarios(graph, self._scenarios,
+            compiled, _, session = self._study.config_state(self._key)
+            results = whatif_mod.evaluate_scenarios(compiled, self._scenarios,
                                                     session=session)
         observability.count("study.whatif_scenarios", len(results))
         return results
@@ -326,9 +327,9 @@ class Study:
     docstring for exactly what is shared.
 
     Instances pickle (the sweep runner ships one to its worker processes):
-    the trace bundle, emulation result, base replay and per-target session
-    caches stay behind, while the base graph, base iteration time and
-    calibrated perf model travel — call :meth:`prepare` before pickling.
+    the trace bundle, emulation result, base replay and per-target memos
+    stay behind, while the base graph, base iteration time and calibrated
+    perf model travel — call :meth:`prepare` before pickling.
     """
 
     def __init__(self, trace: TraceBundle | None = None, *,
@@ -356,7 +357,14 @@ class Study:
         self._bundle = trace
         self._trace_digest: str | None = None
         self._options = options
-        self._cluster = cluster
+        # Unless named, the part and node size the trace records (an H100
+        # of an 8-GPU node when it records none the registry knows).
+        recorded = trace.metadata if trace is not None else {}
+        gpus_per_node = _canonical("gpus_per_node", recorded.get("gpus_per_node"))
+        self._cluster = cluster or ClusterSpec.for_world_size(
+            self.base_parallel.world_size,
+            gpus_per_node=gpus_per_node if gpus_per_node and gpus_per_node > 0 else 8,
+            gpu=registry_gpu(str(recorded.get("gpu", ""))) or H100_SXM)
         self._emulation: "EmulationResult | None" = None
         self._replay: ReplayResult | None = None
         self._base_graph: ExecutionGraph | None = None
@@ -368,9 +376,10 @@ class Study:
         #: Non-registry GPU specs by name (predict(GPUSpec) / JSON spec
         #: files); travels in the picklable snapshot like custom models.
         self._custom_gpus: dict[str, GPUSpec] = {}
-        #: Per-target memos, keyed by the folded :class:`Target` (:meth:`_key`).
-        self._graphs: dict[Target, tuple[ExecutionGraph, int]] = {}
-        self._sessions: dict[Target, SimulationSession] = {}
+        #: Per-target memos, keyed by the folded :class:`Target` (:meth:`_key`):
+        #: the session over each target's compiled graph (a retime's is a
+        #: view of its source's) with its world size, and its prediction.
+        self._configs: dict[Target, tuple[SimulationSession, int]] = {}
         self._predictions: dict[Target, Prediction] = {}
 
     # -- construction -------------------------------------------------------
@@ -484,9 +493,11 @@ class Study:
 
     @property
     def cluster(self) -> ClusterSpec:
-        """The cluster the base trace was profiled on; every derive re-times on it."""
-        if self._cluster is None:
-            self._cluster = ClusterSpec.for_world_size(self.base_parallel.world_size)
+        """The cluster the base trace was profiled on; every derive re-times on it.
+
+        Unless ``cluster=`` names it, the GPU and node size the trace
+        records (the emulator writes both), else H100 nodes of 8.
+        """
         return self._cluster
 
     def replay(self) -> ReplayResult:
@@ -640,7 +651,7 @@ class Study:
         memo[name] = payload
         return name
 
-    def _derive(self, key: Target) -> tuple[ExecutionGraph, int]:
+    def _derive(self, key: Target) -> tuple[CompiledGraph, int]:
         if self._base_guessed:
             raise StudyError(GUESSED_BASE)
         # The whole chain is judged before any graph work; the profiled GPU
@@ -651,30 +662,20 @@ class Study:
         # A composite chain resumes from its memoized workload prefix: in a
         # hardware-crossed sweep every ``<workload>+hardware`` scenario
         # shares its workload sibling's derivation, so the composite pays
-        # only the final (cheap, copy-on-write) retarget step instead of
-        # re-synthesizing the workload graph.
+        # only the final retime (a duration column over the prefix).
         *prefix, (kind, label) = key.manipulations
-        if prefix:
-            graph, world_size = self._graph(Target(*prefix[0], model=key.model))
-        else:
-            graph, world_size = self.base_graph, self.base_parallel.world_size
+        source_key = Target(*prefix[0], model=key.model) if prefix else self._key()
         context = DeriveContext(source=source, target=target, training=self.training,
                                 perf_model=self.perf_model)
+        compiled = self._config(source_key)[0].compiled
         with observability.trace_span("study.derive_graph", kind=kind,
                                       target=label) as span:
             try:
-                derived = dispatch.derive(graph, kind, label, context, world_size)
+                derived = dispatch.derive(compiled, kind, context)
             except ValueError as exc:
                 raise PredictError.from_refusal(exc) from exc
             span.set(tasks=len(derived[0]))
         return derived
-
-    def _graph(self, key: Target) -> tuple[ExecutionGraph, int]:
-        if key.kind == KIND_BASELINE:
-            return self.base_graph, self.base_parallel.world_size
-        if key not in self._graphs:
-            self._graphs[key] = self._derive(key)
-        return self._graphs[key]
 
     def _replays_base(self, key: Target) -> bool:
         """Whether ``key`` is the base and this study can replay its trace.
@@ -685,51 +686,52 @@ class Study:
         return key.kind == KIND_BASELINE and (self._replay is not None
                                               or self._bundle is not None)
 
-    def _session(self, key: Target) -> SimulationSession:
-        if key not in self._sessions:
-            if self._replays_base(key):
-                # The replay already compiled the base graph — reuse it.
-                session = self.replay().session()
+    def _config(self, key: Target) -> tuple[SimulationSession, int]:
+        """The (memoized) session over ``key``'s compiled graph, and its world size."""
+        if key not in self._configs:
+            if key.kind != KIND_BASELINE:
+                compiled, world_size = self._derive(key)
             else:
-                session = self._compile(key, self._graph(key)[0])
-            self._sessions[key] = session
-        return self._sessions[key]
-
-    @staticmethod
-    def _compile(key: Target, graph: ExecutionGraph) -> SimulationSession:
-        with observability.trace_span("study.compile", kind=key.kind,
-                                      target=key.label):
-            return SimulationSession(compile_graph(graph))
+                # The replay already compiled the base graph — reuse it.
+                compiled = (self.replay().run.compiled if self._replays_base(key)
+                            else compile_graph(self.base_graph))
+                world_size = self.base_parallel.world_size
+            self._configs[key] = (SimulationSession(compiled), world_size)
+        return self._configs[key]
 
     def derived_graph(self, target: TargetLike | None) -> tuple[ExecutionGraph, int]:
         """The (memoized) derived graph and world size for one target.
 
         ``target`` takes any form :func:`~repro.api.target.parse_target`
-        accepts; a target equal to the base is the base graph.
+        accepts; a target equal to the base is the base graph.  A retimed
+        target's graph is built on this first read.
         """
-        return self._graph(self._key(target))
+        session, world_size = self._config(self._key(target))
+        return session.compiled.graph, world_size
 
     def config_state(self, target: TargetLike | None) \
-            -> tuple[ExecutionGraph, int, SimulationSession]:
-        """Derived graph, world size and compiled session for one target.
+            -> tuple[CompiledGraph, int, SimulationSession]:
+        """Compiled graph, world size and session for one target.
 
         Nothing is simulated: what-if evaluation times the configuration
-        as row 0 of its own call.  Both are memoized on the study, like
-        :meth:`predict`'s; :meth:`release` drops them.
+        as row 0 of its own call.  The compiled graph of a retime is a view
+        of its source's, whose tasks are not built by this call.  All three
+        are memoized on the study, like :meth:`predict`'s; :meth:`release`
+        drops them.
         """
-        key = self._key(target)
-        return (*self._graph(key), self._session(key))
+        session, world_size = self._config(self._key(target))
+        return session.compiled, world_size, session
 
     def release(self) -> None:
-        """Drop the memoized per-target graphs, sessions and predictions.
+        """Drop the memoized per-target compiled graphs, sessions and predictions.
 
         The base replay and calibrated perf model stay, and so does the
-        base topology's compiled structure and batch plan (kept in the base
-        graph's compile memo); use this to bound memory on long-lived
-        studies that have visited many targets.
+        base's compiled graph with its columns (and so the serving retime's
+        base operators), its topology's structure and its batch plan; use
+        this to bound memory on long-lived studies that have visited many
+        targets.
         """
-        self._graphs.clear()
-        self._sessions.clear()
+        self._configs.clear()
         self._predictions.clear()
 
     # -- the paper workflow -------------------------------------------------
@@ -761,11 +763,11 @@ class Study:
         if key not in self._predictions:
             with observability.trace_span("study.predict", kind=key.kind,
                                           target=key.label):
-                _, world_size = self._graph(key)
+                session, world_size = self._config(key)
                 # The base keeps the replay's run; any other target runs
                 # its session once.
                 result = (self.replay() if self._replays_base(key)
-                          else ReplayResult(self._session(key).run()))
+                          else ReplayResult(session.run()))
                 self._predictions[key] = Prediction(
                     target=key.label, kind=key.kind, world_size=world_size,
                     base_time_us=self.base_time_us, result=result)
@@ -884,8 +886,7 @@ class Study:
         state["_bundle"] = None
         state["_emulation"] = None
         state["_replay"] = None
-        state["_graphs"] = {}
-        state["_sessions"] = {}
+        state["_configs"] = {}
         state["_predictions"] = {}
         return state
 

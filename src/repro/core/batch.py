@@ -472,7 +472,7 @@ class BatchSession:
             except UnbatchableGraphError as error:
                 self.fallback_reason = str(error)
                 self.fallback_code = error.code
-                if compiled.graph.metadata.get("serving_stream") is not None:
+                if compiled.metadata.get("serving_stream") is not None:
                     # A continuous-batching episode lost its fast path —
                     # report the serving-specific code (the generic cause
                     # stays in the reason text).

@@ -18,21 +18,31 @@ This module splits Algorithm 1 into two phases:
   indices, the indegrees are a ``bincount`` and the CSR a stable
   ``argsort`` of the sources.  A graph keeps its structure in a compile
   memo that it shares with its clones
-  (:meth:`~repro.core.graph.ExecutionGraph.clone`); a clone that only
-  retimes tasks (a data-parallel change, a serving re-timing, a hardware
-  retarget) compiles to the shared structure plus its own task tuple and
-  duration vector.  The hit is checked against the snapshot taken at
-  compile time: the same task ids, the same edge arrays and, per task, the
-  same processor, collective group and drained streams; anything else gets
-  a full compile.
+  (:meth:`~repro.core.graph.ExecutionGraph.clone`); a clone compiles to
+  the shared structure plus its own task tuple and duration vector.  The
+  hit is checked against the snapshot taken at compile time: the same
+  task ids, the same edge arrays and, per task, the same processor,
+  collective group and drained streams; anything else gets a full
+  compile.
 
+  A compiled graph keys its tasks on first use (:meth:`CompiledGraph.
+  column`: a code per task under a key function, one task per code).
   A declarative what-if's predicate reads only a task's class (kind,
   name, op class, collective and group), so :meth:`CompiledGraph.mask`
-  calls it once per class and broadcasts the answers through a class
-  column built on the first such mask, not in the compile pass; any
-  other predicate is called on every task.  The column is kept per
-  compiled graph, not in the shared structure, whose bind checks
+  calls it once per class and broadcasts the answers through the class
+  column; any other predicate is called on every task.  Columns are kept
+  per compiled graph, not in the shared structure, whose bind checks
   neither names nor ``args``.
+
+  A retime (a data-parallel change, a serving re-timing, a hardware
+  retarget) changes durations and a few shape args but no task id, edge,
+  name or class.  It evaluates one rescale and one args update per code
+  of a column of its source and returns a view
+  (:meth:`CompiledGraph.retimed`): the source's structure, topology (so
+  its batch plan), class column and ``sample_token`` indices with a
+  duration vector and metadata of its own.  It compiles nothing, and its
+  :attr:`~CompiledGraph.tasks` and :attr:`~CompiledGraph.graph` are built
+  only when read.
 
 * :class:`SimulationSession` replays the compiled graph.  It keeps no
   per-run buffers: each :meth:`SimulationSession.run` reads the compiled
@@ -60,11 +70,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
 from operator import attrgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.graph import ExecutionGraph, _CompileMemo, edge_csr, topological_sort
+from repro.core.serving_metrics import SampleTokens
+from repro.core.serving_metrics import sample_tokens as find_sample_tokens
 from repro.core.tasks import Task, TaskKind
 from repro.observability import tracing as observability
 from repro.trace.events import Category, TraceEvent
@@ -78,22 +90,45 @@ class _ClassPredicate:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+def _task_class(task: Task) -> tuple:
+    """The class a :class:`_ClassPredicate` reads."""
+    args = task.args
+    return (task.kind, task.name, args.get("op_class"), args.get("collective"),
+            args.get("group"))
+
+
+class _Retime(NamedTuple):
+    """How a retimed view derives from its source.
+
+    Task ``i`` of the view merges ``updates[codes[i]]`` (``None``: nothing)
+    into its args; ``codes`` is ``None`` when the retime changes no args.
+    """
+
+    source: "CompiledGraph"
+    codes: np.ndarray | None
+    updates: tuple[dict[str, Any] | None, ...]
+
+
+@dataclass(frozen=True, eq=False)
 class CompiledGraph:
     """Immutable, array-backed structure of one execution graph.
 
     Dense index ``i`` refers to ``tasks[i]``; dense indices are assigned in
     ascending ``task_id`` order so that ordering by dense index is ordering
     by ``task_id`` (the seed scheduler's heap tie-break).
+
+    A retime's compiled graph is a view of its source's (:meth:`retimed`):
+    it shares the structure, the topology, the class column and the
+    ``sample_token`` indices, and has its own durations and metadata.  Its
+    :attr:`tasks` and :attr:`graph` are built on first read.
     """
 
-    graph: ExecutionGraph
-    #: Tasks in dense-index (ascending ``task_id``) order.
-    tasks: tuple[Task, ...]
+    #: Durations (microseconds), dense-indexed.  float64.
+    durations: np.ndarray
+    #: The graph's metadata (a view's own).
+    metadata: dict[str, Any]
     #: ``task_id`` → dense index.
     index_of: dict[int, int]
-    #: Base durations (microseconds), dense-indexed.  float64.
-    durations: np.ndarray
     #: Fixed-dependency indegree per task.  int32.
     indegree: np.ndarray
     #: CSR successor adjacency: successors of ``i`` are
@@ -119,32 +154,108 @@ class CompiledGraph:
     #: Group members (dense indices, ascending) per group slot.
     group_members: tuple[tuple[int, ...], ...]
     #: The shared structure this graph was compiled from (or matched).
-    _topology: "_Topology" = field(repr=False, compare=False)
+    _topology: "_Topology" = field(repr=False)
+    #: What this view retimes; ``None`` for a graph compiled from its tasks.
+    _retime: _Retime | None = field(default=None, repr=False)
+    #: Columns built on first use (:meth:`column`), and tables a retime
+    #: derives from them (keyed by a tuple that starts with the key).
+    _columns: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_tasks(self) -> int:
-        return len(self.tasks)
+        return len(self.index_of)
 
     def __len__(self) -> int:
-        return len(self.tasks)
+        return len(self.index_of)
 
     @cached_property
-    def _classes(self) -> tuple[np.ndarray, tuple[Task, ...]]:
-        """A class code per task (smallest unsigned dtype), one task per class."""
-        codes: dict[tuple, int] = {}
+    def tasks(self) -> tuple[Task, ...]:
+        """Tasks in dense-index (ascending ``task_id``) order.
+
+        A view's are its source's, copied where the retime changed a
+        duration or args.
+        """
+        observability.count("engine.materialise")
+        source, codes, updates = self._retime
+        update_of = repeat(None) if codes is None else map(updates.__getitem__, codes.tolist())
+        return tuple(task if update is None and duration == task.duration
+                     else _retimed_task(task, duration, update)
+                     for task, duration, update in zip(source.tasks, self.durations.tolist(),
+                                                       update_of))
+
+    @cached_property
+    def graph(self) -> ExecutionGraph:
+        """The execution graph; a view's is a clone of its source's."""
+        return self._retime.source.graph.clone(metadata=self.metadata,
+                                               tasks=dict(zip(self.index_of, self.tasks)))
+
+    def retimed(self, durations: np.ndarray, metadata: dict[str, Any], *,
+                codes: np.ndarray | None = None,
+                updates: Sequence[dict[str, Any] | None] = ()) -> "CompiledGraph":
+        """A view of this graph with ``durations`` and ``metadata`` of its own.
+
+        Task ``i`` of the view merges ``updates[codes[i]]`` into its args
+        (``None``: no update; no ``codes``: no task's args change).
+        """
+        return CompiledGraph(durations=durations, metadata=metadata,
+                             _topology=self._topology,
+                             _retime=_Retime(self, codes, tuple(updates)),
+                             **self._topology.fields)
+
+    def column(self, key: Callable[[Task], Hashable]) -> tuple[np.ndarray, tuple[Task, ...]]:
+        """A code per task under ``key`` and one task per code, built on first use.
+
+        Codes take the smallest unsigned dtype that holds them.  A view
+        shares its source's column when the retime changes no args or
+        ``key`` is the task class; otherwise its code is the pair of its own
+        update code and the source's code, so a view never walks its tasks.
+        """
+        columns = self._columns
+        if key not in columns:
+            retime = self._retime
+            if retime is not None and (retime.codes is None or key is _task_class):
+                columns[key] = retime.source.column(key)
+            else:
+                observability.count(f"engine.column.{key.__name__.lstrip('_')}")
+                columns[key] = (self._walk(key) if retime is None
+                                else self._pair(key))
+        return columns[key]
+
+    def _walk(self, key: Callable[[Task], Hashable]) -> tuple[np.ndarray, tuple[Task, ...]]:
+        codes: dict[Hashable, int] = {}
         representatives: list[Task] = []
         column = []
         for task in self.tasks:
-            args = task.args
-            key = (task.kind, task.name, args.get("op_class"), args.get("collective"),
-                   args.get("group"))
-            code = codes.get(key)
+            value = key(task)
+            code = codes.get(value)
             if code is None:
-                code = codes[key] = len(representatives)
+                code = codes[value] = len(representatives)
                 representatives.append(task)
             column.append(code)
         dtype = np.min_scalar_type(len(representatives))
         return np.array(column, dtype=dtype), tuple(representatives)
+
+    def _pair(self, key: Callable[[Task], Hashable]) -> tuple[np.ndarray, tuple[Task, ...]]:
+        source, codes, updates = self._retime
+        source_codes, source_representatives = source.column(key)
+        pairs = codes.astype(np.int64) * len(source_representatives) + source_codes
+        _, first, column = np.unique(pairs, return_index=True, return_inverse=True)
+        # A pair's task: its source code's, with its update (keys read no duration).
+        return column.astype(np.min_scalar_type(len(first))), tuple(
+            _retimed_task(source_representatives[source_codes[index]],
+                          float(self.durations[index]), updates[codes[index]])
+            for index in first.tolist())
+
+    @cached_property
+    def sample_tokens(self) -> SampleTokens:
+        """The ``sample_token`` kernels serving metrics read, found once.
+
+        A view shares its source's: no retime renames a task.
+        """
+        if self._retime is not None:
+            return self._retime.source.sample_tokens
+        observability.count("engine.sample_tokens")
+        return find_sample_tokens(self.tasks)
 
     def mask(self, predicate: Callable[[Task], bool]) -> np.ndarray:
         """Boolean dense-indexed mask of the tasks matching ``predicate``.
@@ -154,12 +265,12 @@ class CompiledGraph:
         """
         if isinstance(predicate, _ClassPredicate):
             observability.count("whatif.mask.by_class")
-            column, representatives = self._classes
+            column, representatives = self.column(_task_class)
             return np.fromiter(map(predicate, representatives), dtype=bool,
                                count=len(representatives))[column]
         observability.count("whatif.mask.by_task")
         return np.fromiter(map(predicate, self.tasks), dtype=bool,
-                           count=len(self.tasks))
+                           count=self.n_tasks)
 
     def scaled_durations(self, predicate: Callable[[Task], bool],
                          speedup: float) -> tuple[np.ndarray, int]:
@@ -179,6 +290,20 @@ class CompiledGraph:
         else:
             durations[mask] = durations[mask] / speedup
         return durations, int(mask.sum())
+
+
+def _retimed_task(task: Task, duration: float, update: dict[str, Any] | None) -> Task:
+    """A copy of ``task`` with ``duration`` and ``update`` merged into its args."""
+    task = task.copy()
+    task.duration = duration
+    for name, value in (update or {}).items():
+        task.args[name] = list(value) if isinstance(value, list) else value
+    return task
+
+
+def as_compiled(graph: "ExecutionGraph | CompiledGraph") -> "CompiledGraph":
+    """``graph`` if it is compiled, else :func:`compile_graph` of it."""
+    return graph if isinstance(graph, CompiledGraph) else compile_graph(graph)
 
 
 #: The raw attributes a task's processor is a function of.
@@ -233,8 +358,7 @@ class _Topology:
         for index in syncing.union(compress(range(n), sync_slots)):
             if _sync_slots(tasks[index], self.streams) != sync_slots[index]:
                 return None
-        return CompiledGraph(graph=graph, tasks=tasks, durations=_durations(tasks),
-                             _topology=self, **fields)
+        return _bound(graph, tasks, self)
 
 
 def _slots(slot_of: dict, keys, n: int) -> np.ndarray:
@@ -248,8 +372,14 @@ def _sync_slots(task: Task, streams: dict[tuple[int, int], int]) -> tuple[int, .
                  if (task.rank, stream) in streams)
 
 
-def _durations(tasks: tuple[Task, ...]) -> np.ndarray:
-    return np.fromiter(map(_DURATION, tasks), dtype=np.float64, count=len(tasks))
+def _bound(graph: ExecutionGraph, tasks: tuple[Task, ...],
+           topology: _Topology) -> CompiledGraph:
+    """``graph``, whose dense-ordered ``tasks`` match ``topology``, compiled."""
+    compiled = CompiledGraph(
+        durations=np.fromiter(map(_DURATION, tasks), dtype=np.float64, count=len(tasks)),
+        metadata=graph.metadata, _topology=topology, **topology.fields)
+    compiled.__dict__.update(graph=graph, tasks=tasks)
+    return compiled
 
 
 def compile_graph(graph: ExecutionGraph) -> CompiledGraph:
@@ -359,8 +489,7 @@ def _compile_graph(graph: ExecutionGraph) -> CompiledGraph:
     )
     topology = _Topology(graph.edge_src[:], graph.edge_dst[:], placements, streams,
                          groups, fields)
-    return CompiledGraph(graph=graph, tasks=tasks, durations=_durations(tasks),
-                         _topology=topology, **fields)
+    return _bound(graph, tasks, topology)
 
 
 @dataclass(frozen=True)

@@ -207,12 +207,12 @@ class ExecutionGraph:
               tasks: dict[int, Task] | None = None) -> "ExecutionGraph":
         """Structural copy: every task cloned (ids preserved), edges copied.
 
-        The three edge arrays are copied whole (a memcpy).  For
-        manipulations that change only task attributes (e.g. a hardware
-        retarget rescaling durations) this is much cheaper than re-adding
-        every task and edge.  ``tasks`` substitutes a pre-built task map
-        with the same ids — a caller doing copy-on-write can share the
-        unchanged task objects outright instead of paying a copy per task.
+        The three edge arrays are copied whole (a memcpy).  For a graph
+        that changes only task attributes (e.g. a retime's view, built
+        into a graph when read) this is much cheaper than re-adding every
+        task and edge.  ``tasks`` substitutes a pre-built task map with the
+        same ids — a caller doing copy-on-write can share the unchanged
+        task objects outright instead of paying a copy per task.
 
         The clone shares this graph's compile memo, so a clone whose tasks
         keep their scheduling attributes compiles by reusing the structure

@@ -4,9 +4,11 @@ This package implements §3.4 of the paper.  From the execution graph built
 out of a profiled trace it derives new graphs for
 
 * different data-parallel degrees (:func:`scale_data_parallelism`) — only
-  the communication tasks change cost, per the paper, so the derived graph
-  is a copy-on-write clone of the base, like the serving and hardware
-  re-timings;
+  the communication tasks change cost, per the paper, so the derivation
+  is a retime, like the serving and hardware ones: a duration column over
+  the base's compiled graph, returned as a view of it
+  (:meth:`~repro.core.engine.CompiledGraph.retimed`) whose tasks are built
+  only when read;
 * different pipeline-parallel degrees
   (:func:`scale_pipeline_parallelism`) — the layers and their tasks are
   re-partitioned into new stages, the 1F1B schedule is regenerated and
@@ -17,7 +19,9 @@ out of a profiled trace it derives new graphs for
 * different hardware (:func:`retarget_hardware`) — every kernel is re-timed
   by the roofline ratio of the analytical cost models evaluated on the
   profiled and on a hypothetical :class:`~repro.hardware.gpu.GPUSpec`,
-  collectives by the alpha-beta model on the retargeted fabric.
+  collectives by the alpha-beta model on the retargeted fabric;
+* different serving configurations (:func:`rescale_serving_graph`) —
+  batch size, prompt length and TP degree re-time an inference episode.
 
 Every manipulation re-times on the calibrated perf model's own cluster,
 the profiled one, grown to hold the source and target configurations.
@@ -28,7 +32,8 @@ dispatch registry (:mod:`repro.core.manipulation.dispatch`).  Its
 ``(kind, label)`` segment of a :class:`~repro.api.target.Target` into the
 :class:`Configuration` it denotes or refuses it, for a study, a sweep spec
 and service admission alike.  :func:`derive` then applies one segment to
-a graph (a composite ``workload+hardware`` target is two such steps).
+a compiled graph and returns the target's compiled graph (a composite
+``workload+hardware`` target is two such steps).
 
 Tensor-parallelism changes are not supported, matching the paper's stated
 scope ("we currently do not support modifications to tensor parallelism").

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.core.engine import CompiledGraph, compile_graph
 from repro.core.graph import ExecutionGraph
 from repro.core.manipulation.dispatch import (
     KIND_ARCHITECTURE,
@@ -63,8 +64,8 @@ def _resolve_architecture(config: Configuration, label: str,
 
 @register_manipulation(KIND_ARCHITECTURE, _resolve_architecture,
                        workload=WORKLOAD_TRAINING)
-def _derive_architecture(graph: ExecutionGraph, context: DeriveContext) -> ExecutionGraph:
+def _derive_architecture(compiled: CompiledGraph, context: DeriveContext) -> CompiledGraph:
     source = context.source
-    return change_architecture(graph, source.model, source.parallel,
-                               context.training, context.target.model,
-                               context.perf_model)
+    return compile_graph(change_architecture(compiled.graph, source.model, source.parallel,
+                                             context.training, context.target.model,
+                                             context.perf_model))

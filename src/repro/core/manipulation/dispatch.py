@@ -4,7 +4,8 @@ Every manipulation a study can apply is one ``(kind, label)`` segment of a
 :class:`~repro.api.target.Target`.  Each kind registers two steps here
 from its own module (:func:`register_manipulation`): a *resolve* step
 that turns the segment into the :class:`Configuration` it denotes or
-raises that kind's refusal, and a *derive* step that builds its graph.
+raises that kind's refusal, and a *derive* step that builds its compiled
+graph (a retime's is a view of its source's).
 
 :func:`resolve` walks a target's chain of resolve steps from a base
 configuration, with no graph.  It is the one refusal policy: sweep-spec
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.core.graph import ExecutionGraph
+from repro.core.engine import CompiledGraph, compile_graph
 from repro.core.manipulation.data_parallel import scale_data_parallelism
 from repro.core.manipulation.pipeline_parallel import scale_pipeline_parallelism
 from repro.core.perf_model import KernelPerfModel
@@ -108,8 +109,9 @@ class DeriveContext:
 #: for the kind (a custom ModelConfig or GPUSpec), else ``None``.
 Resolver = Callable[[Configuration, str, Any], Configuration]
 
-#: A derive step: (graph, context) -> the graph of ``context.target``.
-Handler = Callable[[ExecutionGraph, DeriveContext], ExecutionGraph]
+#: A derive step: (compiled graph, context) -> the compiled graph of
+#: ``context.target``.
+Handler = Callable[[CompiledGraph, DeriveContext], CompiledGraph]
 
 #: kind -> (resolve step, derive step, workload family or ``None`` for both).
 _REGISTRY: dict[str, tuple[Resolver, Handler, str | None]] = {}
@@ -166,16 +168,15 @@ def resolve(base: Configuration, manipulations: Iterable[tuple[str, str]], *,
     return configurations
 
 
-def derive(graph: ExecutionGraph, kind: str, label: str,
-           context: DeriveContext,
-           world_size: int) -> tuple[ExecutionGraph, int]:
-    """Apply the derive step of ``kind`` to ``graph`` (of ``world_size`` ranks).
+def derive(source: CompiledGraph, kind: str,
+           context: DeriveContext) -> tuple[CompiledGraph, int]:
+    """Apply the derive step of ``kind`` to ``source``, ``context.source``'s graph.
 
-    ``context`` carries what :func:`resolve` returned for this ``(kind,
-    label)`` segment, which is all the step reads.  Returns the derived
-    graph and the target's world size.
+    ``context`` carries what :func:`resolve` returned for the segment,
+    which is all the step reads.  Returns the target's compiled graph (a
+    retime's is a view of ``source``) and its world size.
     """
-    return _lookup(kind)[1](graph, context), context.target.parallel.world_size
+    return _lookup(kind)[1](source, context), context.target.parallel.world_size
 
 
 # -- built-in kinds -----------------------------------------------------------
@@ -190,8 +191,8 @@ def _resolve_baseline(config: Configuration, label: str, payload: Any) -> Config
 
 
 @register_manipulation(KIND_BASELINE, _resolve_baseline)
-def _derive_baseline(graph: ExecutionGraph, context: DeriveContext) -> ExecutionGraph:
-    return graph
+def _derive_baseline(source: CompiledGraph, context: DeriveContext) -> CompiledGraph:
+    return source
 
 
 def _resolve_parallelism(config: Configuration, label: str,
@@ -211,14 +212,13 @@ def _resolve_parallelism(config: Configuration, label: str,
 
 @register_manipulation(KIND_PARALLELISM, _resolve_parallelism,
                        workload=WORKLOAD_TRAINING)
-def _derive_parallelism(graph: ExecutionGraph, context: DeriveContext) -> ExecutionGraph:
+def _derive_parallelism(source: CompiledGraph, context: DeriveContext) -> CompiledGraph:
     base_parallel, parallel = context.source.parallel, context.target.parallel
     # A DP=1 base traced no gradient all-reduce for the DP path to retime,
     # so a DP change from it is synthesised like a PP change.
     if parallel.pp == base_parallel.pp and (base_parallel.dp > 1 or parallel.dp == 1):
-        return scale_data_parallelism(graph, base_parallel, parallel.dp,
+        return scale_data_parallelism(source, base_parallel, parallel.dp,
                                       context.perf_model)
-    return scale_pipeline_parallelism(graph, context.source.model, base_parallel,
-                                      context.training, parallel.pp,
-                                      context.perf_model,
-                                      new_data_parallel=parallel.dp)
+    return compile_graph(scale_pipeline_parallelism(
+        source.graph, context.source.model, base_parallel, context.training,
+        parallel.pp, context.perf_model, new_data_parallel=parallel.dp))

@@ -24,6 +24,14 @@ classified through the same cost model the calibration pass used:
 * **anything else with recorded FLOPs + bytes** — a generic roofline max
   of the compute and memory ratios.
 
+A factor depends on the kernel's analytical signature alone, so the
+source's tasks are keyed once per compiled graph (:func:`_hardware_key`),
+one rescale is evaluated per key and the rescales are applied to the
+source's duration column.  The result is a view of the source's compiled
+graph (:meth:`~repro.core.engine.CompiledGraph.retimed`) that builds its
+tasks only when read; over a data-parallel or serving view, a key is the
+pair of the view's update code and the source's key.
+
 Kernels that fit none of these classes cannot be retargeted confidently.
 A small unclassified residue is tolerated (its durations are kept
 verbatim); past :data:`UNCLASSIFIED_BUDGET` of total GPU time the
@@ -39,6 +47,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
+from repro.core.engine import CompiledGraph, as_compiled
 from repro.core.graph import ExecutionGraph
 from repro.core.manipulation.dispatch import (
     KIND_HARDWARE,
@@ -47,7 +58,13 @@ from repro.core.manipulation.dispatch import (
     ManipulationRefusal,
     register_manipulation,
 )
-from repro.core.perf_model import KernelPerfModel, parse_gemm_shape
+from repro.core.perf_model import (
+    _KEEP,
+    KernelPerfModel,
+    _Rescale,
+    parse_gemm_shape,
+    rescale_durations,
+)
 from repro.core.tasks import Task, TaskKind
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.gpu import GPUSpec, resolve_gpu
@@ -121,26 +138,19 @@ def _check_capacity(gpu: GPUSpec, config: Configuration) -> None:
             "pick a larger-memory spec", code=REFUSE_CAPACITY)
 
 
-def _cluster_pair(graph: ExecutionGraph, gpu: GPUSpec,
+def _cluster_pair(representatives: tuple[Task, ...], gpu: GPUSpec,
                   profiled: ClusterSpec) -> tuple[ClusterSpec, ClusterSpec]:
-    """Profiled and target clusters covering every rank the graph touches."""
-    needed = 1
-    for task in graph.tasks.values():
-        needed = max(needed, task.rank + 1)
-        ranks = task.args.get("group_ranks")
-        if ranks:
-            needed = max(needed, max(ranks) + 1)
+    """Profiled and target clusters holding every rank a collective names.
+
+    The GPU count only bounds which ranks the cost models accept, and the
+    representatives carry every ``group_ranks`` the factors read.
+    """
+    needed = max((max(task.args["group_ranks"]) + 1 for task in representatives
+                  if task.args.get("group_ranks")), default=1)
     old_cluster = replace(profiled, num_gpus=max(profiled.num_gpus, needed))
     # A GPU swap swaps the NVLink generation with it (the cluster reads it
     # from its GPU); the inter-node fabric (NICs, switches) stays.
     return old_cluster, replace(old_cluster, gpu=gpu)
-
-
-def _scale_overheaded(observed: float, variable_ratio: float,
-                      old_gpu: GPUSpec, new_gpu: GPUSpec) -> float:
-    """Swap the fixed kernel overhead and rescale the variable remainder."""
-    variable = max(observed - old_gpu.kernel_fixed_overhead_us, 0.0)
-    return new_gpu.kernel_fixed_overhead_us + variable * variable_ratio
 
 
 def _roofline_us(flops: float, bytes_accessed: float, gpu: GPUSpec) -> float:
@@ -150,16 +160,8 @@ def _roofline_us(flops: float, bytes_accessed: float, gpu: GPUSpec) -> float:
     return max(compute_us, memory_us) + gpu.kernel_fixed_overhead_us
 
 
-#: A factor scales the observed duration one of two ways: ``RATIO``
-#: multiplies it outright; ``OVERHEADED`` multiplies only the part in
-#: excess of the profiled fixed kernel overhead and swaps the overhead for
-#: the target part's (:func:`_scale_overheaded`).
-_RATIO = "ratio"
-_OVERHEADED = "overheaded"
-
-
-def _communication_pair(task: Task, old_cluster: ClusterSpec,
-                        new_cluster: ClusterSpec) -> tuple[float, float] | None:
+def _communication_rescale(task: Task, old_cluster: ClusterSpec,
+                           new_cluster: ClusterSpec) -> _Rescale | None:
     kind = task.args.get("collective")
     ranks = tuple(task.args.get("group_ranks", ()))
     if kind is None or not ranks:
@@ -176,106 +178,88 @@ def _communication_pair(task: Task, old_cluster: ClusterSpec,
             new = collective_time_us(kind, size_bytes, ranks, new_cluster)
     except ValueError:
         return None
-    if old <= 0:
-        return 1.0, 1.0
-    return new, old
+    return _Rescale(new, old) if old > 0 else _KEEP
 
 
 def _retime_factor(task: Task, old_gpu: GPUSpec, new_gpu: GPUSpec,
                    old_cluster: ClusterSpec, new_cluster: ClusterSpec,
-                   dtype_bytes: int) -> tuple[str, str, float, float] | None:
-    """Classify one GPU kernel: (category, mode, new, old), or ``None``.
+                   dtype_bytes: int) -> tuple[str, _Rescale] | None:
+    """Classify one GPU kernel: (category, rescale), or ``None``.
 
-    The factor depends only on the kernel's analytical signature, never on
-    its observed duration, so callers memoize it by signature
-    (:func:`_factor_key`) — the same kernel repeats across layers,
-    microbatches and ranks, and the analytical models are the expensive
-    part of the retarget.  ``_RATIO`` factors keep the analytical pair
-    (new, old) rather than their quotient so the applied expression
-    ``observed * new / old`` is bit-identical to an unmemoized retime.
+    The factor depends only on the kernel's analytical signature
+    (:func:`_hardware_key`), never on its observed duration, so it is
+    evaluated once per code of the hardware column: the same kernel repeats
+    across layers, microbatches and ranks, and the analytical models are the
+    expensive part of the retarget.  A compute- or bandwidth-bound class without a
+    shape scales the duration above the profiled fixed kernel overhead and
+    swaps the overhead for the target part's.
     """
     if task.is_communication:
-        pair = _communication_pair(task, old_cluster, new_cluster)
-        if pair is None:
-            return None
-        return ("communication", _RATIO) + pair
+        rescale = _communication_rescale(task, old_cluster, new_cluster)
+        return None if rescale is None else ("communication", rescale)
     op_class = task.op_class
     flops = float(task.args.get("flops", 0.0))
     bytes_accessed = float(task.args.get("bytes_accessed", 0.0))
-    compute_ratio = old_gpu.bf16_flops_per_us / new_gpu.bf16_flops_per_us
-    bandwidth_ratio = old_gpu.memory_bytes_per_us / new_gpu.memory_bytes_per_us
+
+    def overheaded(ratio: float) -> _Rescale:
+        return _Rescale(ratio, 1.0, old_gpu.kernel_fixed_overhead_us,
+                        new_gpu.kernel_fixed_overhead_us)
+
+    compute = overheaded(old_gpu.bf16_flops_per_us / new_gpu.bf16_flops_per_us)
+    roofline = (_Rescale(_roofline_us(flops, bytes_accessed, new_gpu)
+                         / _roofline_us(flops, bytes_accessed, old_gpu), 1.0)
+                if flops > 0 and bytes_accessed > 0 else None)
     if op_class == OpClass.GEMM:
         shape = parse_gemm_shape(task.name)
         if shape is not None:
             old = gemm_time_us(*shape, dtype_bytes=dtype_bytes, gpu=old_gpu)
             new = gemm_time_us(*shape, dtype_bytes=dtype_bytes, gpu=new_gpu)
-            return "gemm", _RATIO, new, old
-        if flops > 0 and bytes_accessed > 0:
-            ratio = _roofline_us(flops, bytes_accessed, new_gpu) \
-                / _roofline_us(flops, bytes_accessed, old_gpu)
-            return "gemm", _RATIO, ratio, 1.0
+            return "gemm", _Rescale(new, old)
         # A GEMM is confidently compute-bound even without a shape.
-        return "gemm", _OVERHEADED, compute_ratio, 1.0
+        return "gemm", roofline or compute
     if op_class == OpClass.DECODE_ATTENTION and bytes_accessed > 0:
         old = decode_attention_time_us(flops, bytes_accessed, old_gpu)
         new = decode_attention_time_us(flops, bytes_accessed, new_gpu)
-        return "decode_attention", _RATIO, new, old
+        return "decode_attention", _Rescale(new, old)
     if op_class == OpClass.ATTENTION:
         if flops > 0 or bytes_accessed > 0:
             old = attention_time_us(flops, bytes_accessed, old_gpu)
             new = attention_time_us(flops, bytes_accessed, new_gpu)
-            return "attention", _RATIO, new, old
-        return "attention", _OVERHEADED, compute_ratio, 1.0
+            return "attention", _Rescale(new, old)
+        return "attention", compute
     if op_class in BANDWIDTH_EFFICIENCY:
         # Bandwidth-bound by class: the per-class efficiency cancels, so
         # the variable part scales by the raw HBM ratio and the fixed
         # overhead swaps for the target part's.
-        return "memory_bound", _OVERHEADED, bandwidth_ratio, 1.0
-    if flops > 0 and bytes_accessed > 0:
-        ratio = _roofline_us(flops, bytes_accessed, new_gpu) \
-            / _roofline_us(flops, bytes_accessed, old_gpu)
-        return "roofline", _RATIO, ratio, 1.0
-    return None
+        return "memory_bound", overheaded(old_gpu.memory_bytes_per_us
+                                          / new_gpu.memory_bytes_per_us)
+    return None if roofline is None else ("roofline", roofline)
 
 
-def _factor_key(task: Task) -> tuple:
-    """Everything :func:`_retime_factor` reads besides the duration."""
-    return (task.name, task.op_class, task.args.get("flops"),
-            task.args.get("bytes_accessed"), task.args.get("collective"),
-            task.args.get("size_bytes"),
-            tuple(task.args.get("group_ranks", ())))
+def _hardware_key(task: Task) -> tuple | str | None:
+    """Everything :func:`_retime_factor` reads of a GPU kernel besides its
+    duration; ``"launch"`` for a kernel launch, ``None`` for other CPU tasks."""
+    if task.kind != TaskKind.GPU:
+        return "launch" if task.name == CudaRuntimeName.LAUNCH_KERNEL else None
+    args = task.args
+    return (task.name, task.op_class, args.get("flops"), args.get("bytes_accessed"),
+            args.get("collective"), args.get("size_bytes"), tuple(args.get("group_ranks", ())))
 
 
-def _retime_gpu_task(task: Task, old_gpu: GPUSpec, new_gpu: GPUSpec,
-                     old_cluster: ClusterSpec, new_cluster: ClusterSpec,
-                     dtype_bytes: int,
-                     memo: dict[tuple, tuple[str, str, float, float] | None],
-                     ) -> tuple[str, float] | None:
-    """Retime one GPU kernel via the memoized factor; ``None`` = unclassified."""
-    key = _factor_key(task)
-    try:
-        factor = memo[key]
-    except KeyError:
-        factor = memo[key] = _retime_factor(task, old_gpu, new_gpu,
-                                            old_cluster, new_cluster,
-                                            dtype_bytes)
-    if factor is None:
-        return None
-    category, mode, new, old = factor
-    if mode == _RATIO:
-        return category, task.duration * new / old
-    return category, _scale_overheaded(task.duration, new, old_gpu, new_gpu)
+#: What :func:`retarget_hardware` counts an unclassified kernel's time under.
+_UNCLASSIFIED = "unclassified"
 
 
-def retarget_hardware(graph: ExecutionGraph, gpu: GPUSpec, *,
-                      perf_model: KernelPerfModel) -> ExecutionGraph:
-    """Derive the execution graph of the same workload on a different GPU.
+def retarget_hardware(graph: ExecutionGraph | CompiledGraph, gpu: GPUSpec, *,
+                      perf_model: KernelPerfModel) -> CompiledGraph:
+    """Derive the compiled graph of the same workload on a different GPU.
 
     Parameters
     ----------
     graph:
-        Execution graph to retarget — the base replay or the output of an
-        upstream manipulation in a composite chain.
+        The graph to retarget, compiled or not — the base replay's, or the
+        output of an upstream manipulation in a composite chain (a
+        compiled one is retimed without compiling anything).
     gpu:
         The hypothetical target part.  Whether the workload fits its
         memory is the hardware resolve step's check, not this function's.
@@ -286,75 +270,78 @@ def retarget_hardware(graph: ExecutionGraph, gpu: GPUSpec, *,
         that cluster's GPU is the ratio denominator and its fabric is
         carried over (with the NVLink tier swapped for the target part's).
 
-    Raises :class:`HardwareManipulationError` (:data:`REFUSE_UNCLASSIFIED`)
-    when too much GPU time sits in kernels the cost models cannot classify.
+    One rescale is evaluated per key of the source's hardware column
+    (:func:`_hardware_key`) and applied to every task of the key with a
+    positive duration; the per-category totals of ``hardware_rescale``
+    accumulate in task order.  Raises :class:`HardwareManipulationError`
+    (:data:`REFUSE_UNCLASSIFIED`) when too much GPU time sits in kernels the
+    cost models cannot classify.
     """
+    source = as_compiled(graph)
     old_gpu = perf_model.cluster.gpu
-    dtype_bytes = perf_model.dtype_bytes
-    old_cluster, new_cluster = _cluster_pair(graph, gpu, perf_model.cluster)
-    launch_ratio = (gpu.kernel_launch_overhead_us
-                    / old_gpu.kernel_launch_overhead_us
-                    if old_gpu.kernel_launch_overhead_us > 0 else 1.0)
+    codes, representatives = source.column(_hardware_key)
+    old_cluster, new_cluster = _cluster_pair(representatives, gpu, perf_model.cluster)
+    launch = (_Rescale(gpu.kernel_launch_overhead_us / old_gpu.kernel_launch_overhead_us,
+                       1.0)
+              if old_gpu.kernel_launch_overhead_us > 0 else _KEEP)
 
-    old_totals: dict[str, float] = {}
-    new_totals: dict[str, float] = {}
-    unclassified_us = 0.0
-    gpu_us = 0.0
-    unclassified_names: dict[str, float] = {}
-    factor_memo: dict[tuple, tuple[str, str, float, float] | None] = {}
-    # The retarget changes only durations, so the new graph shares the base
-    # graph's topology and tasks, copying a task only when its duration
-    # actually moves (copy-on-write): for a same-die target like H100→H200
-    # every compute-bound kernel rescales by exactly 1.0 and is shared.
-    new_tasks: dict[int, Task] = {}
-    for task_id, task in graph.tasks.items():
-        if task.kind == TaskKind.GPU and task.duration > 0:
-            gpu_us += task.duration
-            retimed = _retime_gpu_task(task, old_gpu, gpu, old_cluster,
-                                       new_cluster, dtype_bytes, factor_memo)
-            if retimed is None:
-                unclassified_us += task.duration
-                unclassified_names[task.name] = (
-                    unclassified_names.get(task.name, 0.0) + task.duration)
-            else:
-                category, duration = retimed
-                old_totals[category] = old_totals.get(category, 0.0) + task.duration
-                new_totals[category] = new_totals.get(category, 0.0) + duration
-                if duration != task.duration:
-                    task = task.copy()
-                    task.duration = duration
-        elif (task.kind == TaskKind.CPU and task.duration > 0
-                and task.name == CudaRuntimeName.LAUNCH_KERNEL
-                and launch_ratio != 1.0):
-            old_totals["launch"] = old_totals.get("launch", 0.0) + task.duration
-            duration = task.duration * launch_ratio
-            new_totals["launch"] = new_totals.get("launch", 0.0) + duration
-            task = task.copy()
-            task.duration = duration
-        new_tasks[task_id] = task
+    rescales: list[_Rescale | None] = []
+    categories: list[str | None] = []
+    for task in representatives:
+        if task.kind == TaskKind.GPU:
+            category, rescale = _retime_factor(task, old_gpu, gpu, old_cluster, new_cluster,
+                                               perf_model.dtype_bytes) or (_UNCLASSIFIED, None)
+        elif task.name == CudaRuntimeName.LAUNCH_KERNEL and launch.new != 1.0:
+            category, rescale = "launch", launch
+        else:
+            category, rescale = None, None
+        categories.append(category)
+        rescales.append(rescale)
+    # Tasks without time keep it; they join an uncounted code of their own.
+    observed = source.durations
+    codes = np.where(observed > 0, codes, len(rescales))
+    rescales.append(None)
+    categories.append(None)
+    durations = rescale_durations(observed, codes, rescales)
 
-    if gpu_us > 0 and unclassified_us > UNCLASSIFIED_BUDGET * gpu_us:
-        worst = sorted(unclassified_names.items(), key=lambda item: -item[1])[:3]
-        examples = ", ".join(f"'{name}' ({time:.0f}us)" for name, time in worst)
-        raise HardwareManipulationError(
-            f"cannot retarget to {gpu.name}: "
-            f"{unclassified_us / gpu_us:.0%} of GPU time sits in kernels the "
-            f"cost models cannot classify (e.g. {examples}); a confident "
-            "roofline rescale needs op-class or flops/bytes metadata on "
-            "these kernels", code=REFUSE_UNCLASSIFIED)
+    # ``bincount`` adds its weights in task order, as a loop over the tasks would.
+    names = sorted({category for category in categories if category is not None})
+    category_of = np.array([-1 if category is None else names.index(category)
+                            for category in categories])[codes]
+    counted = category_of >= 0
+    old_totals, new_totals = (
+        np.bincount(category_of[counted], weights=vector[counted],
+                    minlength=len(names)).tolist()
+        for vector in (observed, durations))
+    if _UNCLASSIFIED in names:
+        kernel = np.array([category not in (None, "launch")
+                           for category in categories])[codes]
+        gpu_us = np.bincount(kernel, weights=observed, minlength=2)[1]
+        unclassified_us = old_totals[names.index(_UNCLASSIFIED)]
+        if unclassified_us > UNCLASSIFIED_BUDGET * gpu_us:
+            by_name: dict[str, float] = {}
+            for index in np.flatnonzero(category_of == names.index(_UNCLASSIFIED)).tolist():
+                name = representatives[codes[index]].name  # the name is part of the key
+                by_name[name] = by_name.get(name, 0.0) + float(observed[index])
+            worst = sorted(by_name.items(), key=lambda item: -item[1])[:3]
+            examples = ", ".join(f"'{name}' ({time:.0f}us)" for name, time in worst)
+            raise HardwareManipulationError(
+                f"cannot retarget to {gpu.name}: "
+                f"{unclassified_us / gpu_us:.0%} of GPU time sits in kernels the "
+                f"cost models cannot classify (e.g. {examples}); a confident "
+                "roofline rescale needs op-class or flops/bytes metadata on "
+                "these kernels", code=REFUSE_UNCLASSIFIED)
 
-    factors = {category: new_totals[category] / old_totals[category]
-               for category in sorted(old_totals) if old_totals[category] > 0}
+    factors = {name: new_totals[index] / old_totals[index]
+               for index, name in enumerate(names)
+               if name != _UNCLASSIFIED and old_totals[index] > 0}
     for category, factor in factors.items():
         observability.gauge(f"hardware.rescale.{category}", factor)
-
-    new_graph = graph.clone(tasks=new_tasks)
-    previous = graph.metadata.get("manipulated")
-    new_graph.metadata["manipulated"] = \
-        f"{previous}+hardware" if previous else "hardware"
-    new_graph.metadata["gpu"] = gpu.name
-    new_graph.metadata["hardware_rescale"] = factors
-    return new_graph
+    previous = source.metadata.get("manipulated")
+    return source.retimed(durations, {
+        **source.metadata,
+        "manipulated": f"{previous}+hardware" if previous else "hardware",
+        "gpu": gpu.name, "hardware_rescale": factors})
 
 
 def _resolve_hardware(config: Configuration, label: str,
@@ -368,5 +355,5 @@ def _resolve_hardware(config: Configuration, label: str,
 
 
 @register_manipulation(KIND_HARDWARE, _resolve_hardware)
-def _derive_hardware(graph: ExecutionGraph, context: DeriveContext) -> ExecutionGraph:
-    return retarget_hardware(graph, context.target.gpu, perf_model=context.perf_model)
+def _derive_hardware(source: CompiledGraph, context: DeriveContext) -> CompiledGraph:
+    return retarget_hardware(source, context.target.gpu, perf_model=context.perf_model)

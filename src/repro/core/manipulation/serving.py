@@ -13,12 +13,15 @@ and the schedule the emulator used (a stream's plan from the graph
 metadata, the one-chunk schedule for a fixed-batch episode), and the
 observed duration is rescaled by the analytical ratio — the paper's §3.4
 recipe, where systematic model error cancels in the ratio.  An operator
-instance repeats on every layer and rank, so its rescale is evaluated
-once per derive and recorded group, then applied to each of its tasks
-(bit-identical to evaluating it per task).  The derived graph is a
-copy-on-write :meth:`~repro.core.graph.ExecutionGraph.clone`:
-it keeps the base's task ids and edges, shares every task it does not
-retime, and so compiles to the base's shared structure and batch plan.
+instance repeats on every layer and rank, so the base's tasks are keyed
+once per compiled base (:func:`_serving_key`: the operator instance, its
+recorded group and which shape args it records), the base's operators
+are regenerated once per base, and a derive evaluates one rescale and
+one args update per key and applies them to the base's duration column
+(bit-identical to evaluating them per task).  The result is a view of
+the base's compiled graph (:meth:`~repro.core.engine.CompiledGraph.
+retimed`): it keeps the base's task ids, edges, batch plan and columns,
+and builds its tasks only when read.
 
 Knobs that would change the topology are refused up front by the serving
 resolve step (:func:`resolve_serving`), the one copy of the serving
@@ -33,8 +36,9 @@ schedule.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable
+from typing import Any
 
+from repro.core.engine import CompiledGraph, as_compiled
 from repro.core.graph import ExecutionGraph
 from repro.core.manipulation.dispatch import (
     KIND_SERVING,
@@ -43,7 +47,7 @@ from repro.core.manipulation.dispatch import (
     ManipulationRefusal,
     register_manipulation,
 )
-from repro.core.perf_model import KernelPerfModel
+from repro.core.perf_model import KernelPerfModel, _Rescale, rescale_durations
 from repro.core.tasks import Task, TaskKind
 from repro.workload.arrivals import STREAM_METADATA_KEY, StreamPlan
 from repro.workload.inference import (
@@ -103,12 +107,21 @@ def _op_table(model: ModelConfig, parallel: ParallelismConfig,
     return table
 
 
-def _task_key(task: Task) -> _OpKey | None:
-    phase = task.args.get("phase")
-    op_name = task.args.get("op_name")
-    if phase not in ("prefill", "decode") or not op_name:
+def _serving_key(task: Task) -> tuple | None:
+    """What a GPU task's serving retime reads besides the configurations.
+
+    Its operator instance's :data:`_OpKey` (``None`` when it records none),
+    its recorded group and which shape args it records; ``None`` for CPU
+    tasks.
+    """
+    if task.kind != TaskKind.GPU:
         return None
-    return (str(phase), str(op_name), task.args.get("microbatch"))
+    args = task.args
+    phase, op_name = args.get("phase"), args.get("op_name")
+    op_key = ((str(phase), str(op_name), args.get("microbatch"))
+              if phase in ("prefill", "decode") and op_name else None)
+    return (op_key, tuple(args.get("group_ranks", ())), bool(args.get("flops")),
+            bool(args.get("bytes_accessed")))
 
 
 def resolve_serving(config: Configuration, target: ServingTarget) -> Configuration:
@@ -139,18 +152,19 @@ def _resolve_serving(config: Configuration, label: str, payload: Any) -> Configu
     return resolve_serving(config, ServingTarget.parse(label))
 
 
-def rescale_serving_graph(graph: ExecutionGraph,
+def rescale_serving_graph(graph: ExecutionGraph | CompiledGraph,
                           target: ServingTarget | Configuration, *,
                           base_model: ModelConfig,
                           base_parallel: ParallelismConfig,
                           base_inference: InferenceConfig,
-                          perf_model: KernelPerfModel) -> ExecutionGraph:
-    """Derive the execution graph for a new serving configuration.
+                          perf_model: KernelPerfModel) -> CompiledGraph:
+    """Derive the compiled graph for a new serving configuration.
 
     Parameters
     ----------
     graph:
-        Execution graph built from the base serving episode's trace.
+        The base serving episode's graph, compiled or not (a compiled one
+        is retimed without compiling anything).
     target:
         The batch / prompt / TP knobs to change, resolved (or refused) by
         :func:`resolve_serving`; the registered derive step passes the
@@ -167,52 +181,49 @@ def rescale_serving_graph(graph: ExecutionGraph,
         target = resolve_serving(
             Configuration(base_model, base_parallel, base_inference), target)
     new_parallel, new_inference = target.parallel, target.inference
-    stream_payload = graph.metadata.get(STREAM_METADATA_KEY)
+    source = as_compiled(graph)
+    codes, representatives = source.column(_serving_key)
+    stream_payload = source.metadata.get(STREAM_METADATA_KEY)
     plan = None if stream_payload is None else StreamPlan.from_json(stream_payload)
     scaled_model = perf_model.covering(base_parallel, new_parallel)
 
     # A stream's schedule is the same on both sides: a target that would
     # reschedule it is the ``batch=`` refusal of :func:`resolve_serving`.
-    old_ops = _op_table(base_model, base_parallel, base_inference, plan)
-    new_ops = _op_table(base_model, new_parallel, new_inference, plan)
+    # The base's operators are kept with the source's columns, so every
+    # target derived from one base regenerates them once.
+    base = ("serving base operators", base_model, base_parallel, base_inference, plan)
+    if base not in source._columns:
+        source._columns[base] = _op_table(base_model, base_parallel, base_inference, plan)
+    old_table = source._columns[base]
+    new_table = _op_table(base_model, new_parallel, new_inference, plan)
     new_tp_ranks = new_parallel.groups().tp_group(0).ranks
 
-    # Re-timing changes durations and shape args only, so the derived graph
-    # is a copy-on-write clone: it keeps the base's task ids and edges and
-    # copies just the GPU tasks it retimes.  An operator instance's rescale
-    # is evaluated once per recorded group.
-    rescales: dict[tuple, Callable[[float], float] | None] = {}
-    new_tasks: dict[int, Task] = {}
-    gpu_tasks = matched = 0
-    for task_id, task in graph.tasks.items():
-        if task.kind == TaskKind.GPU:
-            gpu_tasks += 1
-            key = _task_key(task)
-            old_op = old_ops.get(key) if key is not None else None
-            new_op = new_ops.get(key) if key is not None else None
-            if old_op is not None and new_op is not None:
-                matched += 1
-                group = (key, tuple(task.args.get("group_ranks", ())))
-                if group not in rescales:
-                    rescales[group] = _rescale(old_op, new_op, group[1], scaled_model,
-                                               new_tp_ranks)
-                rescale = rescales[group]
-                task = task.copy()
-                if rescale is not None:
-                    task.duration = rescale(task.duration)
-                _update_args(task, new_op, new_tp_ranks)
-            elif (old_op is not None and old_op.is_communication
-                    and new_parallel.tp == 1):
-                # The TP=1 decomposition emits no collectives at all, so
-                # the lookup misses; the observed collective degenerates
-                # to a rank-local no-op.  Keeping the (empty) task
-                # preserves the graph topology.
-                matched += 1
-                task = task.copy()
-                task.duration = 0.0
-                task.args["group_ranks"] = list(new_tp_ranks)
-                task.args["group_size"] = 1
-        new_tasks[task_id] = task
+    # One rescale and one args update per operator instance and recorded
+    # group; the view keeps every task id and edge.
+    rescales: list[_Rescale | None] = []
+    updates: list[dict | None] = []
+    gpu_tasks = matched = False
+    for task in representatives:
+        key = _serving_key(task)
+        gpu_tasks |= key is not None
+        old_op, new_op = ((None, None) if key is None or key[0] is None else
+                          (old_table.get(key[0]), new_table.get(key[0])))
+        rescale = update = None
+        if old_op is not None and new_op is not None:
+            matched = True
+            rescale = _rescale(old_op, new_op, key[1], scaled_model, new_tp_ranks)
+            update = _args_update(task, new_op, new_tp_ranks)
+        elif (old_op is not None and old_op.is_communication
+                and new_parallel.tp == 1):
+            # The TP=1 decomposition emits no collectives at all, so
+            # the lookup misses; the observed collective degenerates
+            # to a rank-local no-op.  Keeping the (empty) task
+            # preserves the graph topology.
+            matched = True
+            rescale = _Rescale(0.0, 1.0)
+            update = {"group_ranks": list(new_tp_ranks), "group_size": 1}
+        rescales.append(rescale)
+        updates.append(update)
     if gpu_tasks and not matched:
         # Every lookup missed: the trace is not a serving episode of this
         # configuration (e.g. an inference= override forced onto a
@@ -222,26 +233,25 @@ def rescale_serving_graph(graph: ExecutionGraph,
             "no GPU task of the trace matched the serving operator "
             "decomposition; the base trace does not look like a serving "
             "episode of this model/parallelism/inference configuration")
-    return graph.clone(metadata={
-        **graph.metadata,
-        "manipulated": "serving",
-        "parallelism": new_parallel.label(),
-        "inference": new_inference.to_json(),
-    }, tasks=new_tasks)
+    return source.retimed(
+        rescale_durations(source.durations, codes, rescales),
+        {**source.metadata, "manipulated": "serving",
+         "parallelism": new_parallel.label(), "inference": new_inference.to_json()},
+        codes=codes, updates=updates)
 
 
 @register_manipulation(KIND_SERVING, _resolve_serving, workload=WORKLOAD_SERVING)
-def _derive_serving(graph: ExecutionGraph, context: DeriveContext) -> ExecutionGraph:
+def _derive_serving(compiled: CompiledGraph, context: DeriveContext) -> CompiledGraph:
     source = context.source
     return rescale_serving_graph(
-        graph, context.target, base_model=source.model,
+        compiled, context.target, base_model=source.model,
         base_parallel=source.parallel, base_inference=source.inference,
         perf_model=context.perf_model)
 
 
 def _rescale(old_op: OpSpec, new_op: OpSpec, old_ranks: tuple[int, ...],
              perf_model: KernelPerfModel,
-             new_tp_ranks: tuple[int, ...]) -> Callable[[float], float] | None:
+             new_tp_ranks: tuple[int, ...]) -> _Rescale | None:
     """Observed duration × analytical(new) / analytical(old) per op class.
 
     ``None`` keeps the observed duration.
@@ -271,15 +281,16 @@ def _rescale(old_op: OpSpec, new_op: OpSpec, old_ranks: tuple[int, ...],
                                          new_op.bytes_accessed)
 
 
-def _update_args(clone: Task, new_op: OpSpec, new_tp_ranks: tuple[int, ...]) -> None:
-    """Refresh the shape-describing args so breakdowns stay meaningful."""
+def _args_update(task: Task, new_op: OpSpec,
+                 new_tp_ranks: tuple[int, ...]) -> dict[str, Any]:
+    """The shape-describing args a retimed task takes, so breakdowns stay meaningful."""
     if new_op.is_communication:
-        clone.args["group_ranks"] = list(new_tp_ranks)
-        clone.args["group_size"] = len(new_tp_ranks)
         assert new_op.collective is not None
-        clone.args["size_bytes"] = new_op.collective.size_bytes
-    else:
-        if clone.args.get("flops"):
-            clone.args["flops"] = new_op.flops
-        if clone.args.get("bytes_accessed"):
-            clone.args["bytes_accessed"] = new_op.bytes_accessed
+        return {"group_ranks": list(new_tp_ranks), "group_size": len(new_tp_ranks),
+                "size_bytes": new_op.collective.size_bytes}
+    update: dict[str, Any] = {}
+    if task.args.get("flops"):
+        update["flops"] = new_op.flops
+    if task.args.get("bytes_accessed"):
+        update["bytes_accessed"] = new_op.bytes_accessed
+    return update

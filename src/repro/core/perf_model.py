@@ -28,7 +28,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from statistics import median
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from repro.core.graph import ExecutionGraph
 from repro.core.tasks import TaskKind
@@ -196,14 +198,11 @@ class KernelPerfModel:
             new = collective_time_us(kind, new_size, new_ranks, self.cluster)
         return _Rescale(new, old)
 
-    def scale_memory_bound(self, old_bytes: float, new_bytes: float,
-                           fixed_overhead_us: float | None = None) -> _Rescale:
+    def scale_memory_bound(self, old_bytes: float, new_bytes: float) -> _Rescale:
         """Rescale of an observed bandwidth-bound kernel duration to new traffic."""
         if old_bytes <= 0:
             return _KEEP
-        overhead = (self.cluster.gpu.kernel_fixed_overhead_us
-                    if fixed_overhead_us is None else fixed_overhead_us)
-        return _Rescale(new_bytes, old_bytes, overhead)
+        return _Rescale(new_bytes, old_bytes, self.cluster.gpu.kernel_fixed_overhead_us)
 
     def scale_decode_attention(self, old_flops: float, old_bytes: float,
                                new_flops: float, new_bytes: float) -> _Rescale:
@@ -214,36 +213,54 @@ class KernelPerfModel:
             return _KEEP
         return _Rescale(new, old)
 
-    def scale_flops_bound(self, old_flops: float, new_flops: float,
-                          fixed_overhead_us: float | None = None) -> _Rescale:
+    def scale_flops_bound(self, old_flops: float, new_flops: float) -> _Rescale:
         """Rescale of an observed compute-bound kernel (e.g. attention) by FLOP ratio."""
         if old_flops <= 0:
             return _KEEP
-        overhead = (self.cluster.gpu.kernel_fixed_overhead_us
-                    if fixed_overhead_us is None else fixed_overhead_us)
-        return _Rescale(new_flops, old_flops, overhead)
+        return _Rescale(new_flops, old_flops, self.cluster.gpu.kernel_fixed_overhead_us)
 
 
 class _Rescale(NamedTuple):
     """An observed duration's rescale: call it with the observed microseconds.
 
     Without an ``overhead`` the whole duration scales, ``observed * new /
-    old``; with one, the fixed kernel overhead stays and only the part
-    above it scales by ``new / old``.  The analytical pair is kept rather
-    than its quotient, so applying one rescale to many kernels is
-    bit-identical to evaluating it for each.
+    old``; with one, only the part above the fixed kernel overhead scales
+    by ``new / old``, and the fixed part is ``target`` (a hardware
+    retarget's new part's overhead) or else stays.  The analytical pair is
+    kept rather than its quotient, so applying one rescale to many kernels
+    is bit-identical to evaluating it for each.
     """
 
     new: float
     old: float
     overhead: float | None = None
+    target: float | None = None
 
     def __call__(self, observed_us: float) -> float:
         if self.overhead is None:
             return observed_us * self.new / self.old
         variable = max(observed_us - self.overhead, 0.0)
-        return self.overhead + variable * (self.new / self.old)
+        fixed = self.overhead if self.target is None else self.target
+        return fixed + variable * (self.new / self.old)
 
 
 #: The rescale that keeps an observed duration (``x * 1.0 / 1.0 == x``).
 _KEEP = _Rescale(1.0, 1.0)
+
+
+def rescale_durations(durations: np.ndarray, codes: np.ndarray,
+                      rescales: Sequence[_Rescale | None]) -> np.ndarray:
+    """``durations`` with ``rescales[codes[i]]`` applied to element ``i``.
+
+    A ``None`` rescale keeps its durations (it is :data:`_KEEP`).  Every
+    element takes the IEEE operations :meth:`_Rescale.__call__` performs, in
+    its order, so the column is bit-identical to calling each task's rescale.
+    """
+    new, old, ratio, overheaded, overhead, fixed = np.array([
+        (rescale.new, rescale.old, rescale.new / rescale.old, rescale.overhead is not None,
+         rescale.overhead or 0.0,
+         (rescale.overhead if rescale.target is None else rescale.target) or 0.0)
+        for rescale in (rescale or _KEEP for rescale in rescales)],
+        dtype=np.float64).reshape(-1, 6).T[:, codes]
+    return np.where(overheaded > 0, fixed + np.maximum(durations - overhead, 0.0) * ratio,
+                    durations * new / old)

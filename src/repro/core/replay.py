@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.core.breakdown import ExecutionBreakdown, compute_breakdown
-from repro.core.engine import SessionRun, SimulationSession, compile_graph
+from repro.core.engine import CompiledGraph, SessionRun, SimulationSession, as_compiled
 from repro.core.graph import ExecutionGraph
 from repro.core.graph_builder import GraphBuilder, GraphBuilderOptions
 from repro.trace.kineto import KinetoTrace, TraceBundle
@@ -59,7 +59,7 @@ class ReplayResult:
 
 def replay(traces: TraceBundle | KinetoTrace | None = None,
            options: GraphBuilderOptions | None = None,
-           graph: ExecutionGraph | None = None) -> ReplayResult:
+           graph: ExecutionGraph | CompiledGraph | None = None) -> ReplayResult:
     """Replay a profiled trace (or a pre-built / manipulated graph).
 
     Parameters
@@ -72,15 +72,16 @@ def replay(traces: TraceBundle | KinetoTrace | None = None,
         model.
     graph:
         An already-constructed or manipulated execution graph to simulate
-        instead of building one from ``traces``.
+        instead of building one from ``traces``; a compiled one (such as a
+        retime's view) is simulated without compiling.
     """
     if graph is None:
         if traces is None:
             raise ValueError("replay() requires traces or a pre-built graph")
         graph = GraphBuilder(options).build(traces)
-    return ReplayResult(SimulationSession(compile_graph(graph)).run())
+    return ReplayResult(SimulationSession(as_compiled(graph)).run())
 
 
-def simulate_graph(graph: ExecutionGraph) -> ReplayResult:
+def simulate_graph(graph: ExecutionGraph | CompiledGraph) -> ReplayResult:
     """Simulate an execution graph that was built or manipulated separately."""
     return replay(graph=graph)

@@ -29,7 +29,7 @@ times.  Two rows stay sequential because a group on a topology without a
 plan would pay the plan's build for two runs' worth of work.  Over a
 continuous-batching serving episode every result also carries its row's
 per-request serving metrics, read from the row's arrays at the
-``sample_token`` kernels found once per call.  One scenario against a
+``sample_token`` kernels its compiled graph found once.  One scenario against a
 graph reads::
 
     evaluate_scenarios(graph, [scenario_for("kernel_class", op_class="gemm")])[0]
@@ -42,12 +42,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.engine import SimulationSession, _ClassPredicate, compile_graph
+from repro.core.engine import CompiledGraph, SimulationSession, _ClassPredicate, as_compiled
 from repro.core.graph import ExecutionGraph
 from repro.core.serving_metrics import (
     ServingMetrics,
     metrics_from_task_times,
-    sample_tokens,
     stream_plan_of,
 )
 from repro.core.tasks import Task, TaskKind
@@ -144,15 +143,15 @@ def scenario_for(kind: str, *, op_class: str | None = None,
     raise ValueError(f"unknown what-if kind '{kind}'")
 
 
-def evaluate_scenarios(graph: ExecutionGraph,
+def evaluate_scenarios(graph: ExecutionGraph | CompiledGraph,
                        scenarios: Sequence[Scenario | None], *,
                        session: SimulationSession | None = None,
                        deadline_ms: float | None = None) -> list[WhatIfResult]:
     """Evaluate a batch of scenarios against one graph in a single call.
 
-    The graph is compiled once (or not at all when ``session`` — which
-    must have been compiled from ``graph`` — is supplied).  Row 0 of the
-    duration matrix is the graph's own durations and every scenario
+    The graph is compiled once (or not at all when it is a compiled graph,
+    or when ``session`` — which must run ``graph`` — is supplied).  Row 0
+    of the duration matrix is the graph's own durations and every scenario
     stacks one rescaled row after it; a ``None`` scenario adds no row and
     reads row 0 (its result is named ``"baseline"``, affects no task and
     times the configuration itself).  Every result's
@@ -173,7 +172,7 @@ def evaluate_scenarios(graph: ExecutionGraph,
                if scenario is not None):  # NaN fails too
         raise ValueError("speedup must be positive")
     if session is None:
-        session = SimulationSession(compile_graph(graph))
+        session = SimulationSession(as_compiled(graph))
 
     compiled = session.compiled
     rows: list[int] = []  # each scenario's matrix row
@@ -198,10 +197,10 @@ def evaluate_scenarios(graph: ExecutionGraph,
         batch = session.run_batch(matrix)
         times, starts = batch.iteration_times_us.tolist(), batch.starts
 
-    plan = stream_plan_of(graph.metadata)
+    plan = stream_plan_of(compiled.metadata)
     serving = {}
     if plan is not None:
-        samples = sample_tokens(compiled.tasks)
+        samples = compiled.sample_tokens
         serving = {row: metrics_from_task_times(samples, starts[row], matrix[row], plan,
                                                 deadline_ms=deadline_ms)
                    for row in sorted(set(rows))}

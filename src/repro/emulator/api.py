@@ -135,6 +135,8 @@ class ClusterEmulator:
             "model": self.model.name,
             "parallelism": self.parallel.label(),
             "iteration": iteration,
+            "gpu": self.cluster.gpu.name,
+            "gpus_per_node": self.cluster.gpus_per_node,
         }
         if self.inference is not None:
             metadata["workload"] = WORKLOAD_SERVING

@@ -177,9 +177,10 @@ def _evaluate_group(study: Study, config: Target,
                     slo_ms: float | None = None) -> list[dict[str, Any]]:
     """Evaluate every scenario sharing one target configuration.
 
-    The group's derived graph is compiled into one simulation session and
-    the whole group is one :func:`~repro.core.whatif.evaluate_scenarios`
-    call: row 0 of its duration matrix times the configuration itself
+    The group's compiled graph (a retime's is a view of its source's) runs
+    on one simulation session and the whole group is one
+    :func:`~repro.core.whatif.evaluate_scenarios` call: row 0 of its
+    duration matrix times the configuration itself
     (what a no-what-if scenario reads) and each what-if variant adds one
     row.  Three or more rows run as one call of the topology's batch plan
     (falling back to per-row sequential runs only for graphs without a
@@ -191,12 +192,12 @@ def _evaluate_group(study: Study, config: Target,
     """
     with observability.trace_span("sweep.group", kind=config.kind,
                                   target=config.label, scenarios=len(scenarios)):
-        graph, world_size, session = study.config_state(config)
+        compiled, world_size, session = study.config_state(config)
         outcomes = evaluate_scenarios(
-            graph, [None if s.whatif is None else
-                    scenario_for(s.whatif.kind, op_class=s.whatif.op_class,
-                                 group=s.whatif.group, speedup=s.whatif.speedup)
-                    for s in scenarios],
+            compiled, [None if s.whatif is None else
+                       scenario_for(s.whatif.kind, op_class=s.whatif.op_class,
+                                    group=s.whatif.group, speedup=s.whatif.speedup)
+                       for s in scenarios],
             session=session, deadline_ms=slo_ms)
     return [ScenarioResult(
         label=scenario.label,

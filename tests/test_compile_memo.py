@@ -1,12 +1,14 @@
 """The compile memo: one compiled structure and one batch plan per topology.
 
 A derived configuration that only retimes its parent (a data-parallel
-change, a serving re-timing, a hardware retarget) is a
-:meth:`ExecutionGraph.clone` sharing the parent's compile memo, so
-:func:`compile_graph` builds only its task tuple and duration vector and
-every batch session reuses the parent's plan.  These tests count the full builds, and check that any structural
-difference — an edited scheduling attribute, a new edge, a new task —
-gets a full compile, with the start times of an independent copy.
+change, a serving re-timing, a hardware retarget) is a view of the
+parent's compiled graph: it compiles nothing, builds no task until one
+is read, and every batch session reuses the parent's plan.  A clone
+(:meth:`ExecutionGraph.clone`) shares the compile memo, so
+:func:`compile_graph` binds it to the shared structure.  These tests
+count the builds, and check that any structural difference — an edited
+scheduling attribute, a new edge, a new task — gets a full compile, with
+the start times of an independent copy.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.core.batch import FALLBACK_SERVING_STREAM, FALLBACK_UNORDERED_TASKS, 
 from repro.core.engine import SimulationSession, compile_graph
 from repro.core.graph import ExecutionGraph
 from repro.core.graph_builder import GraphBuilder
+from repro.core.manipulation import serving as serving_module
 from repro.core.tasks import DependencyType, Task, TaskKind
 from repro.emulator.api import emulate
 from repro.observability import profile
@@ -69,7 +72,7 @@ def builder_graph() -> ExecutionGraph:
 
 
 class TestSharedBuilds:
-    def test_stream_sweep_compiles_and_plans_once(self, builds):
+    def test_stream_sweep_compiles_and_plans_once(self, builds, monkeypatch):
         study = Study.from_emulation(stream_model(), "2x1x1",
                                      inference=STREAM_INFERENCE,
                                      iterations=1, seed=7)
@@ -80,20 +83,47 @@ class TestSharedBuilds:
         # The base compiles once (at replay) and plans once (its what-if
         # batch); the four re-timings reuse both.
         assert builds == {"_compile_graph": 1, "compile_batch_plan": 1}
+        # Views share the base's class column and sample-token indices, and
+        # the base's serving operators survive release(): after the first
+        # sweep, a sweep builds no column, finds no sample token, regenerates
+        # no base operator and builds no task.
+        study.release()
+        tables = []
+        op_table = serving_module._op_table
+        monkeypatch.setattr(serving_module, "_op_table",
+                            lambda *args: tables.append(args[1]) or op_table(*args))
+        with profile() as prof:
+            again = study.sweep(serving=["prompt=1024", "prompt=256", "tp=1", "tp=4"],
+                                whatif=["gemm:2", "comm:1.5"], slo_ms=8.0)
+        assert [row.to_json() for row in again.results] == \
+            [row.to_json() for row in result.results]
+        assert len(tables) == 4  # the targets' own operators
+        counters = prof.metrics.snapshot()["counters"]
+        assert counters["whatif.mask.by_class"] == 10.0
+        assert not [name for name in counters if name.startswith((
+            "engine.column.", "engine.sample_tokens", "engine.materialise",
+            "engine.compile."))], counters
 
     def test_composite_hardware_compiles_from_its_prefix(self, builds):
         # Sweep specs resolve their base model through the GPT-3 registry.
         study = Study.from_emulation(
             "gpt3-15b", "2x1x1", TrainingConfig(micro_batch_size=1, num_microbatches=2),
             iterations=1, seed=5)
-        result = study.sweep(parallelism=["2x1x2"], hardware=["H200-SXM"])
+        with profile() as prof:
+            result = study.sweep(parallelism=["2x1x2"], hardware=["H200-SXM"])
         assert len(result) == 4
-        # Two topologies (the base and 2x1x2): the retargets reuse them.
+        # Two topologies (the base and 2x1x2), each compiled once: the
+        # retargets are views of their compiled sources, so they compile
+        # nothing and build no task.
         assert builds["_compile_graph"] == 2
+        counters = prof.metrics.snapshot()["counters"]
+        assert counters["engine.compile.full"] == 2.0
+        assert "engine.compile.shared" not in counters
+        assert "engine.materialise" not in counters
         *_, prefix = study.config_state("parallelism:2x1x2")
         *_, composite = study.config_state("parallelism=2x1x2,gpu=H200-SXM")
         assert composite.compiled._topology is prefix.compiled._topology
-        assert composite.compiled.graph is not prefix.compiled.graph
+        assert composite.compiled._retime.source is prefix.compiled
 
 
     def test_data_parallel_retime_shares_its_base(self, builds):
@@ -103,6 +133,17 @@ class TestSharedBuilds:
         base = study.base_graph
         before = {task_id: (task.duration, dict(task.args))
                   for task_id, task in base.tasks.items()}
+        with profile() as prof:
+            result = study.sweep(parallelism=["2x1x4"], whatif=["gemm:2", "comm:2"])
+        assert len(result) == 6
+        # One topology: the base compiles at replay (before the profile)
+        # and plans once (its what-if batch); the retime is a view of the
+        # replay's compiled graph, so it compiles nothing and builds no task.
+        assert builds == {"_compile_graph": 1, "compile_batch_plan": 1}
+        counters = prof.metrics.snapshot()["counters"]
+        assert "engine.compile.full" not in counters
+        assert "engine.compile.shared" not in counters
+        assert "engine.materialise" not in counters
         derived, _ = study.derived_graph("2x1x4")
         retimed = {task_id for task_id, task in base.tasks.items()
                    if task.kind == TaskKind.GPU and task.args.get("group") == "dp"
@@ -114,11 +155,6 @@ class TestSharedBuilds:
         assert derived.tasks.keys() == base.tasks.keys()
         for task_id, task in base.tasks.items():
             assert (derived.tasks[task_id] is task) == (task_id not in retimed)
-        result = study.sweep(parallelism=["2x1x4"], whatif=["gemm:2", "comm:2"])
-        assert len(result) == 6
-        # One topology: the base compiles at replay and plans once (its
-        # what-if batch); the retime reuses both.
-        assert builds == {"_compile_graph": 1, "compile_batch_plan": 1}
         *_, base_session = study.config_state(None)
         *_, derived_session = study.config_state("2x1x4")
         assert derived_session.compiled._topology is base_session.compiled._topology

@@ -248,12 +248,13 @@ class TestExecutionGraph:
 @pytest.mark.parametrize("target", ["parallelism=2x4x2", "model:gpt3-v1"])
 def test_derived_graph_stores_no_object_per_edge(target):
     # Besides its tasks, a derived graph holds a handful of GC-tracked
-    # objects (itself, its dicts, the three edge arrays), however many
-    # edges it has: no per-edge record, no adjacency lists.
+    # objects (itself, its dicts, the three edge arrays and the compiled
+    # topology the study keeps in its memo), however many edges it has: no
+    # per-edge record, no adjacency lists.
     study = Study.from_emulation("gpt3-15b", "2x2x2",
                                  TrainingConfig(micro_batch_size=1, num_microbatches=2),
                                  iterations=1, seed=1)
     graph, _ = study.derived_graph(target)
-    assert graph._compile_memo is None and len(graph.edge_src) > 5000
+    assert graph._compile_memo.topology is not None and len(graph.edge_src) > 5000
     extra = _tracked_reachable(graph) - _tracked_reachable(graph.tasks)
     assert len(extra) < 100

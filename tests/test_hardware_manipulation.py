@@ -26,6 +26,7 @@ from repro.core.tasks import Task, TaskKind
 from repro.emulator.api import emulate
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.gpu import A100_SXM, B200, H100_SXM, H200_SXM, GPUSpec
+from repro.trace.kineto import TraceBundle
 from repro.workload.inference import InferenceConfig
 from repro.workload.model_config import gpt3_model
 from repro.workload.parallelism import ParallelismConfig
@@ -178,6 +179,30 @@ class TestDerivesRunOnTheProfiledPart:
         assert abs(predicted - truth) / truth < 0.05
 
 
+    def test_a_saved_bundle_reopens_on_the_part_it_was_profiled_on(self, tmp_path):
+        # The emulator records the GPU and node size, so a study over the
+        # saved bundle derives on a B200 without being told.
+        training = TrainingConfig(micro_batch_size=1, num_microbatches=2)
+        emulate(gpt3_model("gpt3-15b"), ParallelismConfig.parse("2x2x2"), training,
+                cluster=_on(B200, "2x2x2"), iterations=1, seed=1).profiled.save(
+                    tmp_path / "bundle")
+        study = Study.from_trace(tmp_path / "bundle")
+        assert (study.cluster.gpu.name, study.cluster.gpus_per_node) == ("B200", 8)
+        predicted = study.predict("2x2x8").iteration_time_us
+        truth = emulate(gpt3_model("gpt3-15b"), ParallelismConfig.parse("2x2x8"), training,
+                        cluster=_on(B200, "2x2x8"), iterations=1,
+                        seed=1).measured_iteration_time()
+        assert abs(predicted - truth) / truth < 0.025
+
+    def test_an_unknown_recorded_part_opens_the_default_cluster(self, h100_base_trace):
+        bundle = TraceBundle.load(h100_base_trace)
+        assert bundle.metadata["gpu"] == "H100-SXM"
+        bundle.metadata.update(gpu="X9000", gpus_per_node="many")
+        study = Study.from_trace(bundle)
+        assert study.cluster == ClusterSpec.for_world_size(
+            study.base_parallel.world_size)
+
+
 class TestCompositeCapacity:
     @pytest.fixture(scope="class")
     def study(self):
@@ -194,7 +219,7 @@ class TestCompositeCapacity:
             study.predict("model=gpt3-v4,gpu=A100-SXM")
         assert excinfo.value.code == REFUSE_CAPACITY
         assert "gpt3-v4" in str(excinfo.value)
-        assert not any(key.kind.startswith("architecture") for key in study._graphs)
+        assert not any(key.kind.startswith("architecture") for key in study._configs)
 
 
 class TestServingRetarget:
@@ -250,6 +275,6 @@ class TestUnclassifiedRefusal:
                             name="fused_layernorm", duration=1000.0, stream=0,
                             args={"op_class": "layernorm"}))
         derived = self._retarget(graph)
-        by_name = {task.name: task for task in derived.task_list()}
+        by_name = {task.name: task for task in derived.graph.task_list()}
         assert by_name["mystery_kernel"].duration == 1.0  # under budget: kept
         assert by_name["fused_layernorm"].duration < 1000.0

@@ -258,7 +258,7 @@ class TestServingManipulation:
             base_model=serving_study.base_model, base_parallel=serving_study.base_parallel,
             base_inference=TINY_INFERENCE, perf_model=serving_study.perf_model)
         assert len(derived) == len(graph)
-        assert [t.duration for t in derived.task_list()] == \
+        assert [t.duration for t in derived.graph.task_list()] == \
             [t.duration for t in graph.task_list()]
 
     def test_batch_scaling_grows_compute(self, serving_study):

@@ -144,7 +144,7 @@ class TestDataParallelScaling:
     def test_only_dp_collectives_are_retimed(self, base_graph, base_parallel, perf_model):
         graph = scale_data_parallelism(base_graph, base_parallel, 8, perf_model)
         assert len(graph) == len(base_graph)
-        for original, manipulated in zip(base_graph.task_list(), graph.task_list()):
+        for original, manipulated in zip(base_graph.task_list(), graph.graph.task_list()):
             if original.kind == TaskKind.GPU and original.args.get("group") == "dp":
                 assert manipulated.args["group_size"] == 8
             else:
@@ -157,7 +157,7 @@ class TestDataParallelScaling:
 
     def test_scaling_to_dp1_zeroes_dp_communication(self, base_graph, base_parallel, perf_model):
         graph = scale_data_parallelism(base_graph, base_parallel, 1, perf_model)
-        dp_tasks = [t for t in graph.gpu_tasks() if t.args.get("group") == "dp"]
+        dp_tasks = [t for t in graph.graph.gpu_tasks() if t.args.get("group") == "dp"]
         assert dp_tasks and all(t.duration == 0.0 for t in dp_tasks)
 
     def test_invalid_degree_rejected(self, base_graph, base_parallel, perf_model):

@@ -11,21 +11,29 @@ from repro.api import Study
 from repro.core.batch import ROW_WALK_MAX_ROWS
 from repro.core.breakdown import rank_breakdown
 from repro.core.critical_path import critical_path
-from repro.core.engine import SimulationSession, _compile_graph, compile_graph
+from repro.core.engine import SimulationSession, _compile_graph, _task_class, compile_graph
 from repro.core.graph import ExecutionGraph
+from repro.core.manipulation import (
+    rescale_serving_graph,
+    retarget_hardware,
+    scale_data_parallelism,
+)
+from repro.core.perf_model import KernelPerfModel
 from repro.core.sm_utilization import sm_utilization_timeline
 from repro.core.tasks import DependencyType, Task, TaskKind
 from repro.core.whatif import evaluate_scenarios, scenario_for
 from repro.hardware.cluster import ClusterSpec, CommunicatorGroups
-from repro.hardware.gpu import H100_SXM
+from repro.hardware.gpu import H100_SXM, resolve_gpu
 from repro.kernels.collectives import collective_time_us
 from repro.kernels.gemm import gemm_time_us
 from repro.trace.events import Category, TraceEvent
 from repro.trace.kineto import KinetoTrace
 from repro.workload.arrivals import parse_arrival
-from repro.workload.inference import InferenceConfig
+from repro.workload.inference import InferenceConfig, ServingTarget
+from repro.workload.parallelism import ParallelismConfig
 from repro.workload.pipeline import one_f_one_b_schedule, stage_layers
-from tests.conftest import hyp_max_examples, simulate, spans
+from tests import reference_retime
+from tests.conftest import hyp_max_examples, simulate, spans, tiny_model
 from tests.test_batch_engine import add_processor_chains, scenario_matrix
 from tests.test_engine import random_graphs
 
@@ -382,7 +390,7 @@ def assert_class_masks_match_task_masks(compiled) -> None:
             lambda task: scenario.predicate(task), scenario.speedup)
         assert np.array_equal(by_class, by_task)
         assert affected == expected
-    assert "_classes" in vars(compiled)
+    assert _task_class in compiled._columns
 
 
 @pytest.fixture(scope="module")
@@ -436,3 +444,122 @@ class TestWhatIfClassMasks:
                                    scenario_for("communication"),
                                    scenario_for("launch_overhead")], session=session)
         assert 0 < len(reads) <= len(classes)
+
+
+# --------------------------------------------------------------------------------------
+# Retimes: a duration column over the source equals the per-task retime
+# --------------------------------------------------------------------------------------
+
+_RETIME_MODEL = tiny_model(n_layers=2, d_model=256)
+_RETIME_SERVING = InferenceConfig(batch_size=2, prompt_length=64, decode_length=2)
+_RETIME_PARALLEL = ParallelismConfig.parse("2x1x1")
+#: ``(phase, op_name, microbatch)`` of every operator of the serving base,
+#: plus one the decomposition does not have.
+_SERVING_OPS = sorted(reference_retime._op_table(
+    _RETIME_MODEL, _RETIME_PARALLEL, _RETIME_SERVING, None), key=repr) + [
+    ("decode", "not_an_op", 0)]
+_RETIME_PERF_MODEL = KernelPerfModel(cluster=ClusterSpec.for_world_size(2))
+
+
+@st.composite
+def retimable_graphs(draw):
+    """:func:`random_graphs` with drawn names, classes, shapes, groups and serving keys."""
+    graph = draw(random_graphs())
+    for task in graph.tasks.values():
+        task.name = draw(st.sampled_from(["kernel", "cudaLaunchKernel", "ncclKernel_AllReduce",
+                                          "gemm_m8_n8_k8", "gemm_m64_n128_k256"]))
+        for key, values in (
+                ("op_class", ["gemm", "attention", "decode_attention", "layernorm",
+                              "elementwise", "comm"]),
+                ("collective", ["all_reduce", "all_gather", "send"]),
+                ("group", ["tp", "dp", "pp"]),
+                ("group_ranks", [[0, 1], [1], [0, 3], [2, 3]]),
+                ("flops", [0, 1.5e9, 4e12]),
+                ("bytes_accessed", [0, 2e6, 3e9]),
+                ("size_bytes", [0, 1e6, 6.5e8])):
+            value = draw(st.sampled_from([None, *values]))
+            if value is not None:
+                task.args[key] = value
+        if draw(st.booleans()):
+            phase, op_name, microbatch = draw(st.sampled_from(_SERVING_OPS))
+            task.args.update(phase=phase, op_name=op_name, microbatch=microbatch)
+    return graph
+
+
+def assert_retime_matches(view, expected) -> None:
+    """A retime's materialised graph equals the per-task one, bit for bit."""
+    graph = view.graph
+    assert graph.tasks.keys() == expected.tasks.keys()
+    for task_id, task in expected.tasks.items():
+        mine = graph.tasks[task_id]
+        assert np.float64(mine.duration).tobytes() == np.float64(task.duration).tobytes()
+        assert mine.args == task.args
+        assert (mine.name, mine.kind, mine.rank) == (task.name, task.kind, task.rank)
+    assert graph.metadata == expected.metadata
+    assert view.durations.tobytes() == compile_graph(expected).durations.tobytes()
+
+
+def _both(columnar, per_task):
+    """Each function's result, or the refusal both must raise alike."""
+    try:
+        expected = per_task()
+    except ValueError as refusal:
+        with pytest.raises(type(refusal)) as raised:
+            columnar()
+        assert str(raised.value) == str(refusal)
+        return None, None
+    return columnar(), expected
+
+
+class TestRetimeColumns:
+    """The data-parallel, hardware and serving retimes against ``tests/reference_retime.py``."""
+
+    @given(retimable_graphs(), st.sampled_from([1, 2, 4]),
+           st.sampled_from([None, "H200-SXM", "B200", "A100-SXM"]))
+    @settings(max_examples=hyp_max_examples(60), deadline=None)
+    def test_data_parallel(self, graph, data_parallel, gpu_name):
+        base_parallel = ParallelismConfig.parse("1x1x2")
+        view, expected = _both(
+            lambda: scale_data_parallelism(graph, base_parallel, data_parallel,
+                                           _RETIME_PERF_MODEL),
+            lambda: reference_retime.scale_data_parallelism(
+                graph, base_parallel, data_parallel, _RETIME_PERF_MODEL))
+        if view is None:
+            return
+        assert_retime_matches(view, expected)
+        if gpu_name is not None:
+            self._assert_retarget_matches(view, expected, gpu_name)
+
+    @given(retimable_graphs(), st.sampled_from(["H200-SXM", "B200", "A100-SXM"]))
+    @settings(max_examples=hyp_max_examples(60), deadline=None)
+    def test_hardware(self, graph, gpu_name):
+        self._assert_retarget_matches(graph, graph, gpu_name)
+
+    @given(retimable_graphs(),
+           st.sampled_from(["batch=4", "prompt=128", "tp=1", "batch=1,prompt=32"]),
+           st.sampled_from([None, "H200-SXM", "B200"]))
+    @settings(max_examples=hyp_max_examples(60), deadline=None)
+    def test_serving(self, graph, label, gpu_name):
+        knobs = dict(base_model=_RETIME_MODEL, base_parallel=_RETIME_PARALLEL,
+                     base_inference=_RETIME_SERVING, perf_model=_RETIME_PERF_MODEL)
+        target = ServingTarget.parse(label)
+        view, expected = _both(lambda: rescale_serving_graph(graph, target, **knobs),
+                               lambda: reference_retime.rescale_serving_graph(
+                                   graph, target, **knobs))
+        if view is None:
+            return
+        assert_retime_matches(view, expected)
+        if gpu_name is not None:
+            self._assert_retarget_matches(view, expected, gpu_name)
+
+    @staticmethod
+    def _assert_retarget_matches(source, expected_source, gpu_name) -> None:
+        if source is None:
+            return
+        gpu = resolve_gpu(gpu_name)
+        view, expected = _both(
+            lambda: retarget_hardware(source, gpu, perf_model=_RETIME_PERF_MODEL),
+            lambda: reference_retime.retarget_hardware(expected_source, gpu,
+                                                       perf_model=_RETIME_PERF_MODEL))
+        if view is not None:
+            assert_retime_matches(view, expected)

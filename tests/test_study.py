@@ -30,7 +30,7 @@ from repro.core.manipulation import dispatch
 from repro.core.replay import replay
 from repro.core.whatif import WhatIfResult, evaluate_scenarios, scenario_for
 from repro.emulator.api import emulate
-from repro.observability import coerce_bundle
+from repro.observability import coerce_bundle, profile
 from repro.service.protocol import predict_result_payload
 from repro.sweep import SweepSpec, WhatIfSpec, run_sweep
 from repro.sweep.runner import open_study
@@ -141,9 +141,9 @@ class TestMemoization:
 
     def test_release_drops_target_caches_keeps_calibration(self, study):
         study.predict("2x1x4")
-        assert study._sessions
+        assert study._configs
         study.release()
-        assert not study._graphs and not study._sessions and not study._predictions
+        assert not study._configs and not study._predictions
         assert study.calibrations == 1
         assert study.predict("2x1x4").iteration_time_us > 0
         assert study.calibrations == 1
@@ -153,9 +153,11 @@ class TestMemoization:
         # batched runner: released graphs and sessions go with their last
         # reference, not at some later gen-2 collection.
         study.sweep(parallelism=["2x1x4", "2x2x1"], whatif=["gemm:2", "comm:2"])
-        held = [weakref.ref(graph) for graph, _ in study._graphs.values()]
-        held += [weakref.ref(session) for session in study._sessions.values()]
-        assert any(session._batch is not None for session in study._sessions.values())
+        held = [weakref.ref(session.compiled) for session, _ in study._configs.values()
+                if session.compiled is not study.replay().run.compiled]
+        held += [weakref.ref(session) for session, _ in study._configs.values()]
+        assert len(held) == 5
+        assert any(session._batch is not None for session, _ in study._configs.values())
         gc.disable()
         try:
             study.release()
@@ -331,16 +333,16 @@ class TestSweep:
         assert study.calibrations == 1  # the sweep did not recalibrate
         # A caller-owned study keeps the sweep's per-target sessions for
         # later predictions (the facade's memoization contract).
-        assert Target(KIND_ARCHITECTURE, "gpt3-v1") in study._sessions
+        assert Target(KIND_ARCHITECTURE, "gpt3-v1") in study._configs
 
     def test_standalone_hardware_sweep_derives_each_workload_target_once(
             self, bundle, spec, monkeypatch):
         derived = []
         original = dispatch.derive
 
-        def recording(graph, kind, label, *args):
-            derived.append((kind, label))
-            return original(graph, kind, label, *args)
+        def recording(source, kind, context):
+            derived.append((kind, context.target.parallel.label()))
+            return original(source, kind, context)
 
         monkeypatch.setattr(dispatch, "derive", recording)
         crossed = replace(spec, parallelism=("2x1x4", "2x2x2"), models=(),
@@ -433,9 +435,9 @@ class TestBaseFold:
         derived = []
         original = dispatch.derive
 
-        def recording(graph, kind, label, *args):
-            derived.append((kind, label))
-            return original(graph, kind, label, *args)
+        def recording(source, kind, context):
+            derived.append((kind, context.target.parallel.label()))
+            return original(source, kind, context)
 
         monkeypatch.setattr(dispatch, "derive", recording)
         rows = {row.label: row for row in
@@ -495,6 +497,49 @@ class TestReplaySignature:
     def test_replay_without_input_raises(self):
         with pytest.raises(ValueError, match="traces or a pre-built graph"):
             replay()
+
+
+class TestRetimedViews:
+    """A retimed target is a view of its source's compiled graph."""
+
+    def test_predict_builds_no_task_until_the_graph_is_read(self, study):
+        with profile() as prof:
+            prediction = study.predict("parallelism=2x1x4,gpu=H200-SXM")
+            assert prediction.iteration_time_us > 0
+            assert not prediction.is_stream and prediction.serving_metrics() is None
+        assert "engine.materialise" not in prof.metrics.snapshot()["counters"]
+        compiled = prediction.result.run.compiled
+        assert not {"tasks", "graph"} & vars(compiled).keys()
+        with profile() as prof:
+            graph = prediction.graph
+        # The composite and its data-parallel source build their tasks once.
+        assert prof.metrics.snapshot()["counters"]["engine.materialise"] == 2.0
+        assert graph is prediction.graph is study.derived_graph(
+            "parallelism=2x1x4,gpu=H200-SXM")[0]
+        assert graph.metadata == compiled.metadata
+        assert graph.metadata["manipulated"] == "data_parallel+hardware"
+        assert [graph.tasks[task_id].duration for task_id in compiled.index_of] == \
+            compiled.durations.tolist()
+
+    def test_custom_whatif_predicate_sees_the_retimed_tasks(self, study):
+        seen = {}
+
+        def data_parallel(task):
+            seen[task.task_id] = (task.duration, dict(task.args))
+            return task.args.get("group") == "dp"
+
+        result = (study.whatif(target="2x1x4").scenario("dp x2", data_parallel, 2.0)
+                  .run()[0])
+        graph, _ = study.derived_graph("2x1x4")
+        assert seen == {task_id: (task.duration, task.args)
+                        for task_id, task in graph.tasks.items()}
+        retimed = [task_id for task_id, task in study.base_graph.tasks.items()
+                   if task.args.get("group") == "dp" and task.args.get("collective")]
+        assert retimed and result.affected_tasks == len(retimed)
+        for task_id in retimed:
+            duration, args = seen[task_id]
+            assert args["group_size"] == 4
+            assert duration != study.base_graph.tasks[task_id].duration
 
 
 class TestRenderOnRead:
